@@ -3,12 +3,12 @@
 //
 //   1. scheduler push/pop  — 1M timers through the pooled binary heap
 //   2. schedule/cancel churn — the lazy-cancellation path (tombstones)
-//   3. medium fan-out       — one transmitter among 10 / 500 / 5000
-//      attached radios, spatial index on vs off
-//   4. ppdu pipeline        — one injector streaming at 50 receivers,
-//      zero-copy pipeline (shared payloads + frame templates + batched
-//      fan-out) vs the legacy per-frame-allocation configuration, with a
-//      counting-allocator hook proving the steady state allocation-free
+//   3. medium fan-out       — a transmitter pool among 10 / 500 / 5000 /
+//      50000 attached radios through the spatial index
+//   4. ppdu pipeline        — one injector streaming at 50 receivers
+//      through the zero-copy pipeline (shared payloads + frame templates
+//      + batched fan-out), with a counting-allocator hook proving the
+//      steady state allocation-free
 //
 // Emits BENCH_event_engine.json in the same format as the experiment
 // benches, so the engine's perf trajectory is tracked PR over PR.
@@ -116,20 +116,19 @@ struct FanoutResult {
 };
 
 /// Transmitters from a small pool rotating among `n` radios scattered
-/// over `extent_m`, with or without the spatial index. A pool — rather
+/// over `extent_m`. A pool — rather
 /// than every radio taking one turn — is the realistic dense-cell shape
 /// (a handful of beaconing APs and chatty stations in front of a large
 /// population) and is what gives the link cache a live working set to
 /// hit: each pool member's fan-out repeats every `pool` rounds.
 FanoutResult bench_fanout(bench::PerfReport& perf, std::size_t n,
-                          double extent_m, bool use_index, int rounds,
+                          double extent_m, int rounds,
                           double fading_coherence_us = 0.0,
                           bool note_perf = true) {
   const bool fading = fading_coherence_us > 0.0;
   sim::Scheduler scheduler;
   sim::MediumConfig mc;
   mc.shadowing_sigma_db = 0.0;
-  mc.use_spatial_index = use_index;
   if (fading) {
     // Heavily correlated fading: every delivery composes a per-link
     // AR(1) fade on top of the cached static budget. The caller picks
@@ -174,22 +173,22 @@ FanoutResult bench_fanout(bench::PerfReport& perf, std::size_t n,
   const double hit_rate =
       lookups > 0.0 ? double(stats.link_cache_hits) / lookups : 0.0;
   std::printf(
-      "  %5zu radios  index=%-3s  %zu tx pool  %7.0f tx/s  "
+      "  %5zu radios  %zu tx pool  %7.0f tx/s  "
       "(%.2f candidates/tx, %.2f receptions/tx, %.1f%% link-cache hits"
       "%s)\n",
-      n, use_index ? "on" : "off", pool, rounds / dt,
+      n, pool, rounds / dt,
       double(stats.candidates_scanned) / double(stats.transmissions),
       double(stats.receptions) / double(stats.transmissions),
       hit_rate * 100.0, fading ? ", fading on" : "");
   perf.add_events(scheduler.events_executed(), scheduler.now() - kSimStart);
   if (note_perf) {
     char key[64];
-    std::snprintf(key, sizeof key, "fanout_%zu_%s%s_tx_per_sec", n,
-                  use_index ? "indexed" : "brute", fading ? "_fading" : "");
+    std::snprintf(key, sizeof key, "fanout_%zu_indexed%s_tx_per_sec", n,
+                  fading ? "_fading" : "");
     perf.note(key, rounds / dt);
     if (!fading) {
-      std::snprintf(key, sizeof key, "fanout_%zu_%s_link_cache_hit_rate", n,
-                    use_index ? "indexed" : "brute");
+      std::snprintf(key, sizeof key, "fanout_%zu_indexed_link_cache_hit_rate",
+                    n);
       perf.note(key, hit_rate);
     }
   }
@@ -260,13 +259,12 @@ double bench_city_shard(bench::PerfReport& perf, int shards, std::size_t n,
 
 /// One attacker streaming fake null-function frames at `n_rx` in-range
 /// station-less receivers — the inject→transmit→deliver path the battery
-/// attack lives on. `zero_copy` toggles the whole pipeline (shared
-/// pooled payloads, frame-template cache, batched fan-out) against the
-/// legacy per-frame-allocation configuration. Returns frames/sec and,
-/// for the zero-copy run, records the steady-state allocation delta
-/// measured by the counting operator-new hook after a warm-up phase.
-double bench_ppdu_pipeline(bench::PerfReport& perf, bool zero_copy,
-                           std::size_t n_rx, int frames,
+/// attack lives on (shared pooled payloads, frame-template cache, batched
+/// fan-out). Returns frames/sec and records the steady-state allocation
+/// delta measured by the counting operator-new hook after a warm-up
+/// phase.
+double bench_ppdu_pipeline(bench::PerfReport& perf, std::size_t n_rx,
+                           int frames,
                            bool note_perf = true) {
   sim::Scheduler scheduler;
   sim::MediumConfig mc;
@@ -277,9 +275,6 @@ double bench_ppdu_pipeline(bench::PerfReport& perf, bool zero_copy,
   // batched fan-out collapsing the per-receiver end-of-PPDU events into
   // one delivery event per transmission.
   mc.model_propagation_delay = false;
-  mc.pool_ppdus = zero_copy;
-  mc.batched_fanout = zero_copy;
-  mc.frame_templates = zero_copy;
   sim::Medium medium(scheduler, mc, /*seed=*/7);
 
   sim::RadioConfig arc;
@@ -320,23 +315,18 @@ double bench_ppdu_pipeline(bench::PerfReport& perf, bool zero_copy,
   const std::uint64_t steady_allocs =
       politewifi::bench_alloc::count - allocs_before;
 
-  const char* mode = zero_copy ? "zero-copy" : "legacy   ";
   std::printf(
-      "  %s  %7.0f frames/s  %6llu allocs in steady phase  "
+      "  %7.0f frames/s  %6llu allocs in steady phase  "
       "%8llu payload bytes copied\n",
-      mode, frames / dt,
+      frames / dt,
       static_cast<unsigned long long>(steady_allocs),
       static_cast<unsigned long long>(medium.stats().ppdu_bytes_copied));
   perf.add_events(scheduler.events_executed(), scheduler.now() - kSimStart);
   if (!note_perf) return frames / dt;
-  if (zero_copy) {
-    perf.note("ppdu_pipeline_frames_per_sec", frames / dt);
-    perf.note("ppdu_pipeline_steady_allocations", double(steady_allocs));
-    perf.note("ppdu_pipeline_bytes_copied",
-              double(medium.stats().ppdu_bytes_copied));
-  } else {
-    perf.note("ppdu_pipeline_legacy_frames_per_sec", frames / dt);
-  }
+  perf.note("ppdu_pipeline_frames_per_sec", frames / dt);
+  perf.note("ppdu_pipeline_steady_allocations", double(steady_allocs));
+  perf.note("ppdu_pipeline_bytes_copied",
+            double(medium.stats().ppdu_bytes_copied));
   return frames / dt;
 }
 
@@ -359,10 +349,7 @@ int main() {
   bool fanout_hits_dominate = true;
   for (const std::size_t n : {std::size_t{10}, std::size_t{500},
                               std::size_t{5000}}) {
-    const FanoutResult indexed =
-        bench_fanout(perf, n, 2000.0, /*use_index=*/true, rounds);
-    bench_fanout(perf, n, 2000.0, /*use_index=*/false,
-                 n >= 5000 ? rounds / 10 : rounds);
+    const FanoutResult indexed = bench_fanout(perf, n, 2000.0, rounds);
     // The acceptance bar the set-associative cache + SoA lanes exist
     // for: on a steady fan-out workload, lookups served from cache must
     // dominate recomputes.
@@ -374,11 +361,9 @@ int main() {
     }
   }
   // City-shard scale: 50k radios at the same density (extent grows by
-  // sqrt(10)), indexed only — the brute scan at this size measures
-  // nothing the 5000-point doesn't already.
+  // sqrt(10)).
   {
-    const FanoutResult big = bench_fanout(perf, 50000, 6324.6,
-                                          /*use_index=*/true, rounds / 10);
+    const FanoutResult big = bench_fanout(perf, 50000, 6324.6, rounds / 10);
     if (big.link_hits <= big.link_misses) {
       std::printf("  FAIL fanout_50000: link cache hits %llu <= misses %llu\n",
                   static_cast<unsigned long long>(big.link_hits),
@@ -396,8 +381,7 @@ int main() {
   // pipeline has stopped surviving the channel refactor.
   bool fading_lane_live = true;
   {
-    const FanoutResult faded = bench_fanout(perf, 5000, 2000.0,
-                                            /*use_index=*/true, rounds,
+    const FanoutResult faded = bench_fanout(perf, 5000, 2000.0, rounds,
                                             /*fading_coherence_us=*/100.0);
     if (faded.fading_advances == 0) {
       std::printf("  FAIL fanout_5000_fading: no AR(1) samples drawn\n");
@@ -414,14 +398,7 @@ int main() {
 
   bench::section("ppdu pipeline: 1 attacker -> 50 receivers");
   const int pipeline_frames = scale >= 1.0 ? 20000 : 2000;
-  const double legacy =
-      bench_ppdu_pipeline(perf, /*zero_copy=*/false, 50, pipeline_frames);
-  const double zc =
-      bench_ppdu_pipeline(perf, /*zero_copy=*/true, 50, pipeline_frames);
-  if (legacy > 0.0) {
-    bench::kvf("zero-copy speedup", "%.2fx", zc / legacy);
-    perf.note("ppdu_pipeline_speedup", zc / legacy);
-  }
+  bench_ppdu_pipeline(perf, 50, pipeline_frames);
 
   bench::section("metrics harvest (fixed size, untimed)");
   // The obs/ registry stays disabled through every timed phase above so
@@ -434,15 +411,14 @@ int main() {
   // treats as "no data" rather than a regression.
   obs::Registry::reset();
   obs::Registry::set_enabled(true);
-  bench_fanout(perf, 500, 2000.0, /*use_index=*/true, /*rounds=*/200,
+  bench_fanout(perf, 500, 2000.0, /*rounds=*/200,
                /*fading_coherence_us=*/0.0, /*note_perf=*/false);
   // Long-coherence fading pass: a pool member's turns recur inside one
   // coherence interval, so the AR(1) lanes serve real cache hits and
   // bench_compare's fading_cache_hit_rate pair gets data to gate.
-  bench_fanout(perf, 500, 2000.0, /*use_index=*/true, /*rounds=*/200,
+  bench_fanout(perf, 500, 2000.0, /*rounds=*/200,
                /*fading_coherence_us=*/2000.0, /*note_perf=*/false);
-  bench_ppdu_pipeline(perf, /*zero_copy=*/true, 50, 2000,
-                      /*note_perf=*/false);
+  bench_ppdu_pipeline(perf, 50, 2000, /*note_perf=*/false);
   obs::Registry::set_enabled(false);
   perf.set_metrics(obs::Registry::to_json());
 

@@ -49,7 +49,6 @@ int main() {
   // ticks. The bench trades sub-quantum RF fidelity for cache hits; the
   // golden-gated experiments leave the quantum at its off default.
   sc.medium.position_quantum_m = 4.0;
-  if (std::getenv("PW_NO_INDEX")) sc.medium.use_spatial_index = false;
   sim::Simulation sim(sc);
   core::WardriveConfig cfg;
   cfg.speed_mps = 11.0;  // ~40 km/h; the full route takes about an hour
@@ -116,9 +115,6 @@ int main() {
     fading_sc.medium.fading_rho = 0.9;
     fading_sc.medium.fading_sigma_db = 2.0;
     fading_sc.medium.fading_coherence_us = 1000.0;
-    if (std::getenv("PW_NO_INDEX")) {
-      fading_sc.medium.use_spatial_index = false;
-    }
     sim::Simulation fading_sim(fading_sc);
     core::WardriveCampaign fading_campaign(fading_sim, fading_plan, cfg);
     const auto t0 = std::chrono::steady_clock::now();
@@ -159,9 +155,6 @@ int main() {
         .seed = static_cast<std::uint64_t>(3000 + k)};
     district_sc.medium.shards = 4;
     district_sc.medium.position_quantum_m = 4.0;
-    if (std::getenv("PW_NO_INDEX")) {
-      district_sc.medium.use_spatial_index = false;
-    }
     sim::Simulation district_sim(district_sc);
     core::WardriveCampaign district_campaign(district_sim, district_plan, cfg);
     (void)district_campaign.run();

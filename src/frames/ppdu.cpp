@@ -29,8 +29,7 @@ PW_HOT void PpduRef::release() {
       buf_->pool->release_buffer(buf_);
     } else {
       // pw-analyze: allow(hot-new): orphan/freestanding buffers only —
-      // pooled buffers return to the free list above; the legacy
-      // allocate-per-frame path is the sanctioned off-switch.
+      // pooled buffers return to the free list above.
       delete buf_;
     }
   }
@@ -59,7 +58,7 @@ PpduPool::~PpduPool() {
 
 PW_HOT PpduRef PpduPool::acquire() {
   ++stats_.acquires;
-  if (pooling_ && !free_.empty()) {
+  if (!free_.empty()) {
     ++stats_.reuses;
     PW_COUNT(kPpduPoolReuses);
     PpduRef::Buffer* buf = free_.back();
@@ -74,12 +73,8 @@ PW_HOT PpduRef PpduPool::acquire() {
   // state recycles via free_, witnessed by sim.ppdu_pool.allocations and
   // the bench-regression allocation gate.
   auto* buf = new PpduRef::Buffer;
-  if (pooling_) {
-    buf->pool = this;
-    all_.push_back(buf);
-  }
-  // !pooling_: freestanding buffer, deleted on last release — the
-  // allocate-per-frame behaviour of the legacy pipeline.
+  buf->pool = this;
+  all_.push_back(buf);
   return PpduRef(buf);
 }
 

@@ -130,12 +130,6 @@ class PpduPool {
   PpduPool(const PpduPool&) = delete;
   PpduPool& operator=(const PpduPool&) = delete;
 
-  /// Off = every acquire() allocates a freestanding buffer and the last
-  /// release deletes it — the pre-pool allocation behaviour, kept for the
-  /// zero-copy/legacy equivalence property test.
-  void set_pooling(bool on) { pooling_ = on; }
-  bool pooling() const { return pooling_; }
-
   /// An empty, unique buffer (capacity retained from its previous life).
   PpduRef acquire();
 
@@ -156,7 +150,6 @@ class PpduPool {
 
   std::vector<PpduRef::Buffer*> all_;   // pooled buffers, owned
   std::vector<PpduRef::Buffer*> free_;  // refs==0 subset of all_
-  bool pooling_ = true;
   Stats stats_;
 };
 

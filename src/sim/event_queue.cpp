@@ -135,8 +135,7 @@ PW_HOT void Scheduler::cancel(EventId id) {
   // Once tombstones dominate, sweep them out in one O(n) pass — amortized
   // O(1) per cancel. `tombstones_peak` is the trigger's witness: under
   // any cancel churn it stays within a factor of the live event count.
-  if (config_.compact_tombstones && tombstones_ > heap_.size() / 2 &&
-      heap_.size() >= 64) {
+  if (tombstones_ > heap_.size() / 2 && heap_.size() >= 64) {
     compact();
   }
 }

@@ -36,25 +36,12 @@
 
 namespace politewifi::sim {
 
-struct SchedulerConfig {
-  /// Sweep tombstones out of the heap in one O(n) pass whenever they
-  /// outnumber live events (amortized O(1) per cancel). Off = pop-time
-  /// reclamation only, the pre-compaction behaviour: cancelled events
-  /// parked far in the future are never reclaimed, so heap and pool grow
-  /// with cancel churn. Compaction only recycles storage — event
-  /// execution order is identical either way (EventIds are opaque and
-  /// slot reuse is invisible to callers), which
-  /// SchedulerPool.CompactionTogglePreservesOutcome property-tests.
-  bool compact_tombstones = true;
-};
-
 class Scheduler {
  public:
   using EventId = std::uint64_t;
   using Callback = SmallFn;
 
   Scheduler() = default;
-  explicit Scheduler(SchedulerConfig config) : config_(config) {}
 
   // now_p_/seq_p_ may point into this object — copying or moving would
   // leave the twin aliasing the original's timebase.
@@ -140,7 +127,7 @@ class Scheduler {
   void audit() const;
 
  private:
-  friend struct SchedulerTestPeer;  // corruption-injection tests
+  friend struct SchedulerTestPeer;  // corruption injection, forced sweeps
 
   static constexpr std::uint64_t kAuditPeriod = 1024;
   struct HeapEntry {
@@ -170,13 +157,15 @@ class Scheduler {
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t index);
   /// Sweeps every tombstone out of the heap and re-heapifies. Called when
-  /// tombstones outnumber live events; amortized O(1) per cancel.
+  /// tombstones outnumber live events; amortized O(1) per cancel. Only
+  /// storage is recycled: EventIds are opaque and slot reuse is invisible
+  /// to callers, so execution order never changes (the
+  /// SchedulerPool.RandomTraceMatchesSortedReferenceModel property).
   void compact();
   /// Pops and runs the earliest live event with at <= limit, reclaiming
   /// any tombstones on the way. Returns false if none qualifies.
   bool pop_one(bool bounded, TimePoint limit);
 
-  SchedulerConfig config_;
   TimePoint now_ = kSimStart;
   std::uint64_t next_seq_ = 0;
   // Timebase indirection: a standalone scheduler owns its clock and

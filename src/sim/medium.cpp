@@ -43,7 +43,7 @@ constexpr double kCellSizingTxPowerDbm = 30.0;
 constexpr double kMinCellSizeM = 25.0;
 constexpr double kMaxCellSizeM = 4096.0;
 
-/// Direct-mapped link-cache sizing: ~this many cache lines per attached
+/// Link-cache sizing: ~this many cache lines per attached
 /// radio (a beaconing AP touches every same-channel radio in range, so
 /// the live working set scales with the population), clamped so a
 /// hello-world sim doesn't pay megabytes and a city doesn't grow without
@@ -86,7 +86,6 @@ Medium::Medium(Scheduler& scheduler, MediumConfig config, std::uint64_t seed)
   shard_ny_ = static_cast<std::uint32_t>(config_.shards) / nx;
   shard_schedulers_.assign(1, &scheduler_);
   memos_.resize(static_cast<std::size_t>(config_.shards));
-  ppdu_pool_.set_pooling(config_.pool_ppdus);
   timeline_group_ = obs::allocate_timeline_group();
   // Cell edge = detection range at the EIRP ceiling on 2.4 GHz (the band
   // with the smaller reference loss, i.e. the longer reach), so one ring
@@ -305,6 +304,7 @@ double Medium::link_shadowing_db(const Radio& a, const Radio& b) const {
 }
 
 void Medium::maybe_grow_link_cache() {
+  if (oracle_) return;  // the oracle recomputes every lookup
   // Each shard's memo gets the full population-scaled capacity: the
   // growth trigger (and so the generation count) is identical across
   // shard counts, and a shard only ever probes its own lines.
@@ -346,21 +346,26 @@ double Medium::cached_frame_error_rate(const phy::PhyRate& rate,
       splitmix(sinr_bits ^ (std::uint64_t(packed) << 32) ^
                std::bit_cast<std::uint64_t>(rate.mbps));
   LinkMemo& memo = memos_[shard];
-  FerMemoEntry& e = memo.fer_lines[h & memo.fer_mask];
-  if (std::bit_cast<std::uint64_t>(e.sinr_db) == sinr_bits &&
-      e.packed == packed && e.mbps == rate.mbps &&
-      e.ndbps == rate.bits_per_symbol) {
-    ++stats_.fer_cache_hits;
-    PW_COUNT(kMediumFerCacheHits);
-    return e.fer;
+  FerMemoEntry* e = nullptr;
+  if (!memo.fer_lines.empty()) {
+    e = &memo.fer_lines[h & memo.fer_mask];
+    if (std::bit_cast<std::uint64_t>(e->sinr_db) == sinr_bits &&
+        e->packed == packed && e->mbps == rate.mbps &&
+        e->ndbps == rate.bits_per_symbol) {
+      ++stats_.fer_cache_hits;
+      PW_COUNT(kMediumFerCacheHits);
+      return e->fer;
+    }
   }
   ++stats_.fer_cache_misses;
   PW_COUNT(kMediumFerCacheMisses);
   // The memo's one sanctioned scalar call: the miss path of the
-  // off-switch/interference route, never a per-receiver loop.
+  // interference and oracle routes, never a per-receiver loop.
   const double fer =
       phy::frame_error_rate(rate, sinr_db, octets);  // pw-lint: allow(scalar-fer-in-fanout)
-  e = FerMemoEntry{sinr_db, rate.mbps, fer, packed, rate.bits_per_symbol};
+  if (e != nullptr) {
+    *e = FerMemoEntry{sinr_db, rate.mbps, fer, packed, rate.bits_per_symbol};
+  }
   return fer;
 }
 
@@ -429,38 +434,26 @@ double Medium::link_gain_db(const Radio& tx_radio,
   std::uint8_t* mru = nullptr;
   std::uint8_t victim_way = 0;
   if (cacheable) {
-    const std::uint64_t h = splitmix(key);
-    if (config_.link_cache_assoc) {
-      // 2-way set: lines 2s and 2s+1 of set s. Probe the MRU way first
-      // (the likelier hit), then the other; a miss fills the LRU way, so
-      // two live links sharing a set coexist instead of evicting each
-      // other on every alternation — the thrash the direct-mapped layout
-      // shows on scattered fan-out keys.
-      const std::size_t set = h & (memo.mask >> 1);
-      mru = &memo.mru[set];
-      for (int probe = 0; probe < 2; ++probe) {
-        const std::uint8_t way = probe == 0 ? *mru : (*mru ^ 1u);
-        LinkBudget* cand = &memo.lines[set * 2 + way];
-        if (cand->key == key &&
-            cand->tx_version == tx_radio.geometry_version_ &&
-            cand->rx_version == rx_radio.geometry_version_) {
-          *mru = way;
-          ++stats_.link_cache_hits;
-          PW_COUNT(kMediumLinkCacheHits);
-          return cand->gain_db;
-        }
-      }
-      victim_way = *mru ^ 1u;
-      line = &memo.lines[set * 2 + victim_way];
-    } else {
-      line = &memo.lines[h & memo.mask];
-      if (line->key == key && line->tx_version == tx_radio.geometry_version_ &&
-          line->rx_version == rx_radio.geometry_version_) {
+    // 2-way set: lines 2s and 2s+1 of set s. Probe the MRU way first
+    // (the likelier hit), then the other; a miss fills the LRU way, so
+    // two live links sharing a set coexist instead of evicting each
+    // other on every alternation.
+    const std::size_t set = splitmix(key) & (memo.mask >> 1);
+    mru = &memo.mru[set];
+    for (int probe = 0; probe < 2; ++probe) {
+      const std::uint8_t way = probe == 0 ? *mru : (*mru ^ 1u);
+      LinkBudget* cand = &memo.lines[set * 2 + way];
+      if (cand->key == key &&
+          cand->tx_version == tx_radio.geometry_version_ &&
+          cand->rx_version == rx_radio.geometry_version_) {
+        *mru = way;
         ++stats_.link_cache_hits;
         PW_COUNT(kMediumLinkCacheHits);
-        return line->gain_db;
+        return cand->gain_db;
       }
     }
+    victim_way = *mru ^ 1u;
+    line = &memo.lines[set * 2 + victim_way];
   }
   ++stats_.link_cache_misses;
   PW_COUNT(kMediumLinkCacheMisses);
@@ -473,7 +466,7 @@ double Medium::link_gain_db(const Radio& tx_radio,
     }
     *line = LinkBudget{key, tx_radio.geometry_version_,
                        rx_radio.geometry_version_, gain};
-    if (mru != nullptr) *mru = victim_way;
+    *mru = victim_way;
   }
   return gain;
 }
@@ -595,48 +588,41 @@ void Medium::build_neighbor_list(Radio& sender, double tx_power_dbm) {
     sender.neighbors_.push_back(NeighborEntry{rx, gain, rx->attach_order_});
   }
   std::swap(candidates, scratch_);
-  if (config_.soa_fanout) {
-    // SoA lanes: everything the fan-out and batch pass would recompute
-    // per entry, evaluated once here with the exact expressions the
-    // scalar path uses (the same gain sum, the same dbm_to_mw, the same
-    // propagation-delay truncation), so a lane replay is bit-identical
-    // to recomputing. Entries are static radios and the list dies on any
-    // geometry change (epoch/version checks), so the lanes cannot go
-    // stale without the list going stale with them.
-    const std::size_t n = sender.neighbors_.size();
-    sender.nb_rx_dbm_.resize(n);
-    sender.nb_rx_mw_.resize(n);
-    sender.nb_prop_ns_.resize(n);
-    sender.nb_arrival_rank_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const NeighborEntry& e = sender.neighbors_[i];
-      const double rx_dbm = tx_power_dbm + e.gain_db;
-      sender.nb_rx_dbm_[i] = rx_dbm;
-      sender.nb_rx_mw_[i] = dbm_to_mw(rx_dbm);
-      std::int64_t prop_ns = 0;
-      if (config_.model_propagation_delay) {
-        const double d =
-            distance(sender.rf_position(), e.radio->rf_position());
-        prop_ns = static_cast<std::int64_t>(d / kSpeedOfLight * 1e9);
-      }
-      sender.nb_prop_ns_[i] = prop_ns;
-      sender.nb_arrival_rank_[i] = static_cast<std::uint32_t>(i);
+  // SoA lanes: everything the fan-out and batch pass would recompute
+  // per entry, evaluated once here with the exact expressions the
+  // per-delivery path uses (the same gain sum, the same dbm_to_mw, the
+  // same propagation-delay truncation), so a lane replay is
+  // bit-identical to recomputing. Entries are static radios and the
+  // list dies on any geometry change (epoch/version checks), so the
+  // lanes cannot go stale without the list going stale with them.
+  const std::size_t n = sender.neighbors_.size();
+  sender.nb_rx_dbm_.resize(n);
+  sender.nb_rx_mw_.resize(n);
+  sender.nb_prop_ns_.resize(n);
+  sender.nb_arrival_rank_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const NeighborEntry& e = sender.neighbors_[i];
+    const double rx_dbm = tx_power_dbm + e.gain_db;
+    sender.nb_rx_dbm_[i] = rx_dbm;
+    sender.nb_rx_mw_[i] = dbm_to_mw(rx_dbm);
+    std::int64_t prop_ns = 0;
+    if (config_.model_propagation_delay) {
+      const double d =
+          distance(sender.rf_position(), e.radio->rf_position());
+      prop_ns = static_cast<std::int64_t>(d / kSpeedOfLight * 1e9);
     }
-    // Arrival permutation: delivery events fire in (arrival time, push
-    // order). rx_end = tx_end + prop, so sorting ranks by the delay lane
-    // (stable: index breaks ties) precomputes the finalize order of any
-    // full-list replay.
-    std::stable_sort(sender.nb_arrival_rank_.begin(),
-                     sender.nb_arrival_rank_.end(),
-                     [&sender](std::uint32_t a, std::uint32_t b) {
-                       return sender.nb_prop_ns_[a] < sender.nb_prop_ns_[b];
-                     });
-  } else {
-    sender.nb_rx_dbm_.clear();
-    sender.nb_rx_mw_.clear();
-    sender.nb_prop_ns_.clear();
-    sender.nb_arrival_rank_.clear();
+    sender.nb_prop_ns_[i] = prop_ns;
+    sender.nb_arrival_rank_[i] = static_cast<std::uint32_t>(i);
   }
+  // Arrival permutation: delivery events fire in (arrival time, push
+  // order). rx_end = tx_end + prop, so sorting ranks by the delay lane
+  // (stable: index breaks ties) precomputes the finalize order of any
+  // full-list replay.
+  std::stable_sort(sender.nb_arrival_rank_.begin(),
+                   sender.nb_arrival_rank_.end(),
+                   [&sender](std::uint32_t a, std::uint32_t b) {
+                     return sender.nb_prop_ns_[a] < sender.nb_prop_ns_[b];
+                   });
   sender.nb_epoch_ = static_epoch_;
   sender.nb_self_version_ = sender.geometry_version_;
   sender.nb_power_dbm_ = tx_power_dbm;
@@ -741,24 +727,8 @@ void Medium::schedule_batch(std::size_t rec_idx, const Radio& sender,
                             std::size_t lane_pushes) {
   TransmissionRecord& rec = *records_[rec_idx];
   const std::size_t n = rec.deliveries.size();
-  if (!config_.soa_fanout) {
-    // Stable sort by arrival: ties keep fan-out order, which is exactly
-    // the order the legacy per-receiver events finalized in (the
-    // scheduler is FIFO within a timestamp). Insertion sort, not
-    // std::stable_sort: the latter allocates a merge buffer per call,
-    // and the list is short and already nearly sorted (arrival time
-    // grows with distance, and fan-out visits cells near-to-far-ish),
-    // so this stays in place and cheap.
-    for (std::size_t i = 1; i < n; ++i) {
-      PendingDelivery d = rec.deliveries[i];
-      std::size_t j = i;
-      for (; j > 0 && d.rx_end < rec.deliveries[j - 1].rx_end; --j) {
-        rec.deliveries[j] = rec.deliveries[j - 1];
-      }
-      rec.deliveries[j] = d;
-    }
-  } else if (lane_pushes == n && !sender.volatile_ &&
-             n == sender.neighbors_.size()) {
+  if (lane_pushes == n && !sender.volatile_ &&
+      n == sender.neighbors_.size()) {
     // Pure lane replay: every delivery is neighbor i in list order, so
     // the arrival permutation was already computed when the lanes were
     // built. Copied, not referenced — the sender's list can be rebuilt
@@ -766,8 +736,9 @@ void Medium::schedule_batch(std::size_t rec_idx, const Radio& sender,
     rec.order.assign(sender.nb_arrival_rank_.begin(),
                      sender.nb_arrival_rank_.end());
   } else {
-    // Mixed fan-out (volatile interleaves, sleepers, quieter frame):
-    // sort indices instead of shuffling 56-byte deliveries in place.
+    // Mixed fan-out (volatile interleaves, sleepers, quieter frame, the
+    // oracle's scan): a stable index sort, so ties keep fan-out order
+    // (the scheduler is FIFO within a timestamp).
     rec.order.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       rec.order[i] = static_cast<std::uint32_t>(i);
@@ -779,10 +750,9 @@ void Medium::schedule_batch(std::size_t rec_idx, const Radio& sender,
                      });
   }
   // All group events are scheduled here, inside the transmit() call, so
-  // their sequence numbers occupy the same window the per-receiver events
-  // did — event order stays byte-identical across the toggles.
+  // their sequence numbers occupy one window per transmission.
   const auto arrival = [&rec](std::size_t k) -> const PendingDelivery& {
-    return rec.order.empty() ? rec.deliveries[k] : rec.deliveries[rec.order[k]];
+    return rec.deliveries[rec.order[k]];
   };
   for (std::size_t i = 0; i < n; ++i) {
     if (i > 0 && arrival(i).rx_end == arrival(i - 1).rx_end) continue;
@@ -802,7 +772,7 @@ void Medium::run_batch(std::size_t rec_idx) {
   const TimePoint now = scheduler_.now();
   const std::size_t n = rec.deliveries.size();
   while (rec.next < n) {
-    const std::size_t k = rec.order.empty() ? rec.next : rec.order[rec.next];
+    const std::size_t k = rec.order[rec.next];
     if (rec.deliveries[k].rx_end != now) break;
     const PendingDelivery d = rec.deliveries[k];
     ++rec.next;
@@ -813,10 +783,9 @@ void Medium::run_batch(std::size_t rec_idx) {
   if (rec.next == n) release_record(rec_idx);
 }
 
-void Medium::begin_reception(Radio& sender, Radio* rx_radio, double rx_dbm,
-                             std::size_t rec_idx, const frames::PpduRef& ppdu,
-                             const phy::TxVector& tx, TimePoint start,
-                             TimePoint end, double rx_mw,
+void Medium::begin_reception(const Radio& sender, Radio* rx_radio,
+                             double rx_dbm, TransmissionRecord& rec,
+                             TimePoint start, TimePoint end, double rx_mw,
                              std::int64_t prop_ns) {
   // Finite-speed-of-light arrival: the PPDU occupies [start+d/c, end+d/c]
   // at this receiver. The lane-replay caller hands in the delay it
@@ -855,26 +824,10 @@ void Medium::begin_reception(Radio& sender, Radio* rx_radio, double rx_dbm,
     rx_radio->energy().set_state(RadioState::kRx, rx_start);
   }
 
-  if (rec_idx != kNoRecord) {
-    // Batched fan-out: queue the delivery on the transmission's record.
-    // No per-receiver event, no per-receiver payload reference.
-    records_[rec_idx]->deliveries.push_back(PendingDelivery{
-        rx_radio, rid, rx_start, rx_end, rx_dbm, awake_at_start});
-    return;
-  }
-
-  // Legacy per-receiver scheduling. The capture list stays under
-  // SmallFn's inline budget (the PPDU is a pointer-sized ref, not a
-  // per-receiver byte copy), so even this path schedules a city-wide
-  // fan-out without byte copies. A cross-shard delivery is mirrored into
-  // the *receiver's* shard stream here; the shared (clock, seq) timebase
-  // makes the merged order identical to the single-heap order.
-  scheduler_for(*rx_radio).schedule_at(
-      rx_end, [this, rx_radio, rid, ppdu, tx, rx_start, rx_end, rx_dbm,
-               awake_at_start, sender_ptr = &sender]() {
-        finalize_reception(rx_radio, rid, ppdu, tx, rx_start, rx_end, rx_dbm,
-                           awake_at_start, sender_ptr);
-      });
+  // Queue the delivery on the transmission's record: no per-receiver
+  // event, no per-receiver payload reference.
+  rec.deliveries.push_back(PendingDelivery{rx_radio, rid, rx_start, rx_end,
+                                           rx_dbm, awake_at_start});
 }
 
 PW_HOT void Medium::transmit(Radio& sender, std::span<const std::uint8_t> ppdu,
@@ -911,21 +864,15 @@ PW_HOT void Medium::transmit(Radio& sender, frames::PpduRef ppdu,
         sender.sleeping() ? RadioState::kSleep : RadioState::kIdle, end);
   });
 
-  // One shared buffer for every receiver of this PPDU; receivers only
-  // copy it on the (rare) corruption path. Batched mode parks the payload
-  // and the delivery list on a pooled record; legacy mode gives each
-  // scheduled event its own reference.
-  std::size_t rec_idx = kNoRecord;
-  if (config_.batched_fanout) {
-    rec_idx = acquire_record();
-    TransmissionRecord& rec = *records_[rec_idx];
-    rec.ppdu = std::move(ppdu);
-    rec.tx = tx;
-    rec.sender = &sender;
-    rec.live = true;
-  }
-  const frames::PpduRef& shared_ppdu =
-      rec_idx != kNoRecord ? records_[rec_idx]->ppdu : ppdu;
+  // One shared buffer for every receiver of this PPDU, parked with the
+  // delivery list on a pooled record; receivers only copy it on the
+  // (rare) corruption path.
+  const std::size_t rec_idx = acquire_record();
+  TransmissionRecord& rec = *records_[rec_idx];
+  rec.ppdu = std::move(ppdu);
+  rec.tx = tx;
+  rec.sender = &sender;
+  rec.live = true;
 
   // Tracks whether any delivery of this PPDU lands on a radio homed on a
   // different shard (the "boundary mirror" case); counted once per
@@ -966,8 +913,7 @@ PW_HOT void Medium::transmit(Radio& sender, frames::PpduRef ppdu,
       if (rx_dbm < config_.detect_threshold_dbm) return;  // faded below
     }
     crossed |= rx_radio->shard_ != sender.shard_;
-    begin_reception(sender, rx_radio, rx_dbm, rec_idx, shared_ppdu, tx, start,
-                    end);
+    begin_reception(sender, rx_radio, rx_dbm, rec, start, end);
   };
 
   // Deliveries pushed straight off the sender's SoA lanes (schedule_batch
@@ -976,7 +922,7 @@ PW_HOT void Medium::transmit(Radio& sender, frames::PpduRef ppdu,
   std::size_t lane_pushes = 0;
 
   const auto fan_out = [&] {
-    if (!config_.use_spatial_index) {
+    if (oracle_) {  // the reference scan: every radio, in attach order
       for (Radio* rx_radio : radios_) try_receiver(rx_radio);
       return;
     }
@@ -1005,8 +951,7 @@ PW_HOT void Medium::transmit(Radio& sender, frames::PpduRef ppdu,
     // Lane replay is valid only for the exact power the lanes were built
     // at: every lane double was computed from that power, and every list
     // entry already cleared the detection threshold there.
-    const bool lane_replay = config_.soa_fanout && rec_idx != kNoRecord &&
-                             tx.power_dbm == sender.nb_power_dbm_;
+    const bool lane_replay = tx.power_dbm == sender.nb_power_dbm_;
     auto vit = volatile_radios_.begin();
     const auto vend = volatile_radios_.end();
     const std::size_t nbs = sender.neighbors_.size();
@@ -1023,9 +968,10 @@ PW_HOT void Medium::transmit(Radio& sender, frames::PpduRef ppdu,
         // delay. Counts as a link-cache hit — the per-transmitter lanes
         // are the cache's fan-out-keyed tier. The lanes hold the
         // *static* budget; the fade composes here (same expressions as
-        // the scalar path, so both spellings stay bit-identical), and a
-        // fade-dropped entry shorts lane_pushes so schedule_batch falls
-        // back to the index sort instead of the precomputed rank lane.
+        // the per-delivery path, so both spellings stay bit-identical),
+        // and a fade-dropped entry shorts lane_pushes so schedule_batch
+        // falls back to the index sort instead of the precomputed rank
+        // lane.
         ++stats_.link_cache_hits;
         PW_COUNT(kMediumLinkCacheHits);
         double rx_dbm = sender.nb_rx_dbm_[i];
@@ -1037,8 +983,8 @@ PW_HOT void Medium::transmit(Radio& sender, frames::PpduRef ppdu,
           rx_mw = dbm_to_mw(rx_dbm);
         }
         crossed |= e.radio->shard_ != sender.shard_;
-        begin_reception(sender, e.radio, rx_dbm, rec_idx, shared_ppdu, tx,
-                        start, end, rx_mw, sender.nb_prop_ns_[i]);
+        begin_reception(sender, e.radio, rx_dbm, rec, start, end, rx_mw,
+                        sender.nb_prop_ns_[i]);
         ++lane_pushes;
         continue;
       }
@@ -1050,8 +996,7 @@ PW_HOT void Medium::transmit(Radio& sender, frames::PpduRef ppdu,
         if (rx_dbm < config_.detect_threshold_dbm) continue;  // faded below
       }
       crossed |= e.radio->shard_ != sender.shard_;
-      begin_reception(sender, e.radio, rx_dbm, rec_idx, shared_ppdu, tx,
-                      start, end);
+      begin_reception(sender, e.radio, rx_dbm, rec, start, end);
     }
     while (vit != vend) try_receiver(*vit++);
   };
@@ -1062,30 +1007,16 @@ PW_HOT void Medium::transmit(Radio& sender, frames::PpduRef ppdu,
     PW_COUNT(kShardMirroredTx);
   }
 
-  if (rec_idx != kNoRecord) {
-    TransmissionRecord& rec = *records_[rec_idx];
-    if (rec.deliveries.empty()) {
-      release_record(rec_idx);  // nobody in range; recycle immediately
-    } else {
-      if (config_.soa_fanout && config_.model_frame_errors) {
-        batch_fer_pass(rec);
-      }
-      schedule_batch(rec_idx, sender, lane_pushes);
-    }
+  if (rec.deliveries.empty()) {
+    release_record(rec_idx);  // nobody in range; recycle immediately
+    return;
   }
+  if (config_.model_frame_errors && !oracle_) batch_fer_pass(rec);
+  schedule_batch(rec_idx, sender, lane_pushes);
 }
 
 void Medium::prune(std::vector<Reception>& list) const {
   const TimePoint now = scheduler_.now();
-  if (!config_.batched_fanout) {
-    // Legacy delivery keeps its legacy retention: anything that ended
-    // within the last beacon might still be scanned, so the reference
-    // pipeline's reception-list churn stays faithful to what it was.
-    std::erase_if(list, [now](const Reception& r) {
-      return r.end + milliseconds(10) < now;
-    });
-    return;
-  }
   // A record is dead once (a) its own finalize event has fired (end < now
   // — events at `end` run before time moves past it) and (b) it cannot
   // overlap any reception still pending on this radio: overlap with a
@@ -1138,8 +1069,8 @@ void Medium::finalize_reception(Radio* receiver, std::uint64_t reception_id,
   }
 
   // Half-duplex and sleep gating. `awake_at_start` rode along with the
-  // delivery (batched record or legacy capture) instead of being fished
-  // out of the reception list — same value, no O(list) lookup.
+  // delivery record instead of being fished out of the reception list —
+  // same value, no O(list) lookup.
   if (!awake_at_start || receiver->sleeping()) return;
   if (receiver->transmitting_during(start, end)) return;
 
@@ -1277,53 +1208,51 @@ void Medium::audit_radio(const Radio& radio) const {
   PW_CHECK_EQ(i, radio.neighbors_.size());
 
   // SoA lane coherence: every lane value a replay would load must be
-  // bit-identical to what the scalar path computes from the (already
-  // audited) cached gains, and the arrival permutation must be the
-  // stable (delay, index) sort the scheduler's tie-breaking implies.
-  if (config_.soa_fanout) {
-    const std::size_t n = radio.neighbors_.size();
-    PW_CHECK_EQ(radio.nb_rx_dbm_.size(), n);
-    PW_CHECK_EQ(radio.nb_rx_mw_.size(), n);
-    PW_CHECK_EQ(radio.nb_prop_ns_.size(), n);
-    PW_CHECK_EQ(radio.nb_arrival_rank_.size(), n);
-    for (std::size_t k = 0; k < n; ++k) {
-      const NeighborEntry& e = radio.neighbors_[k];
-      const double rx_dbm = radio.nb_power_dbm_ + e.gain_db;
-      PW_CHECK(std::bit_cast<std::uint64_t>(radio.nb_rx_dbm_[k]) ==
-                   std::bit_cast<std::uint64_t>(rx_dbm),
-               "rx-power lane %.17g != recomputed %.17g at entry %zu of "
-               "radio %llu",
-               radio.nb_rx_dbm_[k], rx_dbm, k,
-               static_cast<unsigned long long>(radio.id()));
-      PW_CHECK(std::bit_cast<std::uint64_t>(radio.nb_rx_mw_[k]) ==
-                   std::bit_cast<std::uint64_t>(dbm_to_mw(rx_dbm)),
-               "linear-power lane diverges at entry %zu of radio %llu", k,
-               static_cast<unsigned long long>(radio.id()));
-      std::int64_t prop_ns = 0;
-      if (config_.model_propagation_delay) {
-        const double d =
-            distance(radio.rf_position(), e.radio->rf_position());
-        prop_ns = static_cast<std::int64_t>(d / kSpeedOfLight * 1e9);
-      }
-      PW_CHECK(radio.nb_prop_ns_[k] == prop_ns,
-               "propagation lane %lld != recomputed %lld at entry %zu of "
-               "radio %llu",
-               static_cast<long long>(radio.nb_prop_ns_[k]),
-               static_cast<long long>(prop_ns), k,
-               static_cast<unsigned long long>(radio.id()));
+  // bit-identical to what the per-delivery path computes from the
+  // (already audited) cached gains, and the arrival permutation must be
+  // the stable (delay, index) sort the scheduler's tie-breaking implies.
+  const std::size_t n = radio.neighbors_.size();
+  PW_CHECK_EQ(radio.nb_rx_dbm_.size(), n);
+  PW_CHECK_EQ(radio.nb_rx_mw_.size(), n);
+  PW_CHECK_EQ(radio.nb_prop_ns_.size(), n);
+  PW_CHECK_EQ(radio.nb_arrival_rank_.size(), n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const NeighborEntry& e = radio.neighbors_[k];
+    const double rx_dbm = radio.nb_power_dbm_ + e.gain_db;
+    PW_CHECK(std::bit_cast<std::uint64_t>(radio.nb_rx_dbm_[k]) ==
+                 std::bit_cast<std::uint64_t>(rx_dbm),
+             "rx-power lane %.17g != recomputed %.17g at entry %zu of "
+             "radio %llu",
+             radio.nb_rx_dbm_[k], rx_dbm, k,
+             static_cast<unsigned long long>(radio.id()));
+    PW_CHECK(std::bit_cast<std::uint64_t>(radio.nb_rx_mw_[k]) ==
+                 std::bit_cast<std::uint64_t>(dbm_to_mw(rx_dbm)),
+             "linear-power lane diverges at entry %zu of radio %llu", k,
+             static_cast<unsigned long long>(radio.id()));
+    std::int64_t prop_ns = 0;
+    if (config_.model_propagation_delay) {
+      const double d =
+          distance(radio.rf_position(), e.radio->rf_position());
+      prop_ns = static_cast<std::int64_t>(d / kSpeedOfLight * 1e9);
     }
-    std::vector<std::uint32_t> want(n);
-    for (std::size_t k = 0; k < n; ++k) {
-      want[k] = static_cast<std::uint32_t>(k);
-    }
-    std::stable_sort(want.begin(), want.end(),
-                     [&radio](std::uint32_t a, std::uint32_t b) {
-                       return radio.nb_prop_ns_[a] < radio.nb_prop_ns_[b];
-                     });
-    PW_CHECK(radio.nb_arrival_rank_ == want,
-             "arrival-rank lane of radio %llu is not the stable delay sort",
+    PW_CHECK(radio.nb_prop_ns_[k] == prop_ns,
+             "propagation lane %lld != recomputed %lld at entry %zu of "
+             "radio %llu",
+             static_cast<long long>(radio.nb_prop_ns_[k]),
+             static_cast<long long>(prop_ns), k,
              static_cast<unsigned long long>(radio.id()));
   }
+  std::vector<std::uint32_t> want(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    want[k] = static_cast<std::uint32_t>(k);
+  }
+  std::stable_sort(want.begin(), want.end(),
+                   [&radio](std::uint32_t a, std::uint32_t b) {
+                     return radio.nb_prop_ns_[a] < radio.nb_prop_ns_[b];
+                   });
+  PW_CHECK(radio.nb_arrival_rank_ == want,
+           "arrival-rank lane of radio %llu is not the stable delay sort",
+           static_cast<unsigned long long>(radio.id()));
 }
 
 void Medium::audit_coherence() const {
@@ -1468,7 +1397,7 @@ void Medium::audit_coherence() const {
                "live record %zu has no payload", i);
       PW_CHECK(rec.next <= rec.deliveries.size(),
                "record %zu delivery cursor out of range", i);
-      PW_CHECK(rec.order.empty() || rec.order.size() == rec.deliveries.size(),
+      PW_CHECK(rec.order.size() == rec.deliveries.size(),
                "record %zu finalize order is not a full permutation", i);
     }
   }

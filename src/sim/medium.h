@@ -23,7 +23,7 @@
 // and FER math of a whole fan-out runs as one batched struct-of-arrays
 // pass at transmit time while the Bernoulli outcome draws stay at
 // finalize time in delivery order, so the medium RNG stream is
-// bit-identical to the scalar path. The PPDU is shared across all
+// bit-identical to the oracle's scalar path. The PPDU is shared across all
 // receivers of a transmission instead of copied per receiver, and the
 // per-receiver reception lists are pruned amortized (when they double)
 // instead of on every push.
@@ -31,11 +31,16 @@
 // City scale (the sharded medium): with MediumConfig::shards > 1 the
 // plane is partitioned into super-cells, each homed on its own
 // Scheduler (shared timebase — see sim/shard.h) with its own link/FER
-// memo. Transmissions schedule their events on the sender's shard;
-// legacy per-receiver deliveries land on the receiver's shard (the
-// boundary mirror), and movers migrate shards at cell-exit horizons
-// computed from their mobility model. Byte-identical to shards = 1 by
-// construction; the ShardEquivalence suite enforces it.
+// memo. Transmissions schedule their delivery events on the sender's
+// shard, and movers migrate shards at cell-exit horizons computed from
+// their mobility model. Byte-identical to shards = 1 by construction;
+// the ShardEquivalence suite enforces it.
+//
+// Every fast path above has exactly one production spelling. What they
+// are proven against is a test-only reference oracle (see `oracle_`): a
+// brute-force scan over every attached radio with no memos and a full
+// serialization per frame. The *Equivalence suites hold production to
+// the oracle's bytes.
 #pragma once
 
 #include <functional>
@@ -91,41 +96,6 @@ struct MediumConfig {
   /// exactly the signal that time-of-flight ranging (the Wi-Peep line of
   /// follow-up work) extracts from Polite WiFi ACKs.
   bool model_propagation_delay = true;
-  /// Fan transmissions out through the per-(band,channel) spatial grid.
-  /// Off = the reference brute-force scan over every attached radio; kept
-  /// for the index/brute-force equivalence property test and as an escape
-  /// hatch. Both paths produce identical receptions in identical order.
-  bool use_spatial_index = true;
-  /// Recycle PPDU buffers through the medium's free-list pool. Off = a
-  /// fresh heap buffer per frame (the legacy allocation profile); the
-  /// simulated bytes and event order are identical either way.
-  bool pool_ppdus = true;
-  /// Deliver each transmission's receptions from pooled batch records
-  /// (one scheduled event per distinct arrival time) instead of one
-  /// scheduled event per receiver. Off = the legacy per-receiver
-  /// scheduling; both paths finalize the same receptions in the same
-  /// order (PipelineEquivalence property-tests this).
-  bool batched_fanout = true;
-  /// Let radios render outgoing frames through their frame-template
-  /// cache (serialize once, patch seq/retry in place). Off = a full
-  /// serialization per frame; the on-air octets are identical.
-  bool frame_templates = true;
-  /// Probe the link-budget memo as a 2-way set-associative cache (LRU
-  /// within each 2-line set) instead of direct-mapped, so two links
-  /// hashing to the same set stop evicting each other on every
-  /// alternation. Off = the direct-mapped reference layout. Pure
-  /// memoization either way: every lookup returns exactly the double a
-  /// fresh recompute would, so behaviour is byte-identical.
-  bool link_cache_assoc = true;
-  /// Replay a static transmitter's cached fan-out through contiguous
-  /// struct-of-arrays lanes (precomputed rx power, linear power,
-  /// propagation delay, arrival rank) and evaluate the fan-out's
-  /// no-interference SINR + FER as one batched vectorizable pass at
-  /// transmit time. Only takes effect with batched_fanout on. Off = the
-  /// scalar per-receiver path; receptions, RNG draw order and every
-  /// station-observable byte are identical (FanoutEquivalence
-  /// property-tests this).
-  bool soa_fanout = true;
   /// Spatial super-cell shards. 1 = the unsharded reference path (one
   /// scheduler, one memo). > 1 partitions the plane into shard_cell_m
   /// super-cells interleaved over an nx × ny shard lattice; the owner
@@ -337,15 +307,15 @@ class Medium {
   void audit_coherence() const;
 
  private:
-  friend struct MediumTestPeer;  // corruption-injection tests
+  friend class Radio;            // reads oracle_ to pick frame rendering
+  friend struct MediumTestPeer;  // oracle switch + corruption injection
 
   static constexpr std::uint64_t kAuditPeriod = 256;
   /// Memoized directed link budget, one cache line. `gain_db` is
   /// (shadowing − path loss): rx_dbm = tx_dbm + gain_db. Valid while
   /// `key` matches and both geometry versions match; a colliding link
-  /// overwrites a line (direct-mapped: its only line; set-associative:
-  /// the LRU way of its 2-line set) — no chains, no rehash, no wholesale
-  /// clears, so a miss costs one recompute, never a malloc.
+  /// overwrites the LRU way of its 2-line set — no chains, no rehash, no
+  /// wholesale clears, so a miss costs one recompute, never a malloc.
   struct LinkBudget {
     std::uint64_t key;  // (tx_id << 32) | rx_id; 0 = empty (ids start at 1)
     std::uint32_t tx_version;
@@ -376,25 +346,21 @@ class Medium {
     const Radio* sender = nullptr;
     std::vector<PendingDelivery> deliveries;
     /// Finalize order: indices into `deliveries` sorted by (rx_end,
-    /// push order). Empty when `deliveries` itself was sorted in place
-    /// (the scalar path); then `next` indexes `deliveries` directly.
+    /// push order).
     std::vector<std::uint32_t> order;
-    std::size_t next = 0;  // cursor into the finalize order
+    std::size_t next = 0;  // cursor into `order`
     bool live = false;
   };
-  static constexpr std::size_t kNoRecord = std::size_t(-1);
 
   std::size_t acquire_record();
   void release_record(std::size_t rec_idx);
   /// Orders the record's deliveries by arrival time (stable: fan-out
-  /// order breaks ties, matching the legacy per-receiver schedule order)
-  /// and schedules one event per distinct rx_end. The scalar path sorts
-  /// `deliveries` in place; the SoA path fills `order` instead — from
-  /// the transmitter's precomputed arrival-rank lane when the fan-out
-  /// was a pure lane replay, by an index sort otherwise. All three
-  /// produce the identical finalize sequence.
+  /// order breaks ties) and schedules one event per distinct rx_end. The
+  /// order comes from the transmitter's precomputed arrival-rank lane
+  /// when the fan-out was a pure lane replay, from an index sort
+  /// otherwise; both produce the identical finalize sequence.
   /// `lane_pushes` = deliveries that came straight off the sender's
-  /// neighbor lanes (kNoRecord-safe: callers pass 0 when unknown).
+  /// neighbor lanes.
   void schedule_batch(std::size_t rec_idx, const Radio& sender,
                       std::size_t lane_pushes);
   /// Finalizes every pending delivery of `rec_idx` arriving now.
@@ -420,20 +386,17 @@ class Medium {
                           const frames::PpduRef& ppdu,
                           const phy::TxVector& tx, TimePoint start,
                           TimePoint end, double power_dbm, bool awake_at_start,
-                          const Radio* sender, double batch_fer = -1.0);
+                          const Radio* sender, double batch_fer);
   void prune(std::vector<Reception>& list) const;
-  /// Starts a reception at `rx_radio`. `rx_dbm` is the received power the
-  /// caller already computed and checked against detect_threshold_dbm.
-  /// With batched fan-out, the delivery is queued on `rec_idx`; legacy
-  /// mode (rec_idx == kNoRecord) schedules a per-receiver event holding
-  /// its own reference to `ppdu`. The lane-replay path passes the
-  /// precomputed linear power (`rx_mw`) and propagation delay
-  /// (`prop_ns`); negative sentinels mean "compute here" — the lanes
-  /// hold exactly the doubles this function would compute, so both
-  /// spellings are bit-identical.
-  void begin_reception(Radio& sender, Radio* rx_radio, double rx_dbm,
-                       std::size_t rec_idx, const frames::PpduRef& ppdu,
-                       const phy::TxVector& tx, TimePoint start,
+  /// Starts a reception at `rx_radio` and queues its delivery on the
+  /// transmission's record. `rx_dbm` is the received power the caller
+  /// already computed and checked against detect_threshold_dbm. The
+  /// lane-replay path passes the precomputed linear power (`rx_mw`) and
+  /// propagation delay (`prop_ns`); negative sentinels mean "compute
+  /// here" — the lanes hold exactly the doubles this function would
+  /// compute, so both spellings are bit-identical.
+  void begin_reception(const Radio& sender, Radio* rx_radio, double rx_dbm,
+                       TransmissionRecord& rec, TimePoint start,
                        TimePoint end, double rx_mw = -1.0,
                        std::int64_t prop_ns = -1);
 
@@ -469,17 +432,18 @@ class Medium {
   /// One sender's slice of audit_coherence: its grid residency and (when
   /// valid) its cached neighbor list vs the brute-force reception set.
   void audit_radio(const Radio& radio) const;
-  /// Grows the direct-mapped link and FER caches with the attached
-  /// population (entries ~ 256 × radios, power of two, clamped). Growing
-  /// drops the old contents, which only happens during topology
-  /// construction.
+  /// Grows every shard's memo with the attached population (link and
+  /// FER lines ~ 256 × radios, power of two, clamped; fading lines
+  /// half that). Growing drops the old contents, which only happens
+  /// during topology construction. The oracle never allocates them.
   void maybe_grow_link_cache();
   /// phy::frame_error_rate memoized in a direct-mapped cache keyed by the
   /// exact (rate, SINR bit pattern, size) triple. Static links see the
   /// same SINR frame after frame, so the erfc/pow chain runs once per
   /// distinct link instead of once per reception. Pure memoization: a hit
   /// returns exactly the double a fresh computation would. `shard`
-  /// selects the transmitter's memo (always 0 when unsharded).
+  /// selects the transmitter's memo (always 0 when unsharded); an
+  /// unallocated memo (the oracle) computes every call.
   double cached_frame_error_rate(const phy::PhyRate& rate, double sinr_db,
                                  std::size_t octets,
                                  std::uint32_t shard) const;
@@ -501,6 +465,13 @@ class Medium {
 
   Scheduler& scheduler_;
   MediumConfig config_;
+  /// Reference oracle, set only by MediumTestPeer before any radio
+  /// attaches: fan-out scans every attached radio in attach order, no
+  /// link/FER/fading memo is ever allocated (every lookup recomputes
+  /// from the pure functions) and the batch FER pass is skipped, and
+  /// radios serialize every frame instead of patching templates. The
+  /// equivalence suites require production to reproduce its bytes.
+  bool oracle_ = false;
   /// Shard id -> scheduler; {&scheduler_} when unsharded. Shard lattice
   /// factorization shard = ix mod nx + nx * (iy mod ny).
   std::vector<Scheduler*> shard_schedulers_;
@@ -537,10 +508,6 @@ class Medium {
     std::uint32_t packed = 0;  // (octets << 1) | dsss bit
     std::int32_t ndbps = 0;
   };
-  /// One shard's link-budget + FER memo. Lookups key off the
-  /// transmitter's shard so a shard only touches its own lines (cache
-  /// locality is the point of sharding); pure memoization either way,
-  /// so the split never changes a returned double.
   /// One link's cached AR(1) fading chain position (see
   /// phy::ChannelModel::FadingState). Keyed by the order-independent
   /// pair key; 0 = empty. Purely a cache of the pure fading function,
@@ -551,14 +518,18 @@ class Medium {
     std::uint64_t key = 0;
     phy::ChannelModel::FadingState state;
   };
+  /// One shard's link-budget + FER + fading memo. Lookups key off the
+  /// transmitter's shard so a shard only touches its own lines (cache
+  /// locality is the point of sharding); pure memoization either way,
+  /// so the split never changes a returned double.
   struct LinkMemo {
-    /// Link-budget cache lines (power-of-two count). Direct-mapped mode
-    /// indexes hash & mask; set-associative mode treats lines 2s and
-    /// 2s+1 as the two ways of set s = hash & (mask >> 1).
+    /// Link-budget cache lines (power-of-two count), 2-way
+    /// set-associative: lines 2s and 2s+1 are the two ways of set
+    /// s = hash & (mask >> 1).
     std::vector<LinkBudget> lines;
     std::uint64_t mask = 0;
-    /// Per-set MRU way (0 or 1) for the set-associative layout; the
-    /// miss victim is the other way (LRU within the set).
+    /// Per-set MRU way (0 or 1); the miss victim is the other way (LRU
+    /// within the set).
     std::vector<std::uint8_t> mru;
     std::vector<FerMemoEntry> fer_lines;  // direct-mapped, pow-2 size
     std::uint64_t fer_mask = 0;

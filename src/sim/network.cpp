@@ -4,7 +4,6 @@ namespace politewifi::sim {
 
 Simulation::Simulation(SimulationConfig config)
     : config_(config),
-      scheduler_(config.scheduler),
       medium_(scheduler_, config.medium, config.seed),
       rng_(config.seed) {
   if (config.medium.shards > 1) {
@@ -15,8 +14,7 @@ Simulation::Simulation(SimulationConfig config)
     shards.reserve(static_cast<std::size_t>(config.medium.shards));
     shards.push_back(&scheduler_);
     for (int s = 1; s < config.medium.shards; ++s) {
-      extra_schedulers_.push_back(
-          std::make_unique<Scheduler>(config.scheduler));
+      extra_schedulers_.push_back(std::make_unique<Scheduler>());
       extra_schedulers_.back()->adopt_timebase(scheduler_);
       shards.push_back(extra_schedulers_.back().get());
     }

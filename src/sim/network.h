@@ -14,7 +14,6 @@ namespace politewifi::sim {
 
 struct SimulationConfig {
   MediumConfig medium{};
-  SchedulerConfig scheduler{};
   std::uint64_t seed = 42;
 };
 

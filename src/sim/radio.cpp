@@ -46,14 +46,15 @@ void Radio::transmit(const frames::Frame& frame, const phy::TxVector& tx) {
   // defensively rather than assert: a race between a doze decision and a
   // queued control response resolves as "the frame never went out".
   if (sleeping_) return;
-  if (medium_.config().frame_templates) {
-    medium_.transmit(*this, tx_templates_.render(frame, medium_.ppdu_pool()),
-                     tx);
+  if (medium_.oracle_) {
+    // The reference oracle serializes every frame from scratch.
+    frames::PpduRef ppdu = medium_.ppdu_pool().acquire();
+    frames::serialize_into(frame, ppdu.mutable_octets());
+    medium_.transmit(*this, std::move(ppdu), tx);
     return;
   }
-  frames::PpduRef ppdu = medium_.ppdu_pool().acquire();
-  frames::serialize_into(frame, ppdu.mutable_octets());
-  medium_.transmit(*this, std::move(ppdu), tx);
+  medium_.transmit(*this, tx_templates_.render(frame, medium_.ppdu_pool()),
+                   tx);
 }
 
 void Radio::deliver(const Bytes& ppdu, const phy::RxVector& rx) {

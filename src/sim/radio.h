@@ -142,7 +142,7 @@ class Radio final : public mac::MacEnvironment {
   mac::Station* station_ = nullptr;
   EnergyMeter energy_;
   /// Serialize-once/patch-seq cache for this radio's outgoing frames
-  /// (used when MediumConfig.frame_templates is on).
+  /// (bypassed only by the medium's reference oracle).
   frames::FrameTemplateCache tx_templates_;
   bool sleeping_ = false;
   TimePoint tx_since_{}, tx_until_{};
@@ -156,8 +156,7 @@ class Radio final : public mac::MacEnvironment {
   /// nb_self_version_ matches geometry_version_, and the transmit power
   /// does not exceed nb_power_dbm_.
   std::vector<NeighborEntry> neighbors_;
-  /// Struct-of-arrays companions to neighbors_ (MediumConfig.soa_fanout):
-  /// per-entry received power at nb_power_dbm_, its linear milliwatt
+  /// Struct-of-arrays companions to neighbors_: per-entry received power at nb_power_dbm_, its linear milliwatt
   /// value, the propagation delay at the entry's (static) geometry, and
   /// the arrival-order permutation (entry indices sorted by propagation
   /// delay, fan-out order breaking ties). Rebuilt with neighbors_; a

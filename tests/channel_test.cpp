@@ -1,9 +1,9 @@
 // Channel-model tests: the static/dynamic decomposition, the AR(1)
 // fading stream's purity and moments, and the ChannelEquivalence
 // property — `fading_rho = 0` must be byte-identical to the memoryless
-// channel across every engine configuration (sharded/unsharded × SoA
-// fan-out on/off), all the way up to the survey document the runtime
-// publishes.
+// channel across every engine configuration (sharded/unsharded ×
+// production/reference oracle), all the way up to the survey document the
+// runtime publishes — and the fading-state lines must be a pure cache.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/injector.h"
+#include "medium_test_peer.h"
 #include "phy/channel_model.h"
 #include "phy/propagation.h"
 #include "runtime/experiments/all.h"
@@ -199,9 +200,11 @@ struct EngineFingerprint {
 /// shadowing and frame errors ON, so an up- or down-fade that leaked
 /// through a supposedly dormant fading term would flip FER draws,
 /// detection edges, energies and trace bytes.
-EngineFingerprint run_channel_scenario(sim::MediumConfig mc) {
+EngineFingerprint run_channel_scenario(sim::MediumConfig mc,
+                                       bool oracle = false) {
   mc.shard_cell_m = 150.0;
   sim::Simulation sim({.medium = mc, .seed = 314});
+  if (oracle) sim::MediumTestPeer::use_reference_oracle(sim.medium());
   sim::TraceRecorder& recorder = sim.trace();
 
   Rng layout(271);
@@ -257,19 +260,33 @@ TEST(ChannelEquivalence, RhoZeroIsByteIdenticalToTheMemorylessChannel) {
   ASSERT_FALSE(baseline.trace.empty());
 
   for (const int shards : {1, 4}) {
-    for (const bool soa : {true, false}) {
+    for (const bool oracle : {false, true}) {
       sim::MediumConfig mc;
       mc.shards = shards;
-      mc.soa_fanout = soa;
       mc.fading_rho = 0.0;  // the off-switch under test
       // Deliberately loud dormant knobs: with rho = 0 they must be
       // completely inert, not merely small.
       mc.fading_sigma_db = 9.0;
       mc.fading_coherence_us = 50.0;
-      EXPECT_EQ(run_channel_scenario(mc), baseline)
-          << "shards=" << shards << " soa_fanout=" << soa;
+      EXPECT_EQ(run_channel_scenario(mc, oracle), baseline)
+          << "shards=" << shards << " oracle=" << oracle;
     }
   }
+}
+
+// With fading ON, production serves every fade through per-shard
+// fading-state lines that advance each link's AR(1) chain incrementally;
+// the oracle keeps no lines and evaluates every fade from a cold chain.
+// Identical bytes prove the lines are a pure cache of the fading
+// function.
+TEST(ChannelEquivalence, FadingStateLinesAreAPureCache) {
+  sim::MediumConfig mc;
+  mc.fading_rho = 0.9;
+  mc.fading_sigma_db = 6.0;
+  mc.fading_coherence_us = 500.0;
+  const EngineFingerprint production = run_channel_scenario(mc);
+  ASSERT_FALSE(production.trace.empty());
+  EXPECT_EQ(production, run_channel_scenario(mc, /*oracle=*/true));
 }
 
 // Sanity for the property above: with rho > 0 the very same scenario

@@ -16,65 +16,13 @@
 #include "common/check.h"
 #include "frames/frame_builder.h"
 #include "frames/serializer.h"
+#include "medium_test_peer.h"
 #include "phy/rates.h"
+#include "scheduler_test_peer.h"
 #include "sim/medium.h"
 #include "sim/radio.h"
 
 namespace politewifi::sim {
-
-/// Backdoor into Scheduler internals for corruption injection. Lives in
-/// the production namespace so the `friend struct SchedulerTestPeer;`
-/// grant resolves; only this test links it.
-struct SchedulerTestPeer {
-  static void swap_first_last_heap_entries(Scheduler& s) {
-    ASSERT_GE(s.heap_.size(), 2u);
-    std::swap(s.heap_.front(), s.heap_.back());
-  }
-  static void inflate_tombstone_counter(Scheduler& s) { ++s.tombstones_; }
-  static void disarm_slot_of_first_entry(Scheduler& s) {
-    ASSERT_FALSE(s.heap_.empty());
-    s.pool_[s.heap_.front().slot].armed = false;
-  }
-  static void duplicate_first_entry(Scheduler& s) {
-    ASSERT_FALSE(s.heap_.empty());
-    s.heap_.push_back(s.heap_.front());
-  }
-};
-
-/// Backdoor into Medium/Radio cache internals.
-struct MediumTestPeer {
-  /// Moves a radio *without* telling the medium — the classic stale-cache
-  /// bug the coherence auditor exists to catch (set_position would bump
-  /// the geometry version and reindex the grid).
-  static void stale_position(Radio& r, const Position& p) {
-    r.position_ = p;
-    r.rf_position_ = p;  // physics anchor moves too, caches stay stale
-  }
-  static bool corrupt_one_current_link_cache_line(Medium& m) {
-    for (auto& memo : m.memos_) {
-      for (auto& line : memo.lines) {
-        if (line.key == 0 || line.tx_version != 0 || line.rx_version != 0) {
-          continue;  // want a line that would be served as a hit
-        }
-        line.gain_db += 1.0;
-        return true;
-      }
-    }
-    return false;
-  }
-  static bool corrupt_one_neighbor_gain(Radio& r) {
-    if (r.neighbors_.empty()) return false;
-    r.neighbors_.front().gain_db += 1.0;
-    return true;
-  }
-  /// Runs just one radio's audit slice (the full audit_coherence visits
-  /// radios in attach order, so an earlier radio's neighbor-list check
-  /// may report a stale position first — correct, but the grid-residency
-  /// test wants the grid message specifically).
-  static void audit_radio(const Medium& m, const Radio& r) {
-    m.audit_radio(r);
-  }
-};
 
 namespace {
 

@@ -1,17 +1,24 @@
-// Event-engine tests: the pooled scheduler, the SmallFn callable, the
-// sweep runner, and the spatial-index/brute-force equivalence property.
+// Event-engine tests: the pooled scheduler (against a sorted reference
+// model), the SmallFn callable, the sweep runner, and the medium's
+// production-vs-reference-oracle equivalence properties.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/small_fn.h"
 #include "core/injector.h"
+#include "frames/frame_builder.h"
+#include "medium_test_peer.h"
+#include "phy/rates.h"
+#include "scheduler_test_peer.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"
 #include "sim/sweep_runner.h"
@@ -102,7 +109,7 @@ TEST(SchedulerPool, CompactionKeepsTombstonesBelowThreshold) {
   // reclamation alone would hold every tombstone until its deadline pops;
   // the threshold sweep (tombstones > heap/2 once the heap reaches 64)
   // must cap the peak at the trigger point.
-  sim::Scheduler scheduler;  // SchedulerConfig::compact_tombstones is on
+  sim::Scheduler scheduler;
   std::size_t tombstones_peak = 0;
   for (int i = 0; i < 1'000'000; ++i) {
     const auto id = scheduler.schedule_in(seconds(5), [] { FAIL(); });
@@ -116,18 +123,122 @@ TEST(SchedulerPool, CompactionKeepsTombstonesBelowThreshold) {
 }
 
 TEST(SchedulerPool, CompactionOffSwitchDisablesTheSweep) {
-  sim::Scheduler scheduler{sim::SchedulerConfig{.compact_tombstones = false}};
-  constexpr std::size_t kCycles = 100'000;
-  for (std::size_t i = 0; i < kCycles; ++i) {
-    const auto id = scheduler.schedule_in(seconds(5), [] { FAIL(); });
-    scheduler.cancel(id);
+  // The sweep has no configuration switch; its one off state is the
+  // trigger's 64-entry size floor. Below it, cancels only leave
+  // tombstones, and pop-time reclamation alone must clear them without
+  // running a callback. At the floor the sweep switches on.
+  constexpr std::size_t kFloor = 64;
+  const auto schedule_then_cancel_all = [](sim::Scheduler& s, std::size_t n) {
+    std::vector<sim::Scheduler::EventId> ids;
+    for (std::size_t i = 0; i < n; ++i) {
+      ids.push_back(s.schedule_in(seconds(5), [] { FAIL(); }));
+    }
+    for (const auto id : ids) s.cancel(id);
+  };
+
+  sim::Scheduler below;
+  schedule_then_cancel_all(below, kFloor - 1);
+  EXPECT_EQ(below.tombstones(), kFloor - 1) << "the sweep fired below floor";
+  EXPECT_EQ(below.pending(), 0u);
+  below.run_all();
+  EXPECT_EQ(below.tombstones(), 0u);
+  EXPECT_EQ(below.events_executed(), 0u);
+
+  // The 33rd cancel trips tombstones > heap/2 and sweeps all 33; the
+  // remaining 31 cancels land on a heap back under the floor.
+  sim::Scheduler at;
+  schedule_then_cancel_all(at, kFloor);
+  EXPECT_EQ(at.tombstones(), kFloor - (kFloor / 2 + 1));
+  at.run_all();
+  EXPECT_EQ(at.tombstones(), 0u);
+  EXPECT_EQ(at.events_executed(), 0u);
+}
+
+TEST(SchedulerPool, RandomTraceMatchesSortedReferenceModel) {
+  // The pooled heap with lazy cancellation and tombstone compaction,
+  // replayed against the simplest correct scheduler: a map ordered by
+  // (time clamped to now, schedule sequence). Both must run the same
+  // events in the same order, with the compaction sweep firing along the
+  // way — compaction may recycle storage, never reorder.
+  sim::Scheduler scheduler;
+  Rng rng(2024);
+  using Key = std::pair<TimePoint, std::uint64_t>;
+  std::map<Key, int> model;                    // pending, in firing order
+  std::vector<Key> key_of;                     // tag -> model key
+  std::vector<sim::Scheduler::EventId> id_of;  // tag -> scheduler id
+  std::vector<int> live;                       // pending tags, unordered
+  std::vector<std::size_t> live_pos;           // tag -> index in `live`
+  std::vector<int> ran, expected;
+  std::uint64_t seq = 0;
+  std::size_t compactions = 0;
+
+  const auto forget = [&](int tag) {
+    const std::size_t i = live_pos[tag];
+    live[i] = live.back();
+    live_pos[live[i]] = i;
+    live.pop_back();
+  };
+  const auto model_pop = [&] {
+    const auto first = model.begin();
+    expected.push_back(first->second);
+    forget(first->second);
+    model.erase(first);
+  };
+
+  for (int op = 0; op < 50'000; ++op) {
+    const double u = rng.uniform();
+    if (u < 0.45) {
+      // Schedule, sometimes in the past (clamps to now), through either
+      // entry point.
+      const int tag = static_cast<int>(id_of.size());
+      const Duration delay = microseconds(rng.uniform_int(-50, 2000));
+      const auto fn = [&ran, tag] { ran.push_back(tag); };
+      id_of.push_back(rng.bernoulli(0.5)
+                          ? scheduler.schedule_in(delay, fn)
+                          : scheduler.schedule_at(scheduler.now() + delay, fn));
+      key_of.emplace_back(std::max(scheduler.now() + delay, scheduler.now()),
+                          seq++);
+      model.emplace(key_of.back(), tag);
+      live_pos.push_back(live.size());
+      live.push_back(tag);
+    } else if (u < 0.80) {
+      if (live.empty()) continue;
+      const int tag = live[rng.uniform_int(0, std::int64_t(live.size()) - 1)];
+      const std::size_t before = scheduler.tombstones();
+      scheduler.cancel(id_of[tag]);
+      // A cancel adds one tombstone unless it tripped the sweep, which
+      // reclaims them all.
+      if (scheduler.tombstones() != before + 1) ++compactions;
+      model.erase(key_of[tag]);
+      forget(tag);
+    } else if (u < 0.85) {
+      // Stale handle (already ran or already cancelled): a no-op.
+      if (id_of.empty()) continue;
+      const int tag = static_cast<int>(
+          rng.uniform_int(0, std::int64_t(id_of.size()) - 1));
+      if (model.contains(key_of[tag])) continue;
+      const std::size_t before = scheduler.tombstones();
+      scheduler.cancel(id_of[tag]);
+      EXPECT_EQ(scheduler.tombstones(), before) << "stale cancel, tag " << tag;
+    } else if (u < 0.92) {
+      EXPECT_EQ(scheduler.run_one(), !model.empty());
+      if (!model.empty()) model_pop();
+    } else {
+      const TimePoint until =
+          scheduler.now() + microseconds(rng.uniform_int(0, 300));
+      scheduler.run_until(until);
+      while (!model.empty() && model.begin()->first.first <= until) {
+        model_pop();
+      }
+    }
+    ASSERT_EQ(scheduler.pending(), model.size()) << "after op " << op;
   }
-  // Nothing popped yet, so with the sweep off every tombstone is still
-  // sitting in the heap — the behaviour the switch exists to expose.
-  EXPECT_EQ(scheduler.tombstones(), kCycles);
   scheduler.run_all();
-  EXPECT_EQ(scheduler.tombstones(), 0u);
-  EXPECT_EQ(scheduler.events_executed(), 0u);
+  while (!model.empty()) model_pop();
+
+  EXPECT_EQ(ran, expected);
+  EXPECT_GT(ran.size(), 1000u);
+  EXPECT_GT(compactions, 0u) << "the sweep never fired; the test is vacuous";
 }
 
 TEST(SchedulerPool, StaleIdCannotCancelRecycledSlot) {
@@ -229,13 +340,21 @@ TEST(SweepRunner, EveryIndexRunsExactlyOnce) {
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
-// --- Spatial index vs brute force equivalence --------------------------------
+// --- Production vs reference oracle ------------------------------------------
+//
+// Every medium fast path (spatial index + cached neighbor lists, SoA lanes
+// and the batched FER pass, the set-associative link memo, frame
+// templates) has exactly one production spelling. These suites hold it to
+// the reference oracle (MediumTestPeer::use_reference_oracle): a
+// brute-force scan in attach order, no memos, a full serialization per
+// frame.
 
 namespace {
 
 /// Everything observable a scenario produced: per-device MAC counters and
-/// energy, plus the engine's own accounting. Two runs that agree on all of
-/// this executed the same events in the same order.
+/// exact energy, the engine's event and reception counts, and the full
+/// sniffer trace stream (time, sender, raw on-air bytes). Two runs that
+/// agree on all of this executed the same events in the same order.
 struct Fingerprint {
   std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
                          std::uint64_t, std::uint64_t, std::uint64_t>>
@@ -243,18 +362,48 @@ struct Fingerprint {
   std::vector<double> energy_mj;
   std::uint64_t events_executed = 0;
   std::uint64_t receptions = 0;
+  std::vector<std::tuple<TimePoint, std::string, Bytes>> trace;
 
   bool operator==(const Fingerprint&) const = default;
 };
 
+/// The Fingerprint of a finished run.
+Fingerprint fingerprint_of(sim::Simulation& sim,
+                           const sim::TraceRecorder& recorder,
+                           std::uint64_t* template_hits = nullptr) {
+  Fingerprint fp;
+  for (const auto& dev : sim.devices()) {
+    const auto& s = dev->station().stats();
+    fp.station.emplace_back(s.frames_received, s.frames_for_us, s.acks_sent,
+                            s.fcs_failures, s.duplicates_dropped,
+                            s.frames_transmitted);
+    fp.energy_mj.push_back(dev->radio().energy().consumed_mj(sim.now()));
+    if (template_hits != nullptr) {
+      *template_hits += dev->radio().tx_template_cache().stats().hits;
+    }
+  }
+  fp.events_executed = sim.scheduler().events_executed();
+  fp.receptions = sim.medium().stats().receptions;
+  for (const auto& e : recorder.entries()) {
+    fp.trace.emplace_back(e.time, e.sender_name, e.raw);
+  }
+  return fp;
+}
+
 /// A randomized scenario exercising every fan-out edge case: mixed
 /// channels, sleeping radios, a moving + channel-hopping attacker, and
-/// shadowing left ON (the index must honour the shadowing bound). Shared
-/// by the spatial-index and zero-copy-pipeline equivalence suites.
-void drive_scenario(sim::Simulation& sim, std::uint64_t scenario_seed) {
+/// shadowing left ON (the index must honour the shadowing bound).
+/// `template_hits`, when given, receives the radios' summed frame-template
+/// hits — the witness that production really rendered through templates.
+Fingerprint run_scenario(std::uint64_t scenario_seed, bool oracle,
+                         std::uint64_t* template_hits = nullptr) {
+  sim::Simulation sim({.seed = 7000 + scenario_seed});
+  if (oracle) sim::MediumTestPeer::use_reference_oracle(sim.medium());
+  sim::TraceRecorder recorder;
+  recorder.attach(sim.medium());
+
   Rng layout(1000 + scenario_seed);
   const int channels[] = {1, 6, 11};
-
   std::vector<sim::Device*> targets;
   for (int i = 0; i < 12; ++i) {
     sim::RadioConfig rc;
@@ -290,27 +439,51 @@ void drive_scenario(sim::Simulation& sim, std::uint64_t scenario_seed) {
     sim.run_for(milliseconds(5));
   }
   sim.run_for(milliseconds(50));
+  return fingerprint_of(sim, recorder, template_hits);
 }
 
-Fingerprint run_scenario(std::uint64_t scenario_seed, bool use_spatial_index,
-                         sim::SchedulerConfig sched = {}) {
-  sim::MediumConfig mc;  // default shadowing_sigma_db = 4.0
-  mc.use_spatial_index = use_spatial_index;
-  sim::Simulation sim(
-      {.medium = mc, .scheduler = sched, .seed = 7000 + scenario_seed});
-  drive_scenario(sim, scenario_seed);
+/// A data-exchange scenario for the scheduler: stations unicast to each
+/// other expecting ACKs, so every answered frame cancels its ACK timer and
+/// every unanswered one times out and retries. The run advances in 1 us
+/// slices (cancelled ACK timers would pop within tens of microseconds);
+/// `swept`, when given, forces a compaction sweep after every slice and
+/// receives the number of tombstones those sweeps reclaimed.
+Fingerprint run_exchange_scenario(std::uint64_t scenario_seed,
+                                  std::size_t* swept = nullptr) {
+  sim::Simulation sim({.seed = 8000 + scenario_seed});
+  sim::TraceRecorder recorder;
+  recorder.attach(sim.medium());
 
-  Fingerprint fp;
-  for (const auto& dev : sim.devices()) {
-    const auto& s = dev->station().stats();
-    fp.station.emplace_back(s.frames_received, s.frames_for_us, s.acks_sent,
-                            s.fcs_failures, s.duplicates_dropped,
-                            s.frames_transmitted);
-    fp.energy_mj.push_back(dev->radio().energy().consumed_mj(sim.now()));
+  Rng layout(2000 + scenario_seed);
+  std::vector<sim::Device*> stations;
+  for (int i = 0; i < 8; ++i) {
+    sim::RadioConfig rc;
+    rc.position = {layout.uniform(-150.0, 150.0),
+                   layout.uniform(-150.0, 150.0)};
+    stations.push_back(&sim.add_device(
+        {.name = "sta" + std::to_string(i)},
+        {0x5e, 0x22, 0x33, 0x44, 0x55, std::uint8_t(i)}, rc));
   }
-  fp.events_executed = sim.scheduler().events_executed();
-  fp.receptions = sim.medium().stats().receptions;
-  return fp;
+
+  for (int step = 0; step < 40; ++step) {
+    sim::Device* from = stations[layout.uniform_int(0, 7)];
+    sim::Device* to = stations[layout.uniform_int(0, 7)];
+    if (from != to) {
+      from->station().send(
+          frames::make_data_to_ds(to->address(), from->address(),
+                                  to->address(), Bytes(200, 1),
+                                  from->station().next_sequence()),
+          phy::kOfdm24);
+    }
+    for (int us = 0; us < 2000; ++us) {
+      sim.run_for(microseconds(1));
+      if (swept != nullptr) {
+        *swept += sim::SchedulerTestPeer::sweep_tombstones(sim.scheduler());
+      }
+    }
+  }
+  sim.run_for(milliseconds(50));
+  return fingerprint_of(sim, recorder);
 }
 
 }  // namespace
@@ -318,8 +491,8 @@ Fingerprint run_scenario(std::uint64_t scenario_seed, bool use_spatial_index,
 class GridEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(GridEquivalence, IndexedFanOutIsByteIdenticalToBruteForce) {
-  const Fingerprint indexed = run_scenario(GetParam(), true);
-  const Fingerprint brute = run_scenario(GetParam(), false);
+  const Fingerprint indexed = run_scenario(GetParam(), /*oracle=*/false);
+  const Fingerprint brute = run_scenario(GetParam(), /*oracle=*/true);
   EXPECT_EQ(indexed.events_executed, brute.events_executed);
   EXPECT_EQ(indexed.receptions, brute.receptions);
   ASSERT_EQ(indexed.station.size(), brute.station.size());
@@ -338,117 +511,43 @@ INSTANTIATE_TEST_SUITE_P(RandomTopologies, GridEquivalence,
 TEST(SchedulerPool, CompactionTogglePreservesOutcome) {
   // Compaction reshuffles heap storage, never logical order: a full
   // scenario (MAC timers, cancels, retries) must be byte-identical —
-  // station stats, exact energies, and the executed-event count — with
-  // the sweep on and off.
+  // station stats, exact energies, the trace stream and the
+  // executed-event count — whether tombstones wait for the built-in
+  // trigger or are swept every simulated microsecond.
   for (std::uint64_t seed : {1, 2}) {
-    const Fingerprint swept = run_scenario(seed, true);
-    const Fingerprint lazy =
-        run_scenario(seed, true, {.compact_tombstones = false});
-    EXPECT_EQ(swept, lazy) << "seed " << seed;
+    std::size_t swept = 0;
+    const Fingerprint eager = run_exchange_scenario(seed, &swept);
+    const Fingerprint lazy = run_exchange_scenario(seed);
+    EXPECT_EQ(eager, lazy) << "seed " << seed;
+    EXPECT_GT(swept, 0u) << "seed " << seed
+                         << ": no tombstone was ever swept; vacuous";
   }
 }
-
-// --- Zero-copy pipeline vs legacy equivalence ---------------------------------
-
-namespace {
-
-/// Like Fingerprint, plus the full sniffer trace stream (time, sender,
-/// raw on-air bytes) — the zero-copy pipeline must not change one bit of
-/// what goes over the air, in what order, or what any station concludes
-/// from it. events_executed is deliberately absent: batched fan-out
-/// merges per-receiver delivery events into per-arrival-time events, so
-/// the event COUNT legitimately differs while everything observable is
-/// identical.
-struct PipelineFingerprint {
-  std::vector<std::tuple<std::uint64_t, std::uint64_t, std::uint64_t,
-                         std::uint64_t, std::uint64_t, std::uint64_t>>
-      station;
-  std::vector<double> energy_mj;
-  std::uint64_t receptions = 0;
-  std::vector<std::tuple<TimePoint, std::string, Bytes>> trace;
-
-  bool operator==(const PipelineFingerprint&) const = default;
-};
-
-PipelineFingerprint run_pipeline_scenario(std::uint64_t scenario_seed,
-                                          sim::MediumConfig mc) {
-  sim::Simulation sim({.medium = mc, .seed = 7000 + scenario_seed});
-  sim::TraceRecorder recorder;
-  recorder.attach(sim.medium());
-  drive_scenario(sim, scenario_seed);
-
-  PipelineFingerprint fp;
-  for (const auto& dev : sim.devices()) {
-    const auto& s = dev->station().stats();
-    fp.station.emplace_back(s.frames_received, s.frames_for_us, s.acks_sent,
-                            s.fcs_failures, s.duplicates_dropped,
-                            s.frames_transmitted);
-    fp.energy_mj.push_back(dev->radio().energy().consumed_mj(sim.now()));
-  }
-  fp.receptions = sim.medium().stats().receptions;
-  for (const auto& e : recorder.entries()) {
-    fp.trace.emplace_back(e.time, e.sender_name, e.raw);
-  }
-  return fp;
-}
-
-PipelineFingerprint run_pipeline_scenario(std::uint64_t scenario_seed,
-                                          bool pool, bool batched,
-                                          bool templates) {
-  sim::MediumConfig mc;  // default shadowing_sigma_db = 4.0
-  mc.pool_ppdus = pool;
-  mc.batched_fanout = batched;
-  mc.frame_templates = templates;
-  return run_pipeline_scenario(scenario_seed, mc);
-}
-
-}  // namespace
 
 class PipelineEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
+// The zero-copy pipeline (pooled shared payloads, frame templates, batched
+// delivery records) must not change one bit of what goes over the air, in
+// what order, or what any station concludes from it.
 TEST_P(PipelineEquivalence, ZeroCopyPipelineIsObservablyIdenticalToLegacy) {
-  const PipelineFingerprint zero_copy =
-      run_pipeline_scenario(GetParam(), true, true, true);
-  const PipelineFingerprint legacy =
-      run_pipeline_scenario(GetParam(), false, false, false);
-  EXPECT_EQ(zero_copy.receptions, legacy.receptions);
-  ASSERT_EQ(zero_copy.station.size(), legacy.station.size());
+  std::uint64_t production_hits = 0;
+  std::uint64_t oracle_hits = 0;
+  const Fingerprint zero_copy =
+      run_scenario(GetParam(), /*oracle=*/false, &production_hits);
+  const Fingerprint oracle =
+      run_scenario(GetParam(), /*oracle=*/true, &oracle_hits);
+  EXPECT_GT(production_hits, 0u) << "production never patched a template";
+  EXPECT_EQ(oracle_hits, 0u) << "the oracle must serialize every frame";
+  ASSERT_EQ(zero_copy.station.size(), oracle.station.size());
   for (std::size_t i = 0; i < zero_copy.station.size(); ++i) {
-    EXPECT_EQ(zero_copy.station[i], legacy.station[i]) << "device " << i;
-    // Exact double equality: both modes must run the same arithmetic in
-    // the same order.
-    EXPECT_EQ(zero_copy.energy_mj[i], legacy.energy_mj[i]) << "device " << i;
+    EXPECT_EQ(zero_copy.station[i], oracle.station[i]) << "device " << i;
+    EXPECT_EQ(zero_copy.energy_mj[i], oracle.energy_mj[i]) << "device " << i;
   }
-  ASSERT_EQ(zero_copy.trace.size(), legacy.trace.size());
+  ASSERT_EQ(zero_copy.trace.size(), oracle.trace.size());
   for (std::size_t i = 0; i < zero_copy.trace.size(); ++i) {
-    EXPECT_EQ(zero_copy.trace[i], legacy.trace[i]) << "trace entry " << i;
+    EXPECT_EQ(zero_copy.trace[i], oracle.trace[i]) << "trace entry " << i;
   }
-  EXPECT_EQ(zero_copy, legacy);
-}
-
-TEST_P(PipelineEquivalence, EachOptimizationAloneIsObservablyIdentical) {
-  const PipelineFingerprint legacy =
-      run_pipeline_scenario(GetParam(), false, false, false);
-  EXPECT_EQ(run_pipeline_scenario(GetParam(), true, false, false), legacy)
-      << "pool_ppdus alone changed observable behaviour";
-  EXPECT_EQ(run_pipeline_scenario(GetParam(), false, true, false), legacy)
-      << "batched_fanout alone changed observable behaviour";
-  EXPECT_EQ(run_pipeline_scenario(GetParam(), false, false, true), legacy)
-      << "frame_templates alone changed observable behaviour";
-
-  // The link-cache layout and the SoA fan-out pass default ON, so here the
-  // off-switch is the variant: flipping each off alone must reproduce the
-  // default configuration bit for bit.
-  const PipelineFingerprint dflt =
-      run_pipeline_scenario(GetParam(), sim::MediumConfig{});
-  sim::MediumConfig mc;
-  mc.link_cache_assoc = false;
-  EXPECT_EQ(run_pipeline_scenario(GetParam(), mc), dflt)
-      << "link_cache_assoc off alone changed observable behaviour";
-  mc = {};
-  mc.soa_fanout = false;
-  EXPECT_EQ(run_pipeline_scenario(GetParam(), mc), dflt)
-      << "soa_fanout off alone changed observable behaviour";
+  EXPECT_EQ(zero_copy, oracle);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTopologies, PipelineEquivalence,
@@ -477,13 +576,11 @@ struct FanoutFingerprint {
 /// interleave path), and a mid-run sleep flip. Frame errors stay ON so
 /// the medium's Bernoulli draw order is part of the fingerprint.
 FanoutFingerprint run_fanout_scenario(std::uint64_t scenario_seed,
-                                      std::size_t n, bool link_cache_assoc,
-                                      bool soa_fanout) {
+                                      std::size_t n, bool oracle) {
   sim::Scheduler scheduler;
   sim::MediumConfig mc;  // frame errors, shadowing, propagation all ON
-  mc.link_cache_assoc = link_cache_assoc;
-  mc.soa_fanout = soa_fanout;
   sim::Medium medium(scheduler, mc, /*seed=*/9000 + scenario_seed);
+  if (oracle) sim::MediumTestPeer::use_reference_oracle(medium);
   sim::TraceRecorder recorder;
   recorder.attach(medium);
 
@@ -540,75 +637,56 @@ FanoutFingerprint run_fanout_scenario(std::uint64_t scenario_seed,
 
 }  // namespace
 
-/// Param = scenario seed. For each fan-out size, all four combinations of
-/// {set-associative link cache, SoA batched FER pass} must produce
-/// byte-identical energies, receptions and sniffer streams — the
-/// off-switch path is the specification the optimised path is held to.
+/// Param = scenario seed. At every fan-out size, production (neighbor
+/// lanes, set-associative link memo, batched FER pass) must produce the
+/// oracle's energies, receptions and sniffer stream byte for byte.
 class FanoutEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(FanoutEquivalence, CacheLayoutAndSoaPassAreObservablyIdentical) {
   for (const std::size_t n :
        {std::size_t{1}, std::size_t{10}, std::size_t{500}, std::size_t{5000}}) {
-    const FanoutFingerprint baseline =
-        run_fanout_scenario(GetParam(), n, false, false);
-    EXPECT_EQ(run_fanout_scenario(GetParam(), n, true, false), baseline)
-        << "set-assoc link cache diverged at n=" << n;
-    EXPECT_EQ(run_fanout_scenario(GetParam(), n, false, true), baseline)
-        << "SoA batched FER pass diverged at n=" << n;
-    EXPECT_EQ(run_fanout_scenario(GetParam(), n, true, true), baseline)
-        << "combined configuration diverged at n=" << n;
+    EXPECT_EQ(run_fanout_scenario(GetParam(), n, /*oracle=*/false),
+              run_fanout_scenario(GetParam(), n, /*oracle=*/true))
+        << "production diverged from the oracle at n=" << n;
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTopologies, FanoutEquivalence,
                          ::testing::Values(1, 2, 3));
 
-TEST(LinkCache, SetAssociativityCutsThrashWithIdenticalGains) {
+TEST(LinkCache, ThrashingCacheServesTheOracleGains) {
   // 90 radios = 8010 directed links hashed into the cache: enough
-  // colliding sets that both layouts evict, while the 2-way layout's
-  // LRU-within-set must evict strictly less than direct-mapped. The
-  // budgets themselves must not depend on the layout at all.
+  // colliding sets that lines get evicted and refilled. Whatever the
+  // cache serves — first-pass fills, second-pass hits, post-eviction
+  // recomputes — must be bit-identical to the oracle, which recomputes
+  // every budget.
   constexpr std::size_t kRadios = 90;
-  std::vector<double> gains[2];
-  std::uint64_t evictions[2] = {0, 0};
-  std::uint64_t second_pass_hits[2] = {0, 0};
-  for (const bool assoc : {false, true}) {
-    sim::Scheduler scheduler;
-    sim::MediumConfig mc;
-    mc.link_cache_assoc = assoc;
-    sim::Medium medium(scheduler, mc, /*seed=*/11);
-    Rng layout(77);
-    std::vector<std::unique_ptr<sim::Radio>> radios;
-    for (std::size_t i = 0; i < kRadios; ++i) {
-      sim::RadioConfig rc;
-      rc.position = {layout.uniform(-400.0, 400.0),
-                     layout.uniform(-400.0, 400.0)};
-      radios.push_back(std::make_unique<sim::Radio>(medium, scheduler, rc));
-    }
-    std::vector<double>& g = gains[assoc ? 1 : 0];
-    for (int pass = 0; pass < 2; ++pass) {
-      const std::uint64_t hits_before = medium.stats().link_cache_hits;
-      for (const auto& a : radios) {
-        for (const auto& b : radios) {
-          if (a == b) continue;
-          g.push_back(medium.rx_power_dbm(*a, 20.0, *b));
-        }
-      }
-      if (pass == 1) {
-        second_pass_hits[assoc ? 1 : 0] =
-            medium.stats().link_cache_hits - hits_before;
+  sim::Scheduler scheduler;
+  sim::Medium cached(scheduler, sim::MediumConfig{}, /*seed=*/11);
+  sim::Medium oracle(scheduler, sim::MediumConfig{}, /*seed=*/11);
+  sim::MediumTestPeer::use_reference_oracle(oracle);
+  Rng layout(77);
+  std::vector<std::unique_ptr<sim::Radio>> radios[2];
+  for (std::size_t i = 0; i < kRadios; ++i) {
+    sim::RadioConfig rc;
+    rc.position = {layout.uniform(-400.0, 400.0),
+                   layout.uniform(-400.0, 400.0)};
+    radios[0].push_back(std::make_unique<sim::Radio>(cached, scheduler, rc));
+    radios[1].push_back(std::make_unique<sim::Radio>(oracle, scheduler, rc));
+  }
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t a = 0; a < kRadios; ++a) {
+      for (std::size_t b = 0; b < kRadios; ++b) {
+        if (a == b) continue;
+        EXPECT_EQ(cached.rx_power_dbm(*radios[0][a], 20.0, *radios[0][b]),
+                  oracle.rx_power_dbm(*radios[1][a], 20.0, *radios[1][b]))
+            << "pass " << pass << " link " << a << "->" << b;
       }
     }
-    evictions[assoc ? 1 : 0] = medium.stats().link_cache_evictions;
   }
-  // Bit-identical budgets regardless of layout (both passes).
-  ASSERT_EQ(gains[0].size(), gains[1].size());
-  for (std::size_t i = 0; i < gains[0].size(); ++i) {
-    EXPECT_EQ(gains[0][i], gains[1][i]) << "link " << i;
-  }
-  // Both layouts thrash under 8010 conflicting keys, but two ways absorb
-  // every 2-way conflict that direct mapping ping-pongs on.
-  EXPECT_GT(evictions[1], 0u);
-  EXPECT_LT(evictions[1], evictions[0]);
-  EXPECT_GT(second_pass_hits[1], second_pass_hits[0]);
+  // Non-vacuity: the cache really thrashed and really served hits, and
+  // the oracle really recomputed everything.
+  EXPECT_GT(cached.stats().link_cache_evictions, 0u);
+  EXPECT_GT(cached.stats().link_cache_hits, 0u);
+  EXPECT_EQ(oracle.stats().link_cache_hits, 0u);
 }

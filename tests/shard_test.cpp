@@ -1,7 +1,8 @@
 // Sharded-medium tests: the shared (clock, seq) timebase, the executor's
 // global-order merge, shard migration with cross-scheduler timer cancel,
 // the RF-anchor position quantum, and the ShardEquivalence property —
-// sharded runs must be byte-identical to the unsharded reference path.
+// sharded runs must be byte-identical to the unsharded path (and, faded,
+// to the reference oracle).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -12,6 +13,7 @@
 #include "core/battery_attack.h"
 #include "core/injector.h"
 #include "core/wardrive.h"
+#include "medium_test_peer.h"
 #include "obs/metrics.h"
 #include "scenario/city.h"
 #include "sim/event_queue.h"
@@ -259,7 +261,8 @@ struct ShardFingerprint {
 /// propagation delay all stay ON.
 ShardFingerprint run_shard_scenario(std::uint64_t scenario_seed, int shards,
                                     bool fading = false,
-                                    std::uint64_t* fading_samples = nullptr) {
+                                    std::uint64_t* fading_samples = nullptr,
+                                    bool oracle = false) {
   MetricsWindow window;
   sim::MediumConfig mc;
   mc.shards = shards;
@@ -273,6 +276,7 @@ ShardFingerprint run_shard_scenario(std::uint64_t scenario_seed, int shards,
     mc.fading_coherence_us = 4000.0;
   }
   sim::Simulation sim({.medium = mc, .seed = 4000 + scenario_seed});
+  if (oracle) sim::MediumTestPeer::use_reference_oracle(sim.medium());
   sim::TraceRecorder& recorder = sim.trace();
 
   Rng layout(1000 + scenario_seed);
@@ -414,6 +418,16 @@ TEST_P(ShardEquivalence, FadedRunIsByteIdenticalAcrossShardCounts) {
   EXPECT_GT(fading_samples, 0u)
       << "the fading process never drew a sample; the property is vacuous";
   expect_shard_count_invariance(baseline, GetParam(), /*fading=*/true);
+
+  // The oracle keeps no memo at all, so only what stations and the
+  // sniffer observe is comparable (cache and fan-out counters differ).
+  const ShardFingerprint oracle = run_shard_scenario(
+      GetParam(), 1, /*fading=*/true, nullptr, /*oracle=*/true);
+  EXPECT_EQ(oracle.station, baseline.station);
+  EXPECT_EQ(oracle.energy_mj, baseline.energy_mj);
+  EXPECT_EQ(oracle.receptions, baseline.receptions);
+  EXPECT_EQ(oracle.delivery_events, baseline.delivery_events);
+  EXPECT_EQ(oracle.trace, baseline.trace);
 }
 
 TEST_P(ShardEquivalence, WalkerActuallyMigratesAndCrossesBoundaries) {

@@ -49,9 +49,10 @@ CI rather than by review vigilance:
                         through the SoA batch pass + memo
                         (batched_frame_error_rates); a stray per-receiver
                         scalar call there is exactly the 3k-tx/s wall the
-                        batch pass removed. The memoized off-switch path
-                        (cached_frame_error_rate) carries the one
-                        sanctioned inline allow.
+                        batch pass removed. The memo's miss path
+                        (cached_frame_error_rate: interference receptions
+                        and the test-only reference oracle) carries the
+                        one sanctioned inline allow.
 
 The unordered-iteration rule (range-for over an unordered container)
 used to live here as a regex; it moved to tools/pw_analyze.py, whose
