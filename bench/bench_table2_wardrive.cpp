@@ -134,8 +134,9 @@ int main() {
   }
 
   // --- District scale-out -----------------------------------------------
-  // `pw_run --city` splits the survey into one process per district; this
-  // phase measures the same split in-process: four quarter-scale district
+  // `pw_run --city` runs the survey as a campaign of one child process
+  // per district through the campaign driver's pool; this phase measures
+  // the same split in-process: four quarter-scale district
   // surveys run back to back, then through a 4-worker SweepRunner pool.
   // Each district is a complete Simulation over a 4-shard medium (the
   // ShardEquivalence suite proves the shard count cannot change the

@@ -9,8 +9,8 @@
 //
 // This is a writer-first type; tools/golden_compare.py does the
 // tolerance-aware reading on the Python side. The one C++ reader is
-// json_parse.h: the city driver parses child pw_run documents back in
-// order to reduce them, relying on dump() being a parse() fixed point.
+// json_parse.h: the campaign driver parses child pw_run documents back
+// in order to reduce them, relying on dump() being a parse() fixed point.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // Strict parser for the canonical JSON this repo's Json writer emits.
 //
-// The multi-process city driver reads child `pw_run` documents back and
-// reduces them into one survey result, so the writer-first Json type
+// The campaign driver reads child `pw_run` documents back (and `--city`
+// reduces them into one survey result), so the writer-first Json type
 // (json.h) gains exactly one reader. It accepts the full JSON value
 // grammar over the writer's canonical subset — objects, arrays, strings
 // with the writer's escape set (plus \uXXXX for control characters and

@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdio>
 
+#include "common/json.h"
+
 namespace politewifi::obs {
 
 namespace {
@@ -79,13 +81,33 @@ std::size_t TimelineProfiler::dropped() const {
   return dropped_;
 }
 
-common::Json TimelineProfiler::to_json() const {
+std::string TimelineProfiler::dump() const {
   common::MutexLock lock(mutex_);
-  common::Json events = common::Json::array();
+  std::string out = "{\n  \"displayTimeUnit\": \"ms\",\n";
+  if (dropped_ > 0) {
+    out += "  \"droppedSpans\": " + std::to_string(dropped_) + ",\n";
+  }
+  out += "  \"traceEvents\": ";
+  // Each event is one element of the top-level array: its canonical
+  // dump re-indented to that depth, the bytes Json::dump() of the whole
+  // document would produce.
+  bool first = true;
+  const auto append_event = [&](const common::Json& event) {
+    out += first ? "[\n    " : ",\n    ";
+    first = false;
+    const std::string text = event.dump();
+    std::size_t from = 0;
+    for (std::size_t nl = text.find('\n'); nl != std::string::npos;
+         from = nl + 1, nl = text.find('\n', from)) {
+      out.append(text, from, nl + 1 - from);
+      out += "    ";
+    }
+    out.append(text, from, std::string::npos);
+  };
   // Track which pids appear so each gets a process_name metadata row.
   std::vector<std::int64_t> pids;
+  common::Json e = common::Json::object();  // reused: same keys every span
   for (const Span& span : spans_) {
-    common::Json e = common::Json::object();
     e["name"] = span.name;
     e["cat"] = span.pid == kWallPid ? "wall" : "radio";
     e["ph"] = "X";
@@ -93,7 +115,7 @@ common::Json TimelineProfiler::to_json() const {
     e["tid"] = span.tid;
     e["ts"] = double(span.ts_ns) / 1000.0;   // Chrome wants microseconds
     e["dur"] = double(span.dur_ns) / 1000.0;
-    events.push_back(std::move(e));
+    append_event(e);
     if (std::find(pids.begin(), pids.end(), span.pid) == pids.end()) {
       pids.push_back(span.pid);
     }
@@ -110,20 +132,16 @@ common::Json TimelineProfiler::to_json() const {
                        : "radios (sim time, medium " + std::to_string(pid) +
                              ")";
     meta["args"] = std::move(args);
-    events.push_back(std::move(meta));
+    append_event(meta);
   }
-  common::Json doc = common::Json::object();
-  doc["displayTimeUnit"] = "ms";
-  doc["traceEvents"] = std::move(events);
-  if (dropped_ > 0) {
-    doc["droppedSpans"] = static_cast<std::int64_t>(dropped_);
-  }
-  return doc;
+  out += first ? "[]" : "\n  ]";
+  out += "\n}\n";
+  return out;
 }
 
 bool TimelineProfiler::write_file(const std::string& path,
                                   std::string* error) const {
-  const std::string text = to_json().dump() + "\n";
+  const std::string text = dump();
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     if (error != nullptr) *error = "cannot open " + path;

@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "common/annotations.h"
-#include "common/json.h"
 #include "common/mutex.h"
 
 namespace politewifi::obs {
@@ -55,14 +54,16 @@ class TimelineProfiler {
   std::size_t size() const;
   std::size_t dropped() const;
 
-  /// Chrome trace-event JSON: {"displayTimeUnit": "ms", "traceEvents":
-  /// [...]} — loadable by chrome://tracing and ui.perfetto.dev.
-  /// Timestamps are microseconds (sim spans: simulated time; wall
-  /// spans: host time since the profiler's first use).
-  common::Json to_json() const;
+  /// Chrome trace-event JSON, canonical text with a trailing newline:
+  /// {"displayTimeUnit": "ms", "traceEvents": [...]} — loadable by
+  /// chrome://tracing and ui.perfetto.dev. Timestamps are microseconds
+  /// (sim spans: simulated time; wall spans: host time since the
+  /// profiler's first use). Built one event at a time: a city-scale run
+  /// fills kMaxSpans, and a Json tree of the whole trace would cost
+  /// ~2 GB where the text is ~160 MB.
+  std::string dump() const;
 
-  /// to_json() written canonically to `path`; false (with *error) on
-  /// I/O failure.
+  /// dump() written to `path`; false (with *error) on I/O failure.
   bool write_file(const std::string& path, std::string* error) const;
 
  private:

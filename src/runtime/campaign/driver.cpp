@@ -162,24 +162,102 @@ struct DriverState {
   std::vector<std::string> quarantine_log;  // narration lines
 };
 
+/// The `--campaign` reduce step: one campaign document over the
+/// journaled records. Their documents were read back from disk, so
+/// every field read here is kind-checked first: a wrong kind is a named
+/// error (exit 1), never an accessor abort.
+int reduce_campaign(const CampaignManifest& manifest,
+                    const CampaignDriverOptions& options,
+                    const std::string& manifest_digest,
+                    const std::map<std::string, JobRecord>& records) {
+  const std::size_t total = manifest.jobs.size();
+  Json doc = Json::object();
+  doc["base_seed"] = manifest.base_seed;
+  doc["campaign"] = manifest.campaign;
+  doc["manifest_digest"] = manifest_digest;
+  doc["suite_version"] = manifest.suite_version;
+  bool failed = false;
+  std::int64_t failed_jobs = 0;
+  Json jobs_doc = Json::array();
+  std::vector<NamedBlock> metrics_blocks;
+  for (const auto& [id, record] : records) {  // map order = id order
+    const Json* job_failed = record.document.find("failed");
+    if (job_failed != nullptr && job_failed->kind() != Json::Kind::kBool) {
+      std::fprintf(stderr,
+                   "pw_run: job \"%s\": document field \"failed\" must be "
+                   "a bool\n",
+                   id.c_str());
+      return 1;
+    }
+    if (job_failed != nullptr && job_failed->as_bool()) {
+      failed = true;
+      ++failed_jobs;
+    }
+    if (const Json* block = record.document.find("metrics")) {
+      metrics_blocks.emplace_back("job \"" + id + "\"", block);
+    }
+    jobs_doc.push_back(record.to_json());
+  }
+  doc["failed"] = failed;
+  doc["jobs"] = std::move(jobs_doc);
+  Json summary = Json::object();
+  summary["failed_jobs"] = failed_jobs;
+  summary["jobs"] = static_cast<std::int64_t>(total);
+  doc["summary"] = std::move(summary);
+
+  int exit_code = failed ? 1 : 0;
+  if (!metrics_blocks.empty() && metrics_blocks.size() != total) {
+    // A metrics run resumed without --metrics (or vice versa): the
+    // merged block would silently undercount, so refuse instead.
+    std::fprintf(stderr,
+                 "pw_run: %zu of %zu job documents carry a metrics block; "
+                 "resume with the same --metrics setting the campaign "
+                 "started with\n",
+                 metrics_blocks.size(), total);
+    return 1;
+  }
+  if (!metrics_blocks.empty()) {
+    std::string merge_error;
+    auto merged = merge_metrics_blocks(metrics_blocks, &merge_error);
+    if (!merged.has_value()) {
+      std::fprintf(stderr, "pw_run: campaign metrics merge failed: %s\n",
+                   merge_error.c_str());
+      return 1;
+    }
+    if (options.metrics_arg.has_value() &&
+        !write_output("metrics", "campaign.metrics.json",
+                      merged->dump() + "\n", *options.metrics_arg,
+                      /*force_dir=*/false)) {
+      exit_code = 1;
+    }
+    doc["metrics"] = std::move(*merged);
+  } else if (options.metrics_arg.has_value()) {
+    std::fprintf(stderr,
+                 "pw_run: --metrics asked but the job documents carry no "
+                 "metrics block (campaign was journaled without "
+                 "--metrics)\n");
+    exit_code = 1;
+  }
+
+  std::printf("Campaign '%s': %zu/%zu jobs completed (%lld reported "
+              "failure)\n",
+              manifest.campaign.c_str(), records.size(), total,
+              static_cast<long long>(failed_jobs));
+  if (options.json_arg.has_value() &&
+      !write_output("json", "campaign.json", doc.dump() + "\n",
+                    *options.json_arg, /*force_dir=*/false)) {
+    exit_code = 1;
+  }
+  return exit_code;
+}
+
 }  // namespace
 
-int run_campaign_driver(const CampaignDriverOptions& options) {
+int run_campaign_driver(const CampaignManifest& manifest,
+                        const CampaignDriverOptions& options,
+                        const CampaignReducer& reduce) {
   register_builtin_experiments();
-
-  std::string manifest_text;
-  if (!read_file(options.manifest_path, &manifest_text)) {
-    std::fprintf(stderr, "pw_run: cannot read manifest %s\n",
-                 options.manifest_path.c_str());
-    return 2;
-  }
   std::string error;
-  auto parsed = parse_campaign_manifest_text(manifest_text, &error);
-  if (!parsed.has_value()) {
-    std::fprintf(stderr, "pw_run: %s\n", error.c_str());
-    return 2;
-  }
-  const CampaignManifest manifest = std::move(*parsed);
   // The digest is over the canonical form, so an author's formatting
   // (or omitted derivable seeds) never splits a campaign identity.
   const std::string canonical_text = manifest.to_json().dump() + "\n";
@@ -459,81 +537,29 @@ int run_campaign_driver(const CampaignDriverOptions& options) {
                 manifest.campaign.c_str(), completed, total, quarantined);
     return 1;
   }
+  return reduce(manifest_digest, state.records);
+}
 
-  // Final reduce: one campaign document over the journaled records.
-  Json doc = Json::object();
-  doc["base_seed"] = manifest.base_seed;
-  doc["campaign"] = manifest.campaign;
-  doc["manifest_digest"] = manifest_digest;
-  doc["suite_version"] = manifest.suite_version;
-  bool failed = false;
-  std::int64_t failed_jobs = 0;
-  Json jobs_doc = Json::array();
-  std::vector<const Json*> metrics_blocks;
-  std::size_t documents_with_metrics = 0;
-  for (const auto& [id, record] : state.records) {  // map order = id order
-    const Json* job_failed = record.document.find("failed");
-    if (job_failed != nullptr && job_failed->as_bool()) {
-      failed = true;
-      ++failed_jobs;
-    }
-    if (const Json* block = record.document.find("metrics")) {
-      metrics_blocks.push_back(block);
-      ++documents_with_metrics;
-    }
-    jobs_doc.push_back(record.to_json());
+int run_campaign_file(const std::string& manifest_path,
+                      const CampaignDriverOptions& options) {
+  std::string manifest_text;
+  if (!read_file(manifest_path, &manifest_text)) {
+    std::fprintf(stderr, "pw_run: cannot read manifest %s\n",
+                 manifest_path.c_str());
+    return 2;
   }
-  doc["failed"] = failed;
-  doc["jobs"] = std::move(jobs_doc);
-  Json summary = Json::object();
-  summary["failed_jobs"] = failed_jobs;
-  summary["jobs"] = static_cast<std::int64_t>(total);
-  doc["summary"] = std::move(summary);
-
-  int exit_code = failed ? 1 : 0;
-  if (documents_with_metrics != 0 && documents_with_metrics != total) {
-    // A metrics run resumed without --metrics (or vice versa): the
-    // merged block would silently undercount, so refuse instead.
-    std::fprintf(stderr,
-                 "pw_run: %zu of %zu job documents carry a metrics block; "
-                 "resume with the same --metrics setting the campaign "
-                 "started with\n",
-                 documents_with_metrics, total);
-    return 1;
+  std::string error;
+  const auto manifest = parse_campaign_manifest_text(manifest_text, &error);
+  if (!manifest.has_value()) {
+    std::fprintf(stderr, "pw_run: %s\n", error.c_str());
+    return 2;
   }
-  if (documents_with_metrics == total && total > 0) {
-    std::string merge_error;
-    auto merged = merge_metrics_blocks(metrics_blocks, &merge_error);
-    if (!merged.has_value()) {
-      std::fprintf(stderr, "pw_run: campaign metrics merge failed: %s\n",
-                   merge_error.c_str());
-      return 1;
-    }
-    if (options.metrics_arg.has_value() &&
-        !write_output("metrics", "campaign.metrics.json",
-                      merged->dump() + "\n", *options.metrics_arg,
-                      /*force_dir=*/false)) {
-      exit_code = 1;
-    }
-    doc["metrics"] = std::move(*merged);
-  } else if (options.metrics_arg.has_value()) {
-    std::fprintf(stderr,
-                 "pw_run: --metrics asked but the job documents carry no "
-                 "metrics block (campaign was journaled without "
-                 "--metrics)\n");
-    exit_code = 1;
-  }
-
-  std::printf("Campaign '%s': %zu/%zu jobs completed (%lld reported "
-              "failure)\n",
-              manifest.campaign.c_str(), completed, total,
-              static_cast<long long>(failed_jobs));
-  if (options.json_arg.has_value() &&
-      !write_output("json", "campaign.json", doc.dump() + "\n",
-                    *options.json_arg, /*force_dir=*/false)) {
-    exit_code = 1;
-  }
-  return exit_code;
+  return run_campaign_driver(
+      *manifest, options,
+      [&](const std::string& digest,
+          const std::map<std::string, JobRecord>& records) {
+        return reduce_campaign(*manifest, options, digest, records);
+      });
 }
 
 }  // namespace politewifi::runtime::campaign

@@ -1,5 +1,9 @@
 // Campaign driver: streams a manifest's job queue through a pool of
 // child `pw_run` processes with checkpoint/resume and fault handling.
+// It is the tree's one process pool; what a finished campaign reduces
+// into is the caller's reduce step: the campaign document for
+// `--campaign` (run_campaign_file), the single-process city survey for
+// `--city` (runtime/city_reduce.h).
 //
 // Execution discipline (CAMPAIGNS.md is the authoritative contract):
 //
@@ -29,10 +33,15 @@
 // remaining, resume to continue).
 #pragma once
 
+#include <functional>
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
 #include <utility>
+
+#include "runtime/campaign/journal.h"
+#include "runtime/campaign/manifest.h"
 
 namespace politewifi::runtime::campaign {
 
@@ -47,22 +56,38 @@ struct CampaignFaults {
 };
 
 struct CampaignDriverOptions {
-  std::string argv0;          // the pw_run binary children re-exec
-  std::string manifest_path;  // manifest to load
-  std::string dir;            // campaign directory (journal, logs, scratch)
-  int processes = 4;          // worker pool width
-  /// --json forwarded: where the final reduced campaign document goes.
+  std::string argv0;  // the pw_run binary children re-exec
+  std::string dir;    // campaign directory (journal, logs, scratch)
+  int processes = 4;  // worker pool width
+  /// --json forwarded: where the reduced document goes.
   std::optional<std::string> json_arg;
-  /// --metrics forwarded: children run --metrics and the merged block is
-  /// written here (and embedded in the final document).
+  /// --metrics forwarded: children run --metrics, and the reduce step
+  /// writes the merged block here (and embeds it in its document).
   std::optional<std::string> metrics_arg;
   CampaignFaults faults;
 };
 
-/// Runs (or resumes) the campaign. Exit codes: 0 all jobs completed and
-/// reduced; 1 quarantined jobs or an I/O / validation failure; 2 usage
-/// (bad manifest); 3 interrupted at the stop_after checkpoint with work
-/// remaining.
-int run_campaign_driver(const CampaignDriverOptions& options);
+/// The reduce step of a finished campaign. Called once, only when every
+/// job has a journaled record, with the campaign's manifest digest and
+/// the records keyed (so iterated) by job id. Its return value is the
+/// invocation's exit code.
+using CampaignReducer = std::function<int(
+    const std::string& manifest_digest,
+    const std::map<std::string, JobRecord>& records)>;
+
+/// Runs (or resumes) a parsed campaign, then hands the records to
+/// `reduce`. Exit codes: the reducer's once every job completed; 1
+/// quarantined jobs or an I/O / validation failure; 2 usage (a job that
+/// does not resolve against its experiment); 3 interrupted at the
+/// stop_after checkpoint with work remaining.
+int run_campaign_driver(const CampaignManifest& manifest,
+                        const CampaignDriverOptions& options,
+                        const CampaignReducer& reduce);
+
+/// `pw_run --campaign=MANIFEST`: loads the manifest (2 when it cannot
+/// be read or parsed) and reduces the records into the campaign
+/// document (CAMPAIGNS.md); exit 1 when a job reported failure.
+int run_campaign_file(const std::string& manifest_path,
+                      const CampaignDriverOptions& options);
 
 }  // namespace politewifi::runtime::campaign

@@ -2,13 +2,13 @@
 // districts, each its own city + simulation, reduced into one survey.
 //
 // Districts are the unit of multi-process scale-out: `--district=K`
-// runs exactly one district (what `pw_run --city` children do), the
-// default `--district=-1` runs all of them in-process. Both produce
-// the same per-district entries — every sub-seed derives from the run
-// seed and the district label, and the in-process path round-trips
-// each entry through the canonical JSON text — so the multi-process
-// reduction (runtime/city_reduce.h) is byte-identical to the
-// in-process document.
+// runs exactly one district (what the `district-KK` jobs of a `pw_run
+// --city` campaign run, all on the run's seed), the default
+// `--district=-1` runs all of them in-process. Both produce the same
+// per-district entries — every sub-seed derives from the run seed and
+// the district label, and the in-process path round-trips each entry
+// through the canonical JSON text — so the campaign's reduce step
+// (runtime/city_reduce.h) is byte-identical to the in-process document.
 #include <cstdio>
 #include <string>
 

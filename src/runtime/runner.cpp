@@ -8,7 +8,7 @@
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "runtime/campaign/driver.h"
-#include "runtime/city_driver.h"
+#include "runtime/city_reduce.h"
 #include "runtime/experiments/all.h"
 #include "runtime/registry.h"
 #include "runtime/run_context.h"
@@ -18,9 +18,8 @@ namespace politewifi::runtime {
 namespace {
 
 constexpr const char* kReservedFlags[] = {
-    "list",     "names",       "all",          "smoke", "json",
-    "help",     "metrics",     "timeline",     "city",  "city-reduce",
-    "campaign", "campaign-dir", "procs"};
+    "list",     "names",    "all",  "smoke",    "json",         "help",
+    "metrics",  "timeline", "city", "campaign", "campaign-dir", "procs"};
 
 bool is_reserved(const std::string& name) {
   for (const char* reserved : kReservedFlags) {
@@ -52,11 +51,11 @@ void print_pw_run_usage() {
       "                      [--timeline[=PATH]]\n"
       "  pw_run --all [--smoke] [--seed=N] [--json[=DIR]] [--metrics[=DIR]]\n"
       "               [--timeline[=DIR]]\n"
-      "  pw_run --city[=P] [--smoke] [--districts=D] [--<param>=<value> ...]\n"
-      "                    [--json[=PATH]] [--metrics[=PATH]]\n"
-      "  pw_run --city-reduce=DIR [--json[=PATH]] [--metrics[=PATH]]\n"
       "  pw_run --campaign=MANIFEST [--campaign-dir=DIR] [--procs=P]\n"
       "                    [--json[=PATH]] [--metrics[=PATH]]\n"
+      "  pw_run --city [--procs=P] [--campaign-dir=DIR] [--smoke]\n"
+      "                [--districts=D] [--<param>=<value> ...]\n"
+      "                [--json[=PATH]] [--metrics[=PATH]]\n"
       "\n"
       "--campaign streams the manifest's job queue through a pool of P\n"
       "child processes (default 4) with checkpoint/resume: completed jobs\n"
@@ -67,11 +66,11 @@ void print_pw_run_usage() {
       "the manifest's policy quarantines them. See CAMPAIGNS.md and\n"
       "tools/pw_campaign.py (init/status/resume/repair).\n"
       "\n"
-      "--city runs the `city` experiment as one child process per\n"
-      "district through a pool of P workers (default 4) and reduces the\n"
-      "child documents into the same bytes a single-process `pw_run city`\n"
-      "emits; --city-reduce reduces district*.json documents written\n"
-      "earlier (tools/pw_city.py uses it).\n"
+      "--city runs the `city` experiment as a campaign with one job per\n"
+      "district, all on the run's seed, and reduces the district documents\n"
+      "into the same bytes a single-process `pw_run city` emits. Without\n"
+      "--campaign-dir the journal lives in a TMPDIR scratch directory,\n"
+      "removed on success and kept (path printed) otherwise.\n"
       "\n"
       "Every run narrates on stdout exactly like the historical example\n"
       "binaries; --json additionally writes the canonical key-sorted JSON\n"
@@ -190,7 +189,8 @@ bool parse_fault_env_list(const char* env_name,
 /// (documented in CAMPAIGNS.md): PW_CAMPAIGN_FAULT_KILL SIGKILLs the
 /// named (id, attempt) children pre-exec, PW_CAMPAIGN_FAULT_HANG makes
 /// them hang into the timeout, PW_CAMPAIGN_STOP_AFTER=N checkpoints the
-/// invocation after N dispatches (exit 3). No effect outside --campaign.
+/// invocation after N dispatches (exit 3). No effect outside --campaign
+/// and --city.
 bool parse_campaign_fault_env(campaign::CampaignFaults* faults) {
   if (!parse_fault_env_list("PW_CAMPAIGN_FAULT_KILL", &faults->kill) ||
       !parse_fault_env_list("PW_CAMPAIGN_FAULT_HANG", &faults->hang)) {
@@ -271,7 +271,7 @@ RunExperimentResult run_experiment(const std::string& name,
 
   if (options.timeline) {
     obs::set_active_timeline(nullptr);
-    result.timeline_json = timeline.to_json().dump() + "\n";
+    result.timeline_json = timeline.dump();
   }
   if (options.metrics) {
     obs::Registry::set_enabled(false);
@@ -331,23 +331,56 @@ int pw_run_main(int argc, char** argv) {
     if (!is_reserved(flag.name)) forwarded.push_back(flag);
   }
 
-  if (const common::Flag* flag = parsed->find_flag("campaign")) {
-    if (!flag->value.has_value() || flag->value->empty()) {
-      std::fprintf(stderr, "pw_run: --campaign needs a manifest: "
-                           "--campaign=MANIFEST.json\n");
+  const common::Flag* campaign_flag = parsed->find_flag("campaign");
+  const common::Flag* city_flag = parsed->find_flag("city");
+  if (campaign_flag == nullptr && city_flag == nullptr) {
+    if (parsed->has_flag("campaign-dir") || parsed->has_flag("procs")) {
+      std::fprintf(stderr,
+                   "pw_run: --campaign-dir and --procs only apply together "
+                   "with --campaign or --city\n");
       return 2;
     }
-    if (!parsed->positionals.empty() || all || smoke ||
-        !forwarded.empty()) {
-      std::fprintf(stderr,
-                   "pw_run: --campaign takes no experiment name or "
-                   "per-experiment flags; jobs, seeds and parameters come "
-                   "from the manifest (see CAMPAIGNS.md)\n");
+  } else {
+    // Both run through the campaign driver: one process pool, the same
+    // journal, retry, quarantine and fault hooks; only the job list and
+    // the reduce step differ.
+    if (campaign_flag != nullptr && city_flag != nullptr) {
+      std::fprintf(stderr, "pw_run: --campaign and --city are exclusive\n");
       return 2;
+    }
+    if (city_flag != nullptr) {
+      if (city_flag->value.has_value()) {
+        std::fprintf(stderr,
+                     "pw_run: --city takes no value; set the process count "
+                     "with --procs=P\n");
+        return 2;
+      }
+      // `pw_run --city` implies the `city` experiment; naming it
+      // explicitly is tolerated, anything else is a usage error.
+      if (all || (!parsed->positionals.empty() &&
+                  (parsed->positionals.size() != 1 ||
+                   parsed->positionals.front() != "city"))) {
+        std::fprintf(stderr,
+                     "pw_run: --city always runs the city experiment\n");
+        return 2;
+      }
+    } else {
+      if (!campaign_flag->value.has_value() || campaign_flag->value->empty()) {
+        std::fprintf(stderr, "pw_run: --campaign needs a manifest: "
+                             "--campaign=MANIFEST.json\n");
+        return 2;
+      }
+      if (!parsed->positionals.empty() || all || smoke ||
+          !forwarded.empty()) {
+        std::fprintf(stderr,
+                     "pw_run: --campaign takes no experiment name or "
+                     "per-experiment flags; jobs, seeds and parameters come "
+                     "from the manifest (see CAMPAIGNS.md)\n");
+        return 2;
+      }
     }
     campaign::CampaignDriverOptions opts;
     opts.argv0 = argv[0];
-    opts.manifest_path = *flag->value;
     if (const common::Flag* dir = parsed->find_flag("campaign-dir")) {
       if (!dir->value.has_value() || dir->value->empty()) {
         std::fprintf(stderr, "pw_run: --campaign-dir needs a directory: "
@@ -355,16 +388,6 @@ int pw_run_main(int argc, char** argv) {
         return 2;
       }
       opts.dir = *dir->value;
-    } else {
-      // MANIFEST.json -> MANIFEST.campaign; anything else just appends.
-      opts.dir = opts.manifest_path;
-      const std::string suffix = ".json";
-      if (opts.dir.size() > suffix.size() &&
-          opts.dir.compare(opts.dir.size() - suffix.size(), suffix.size(),
-                           suffix) == 0) {
-        opts.dir.resize(opts.dir.size() - suffix.size());
-      }
-      opts.dir += ".campaign";
     }
     if (const common::Flag* procs = parsed->find_flag("procs")) {
       std::int64_t value = 0;
@@ -382,64 +405,25 @@ int pw_run_main(int argc, char** argv) {
     if (timeline_arg.has_value()) {
       std::fprintf(stderr,
                    "pw_run: note: --timeline is per-process wall time and "
-                   "is not reduced; ignoring it under --campaign\n");
+                   "is not reduced; ignoring it under %s\n",
+                   city_flag != nullptr ? "--city" : "--campaign");
     }
     if (!parse_campaign_fault_env(&opts.faults)) return 2;
-    return campaign::run_campaign_driver(opts);
-  }
-  if (parsed->find_flag("campaign-dir") != nullptr ||
-      parsed->find_flag("procs") != nullptr) {
-    std::fprintf(stderr,
-                 "pw_run: --campaign-dir and --procs only apply together "
-                 "with --campaign\n");
-    return 2;
-  }
-  if (const common::Flag* flag = parsed->find_flag("city-reduce")) {
-    if (!flag->value.has_value() || flag->value->empty()) {
-      std::fprintf(stderr, "pw_run: --city-reduce needs a directory: "
-                           "--city-reduce=DIR\n");
-      return 2;
-    }
-    if (!parsed->positionals.empty() || all) {
-      std::fprintf(stderr,
-                   "pw_run: --city-reduce takes no experiment name\n");
-      return 2;
-    }
-    return run_city_reduce(*flag->value, json_arg, metrics_arg);
-  }
-  if (const common::Flag* flag = parsed->find_flag("city")) {
-    // `pw_run --city` implies the `city` experiment; naming it
-    // explicitly is tolerated, anything else is a usage error.
-    if (all || (!parsed->positionals.empty() &&
-                (parsed->positionals.size() != 1 ||
-                 parsed->positionals.front() != "city"))) {
-      std::fprintf(stderr,
-                   "pw_run: --city always runs the city experiment\n");
-      return 2;
-    }
-    CityDriverOptions city;
-    city.argv0 = argv[0];
-    if (flag->value.has_value() && !flag->value->empty()) {
-      std::int64_t procs = 0;
-      if (!common::parse_int64(*flag->value, &procs) || procs < 1 ||
-          procs > 64) {
-        std::fprintf(stderr, "pw_run: --city=P needs a process count in "
-                             "[1, 64], got \"%s\"\n",
-                     flag->value->c_str());
-        return 2;
+    if (city_flag != nullptr) return run_city_campaign(forwarded, smoke, opts);
+
+    const std::string& manifest_path = *campaign_flag->value;
+    if (opts.dir.empty()) {
+      // MANIFEST.json -> MANIFEST.campaign; anything else just appends.
+      opts.dir = manifest_path;
+      const std::string suffix = ".json";
+      if (opts.dir.size() > suffix.size() &&
+          opts.dir.compare(opts.dir.size() - suffix.size(), suffix.size(),
+                           suffix) == 0) {
+        opts.dir.resize(opts.dir.size() - suffix.size());
       }
-      city.processes = static_cast<int>(procs);
+      opts.dir += ".campaign";
     }
-    city.smoke = smoke;
-    city.forwarded = forwarded;
-    city.json_arg = json_arg;
-    city.metrics_arg = metrics_arg;
-    if (timeline_arg.has_value()) {
-      std::fprintf(stderr,
-                   "pw_run: note: --timeline is per-process wall time and "
-                   "is not reduced; ignoring it under --city\n");
-    }
-    return run_city_driver(city);
+    return campaign::run_campaign_file(manifest_path, opts);
   }
 
   if (all) {

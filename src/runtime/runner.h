@@ -52,7 +52,7 @@ RunExperimentResult run_experiment(const std::string& name,
                                    const RunOptions& options = {});
 
 /// Full pw_run CLI (--list / --names / <name> / --all, --smoke, --json,
-/// --city / --city-reduce).
+/// --campaign / --city).
 int pw_run_main(int argc, char** argv);
 
 /// Writes one output document where its flag asked. `label` names the

@@ -94,11 +94,16 @@ CampaignDriverOptions driver_options(const std::string& root,
                                      int processes) {
   CampaignDriverOptions options;
   options.argv0 = PW_PW_RUN;
-  options.manifest_path = root + "/" + name + ".json";
   options.dir = root + "/" + name;
   options.processes = processes;
   options.json_arg = root + "/" + name + ".out.json";
   return options;
+}
+
+/// The `--campaign` path over `<dir>.json`, the manifest each test
+/// writes next to its campaign directory.
+int run_driver(const CampaignDriverOptions& options) {
+  return run_campaign_file(options.dir + ".json", options);
 }
 
 // ------------------------------------------------------- manifest ----
@@ -466,7 +471,7 @@ TEST(CampaignJournalTest, RefusesResumeOverATornTail) {
 /// Runs a campaign with the real pw_run binary and returns (exit code,
 /// final document text — empty when none was produced).
 std::pair<int, std::string> run_campaign(const CampaignDriverOptions& options) {
-  const int code = run_campaign_driver(options);
+  const int code = run_driver(options);
   return {code, read_text(*options.json_arg)};
 }
 
@@ -518,7 +523,7 @@ TEST(CampaignDriverTest, CheckpointResumeIsByteIdentical) {
     write_text(root + "/" + name + ".json", test_manifest_text());
     CampaignDriverOptions options = driver_options(root, name, procs);
     options.faults.stop_after = 1;
-    EXPECT_EQ(run_campaign_driver(options), 3) << "procs=" << procs;
+    EXPECT_EQ(run_driver(options), 3) << "procs=" << procs;
     // One job journaled, one pending.
     common::JsonlReadResult journal;
     std::string error;
@@ -547,7 +552,7 @@ TEST(CampaignDriverTest, ResumeRecoversWhenTheDriverDiedBeforeTheSnapshot) {
   write_text(root + "/lag.json", test_manifest_text());
   CampaignDriverOptions options = driver_options(root, "lag", 1);
   options.faults.stop_after = 1;
-  ASSERT_EQ(run_campaign_driver(options), 3);
+  ASSERT_EQ(run_driver(options), 3);
   std::string error;
   auto manifest = parse_campaign_manifest_text(test_manifest_text(), &error);
   ASSERT_TRUE(manifest.has_value()) << error;
@@ -571,7 +576,7 @@ TEST(CampaignDriverTest, RepairsATruncatedManifestCopy) {
   write_text(root + "/copy.json", test_manifest_text());
   CampaignDriverOptions options = driver_options(root, "copy", 1);
   options.faults.stop_after = 1;
-  ASSERT_EQ(run_campaign_driver(options), 3);
+  ASSERT_EQ(run_driver(options), 3);
   const std::string copy = options.dir + "/manifest.json";
   const std::string canonical = read_text(copy);
   ASSERT_FALSE(canonical.empty());
@@ -593,7 +598,7 @@ TEST(CampaignDriverTest, StopsClaimingWorkWhenTheJournalCannotBeWritten) {
   std::error_code ec;
   std::filesystem::create_directories(options.dir + "/state.json.tmp", ec);
   ASSERT_FALSE(ec);
-  EXPECT_EQ(run_campaign_driver(options), 1);
+  EXPECT_EQ(run_driver(options), 1);
   EXPECT_FALSE(std::filesystem::exists(results_path(options.dir)));
 }
 
@@ -603,7 +608,7 @@ TEST(CampaignDriverTest, ExhaustedRetriesQuarantineAndResumeRecovers) {
   CampaignDriverOptions options = driver_options(root, "q", 2);
   options.faults.kill.insert({"a-quickstart", 1});
   options.faults.kill.insert({"a-quickstart", 2});
-  EXPECT_EQ(run_campaign_driver(options), 1);
+  EXPECT_EQ(run_driver(options), 1);
   EXPECT_TRUE(read_text(*options.json_arg).empty())
       << "quarantine must not produce a campaign document";
   // The healthy job still completed; the quarantined one kept its log.
@@ -655,7 +660,7 @@ TEST(CampaignDriverTest, PinnedDigestMismatchQuarantinesWithoutRetry) {
   manifest->jobs[0].expect_digest = "crc32:00000000";  // cannot match
   write_text(root + "/pin.json", manifest->to_json().dump() + "\n");
   CampaignDriverOptions options = driver_options(root, "pin", 1);
-  EXPECT_EQ(run_campaign_driver(options), 1);
+  EXPECT_EQ(run_driver(options), 1);
   auto state = common::parse_json(read_text(state_path(options.dir)));
   ASSERT_TRUE(state.has_value());
   const common::Json* entry = state->find("jobs")->find("a-quickstart");
@@ -669,12 +674,45 @@ TEST(CampaignDriverTest, DuplicateJournalRecordRefusesResume) {
   const std::string root = make_temp_dir();
   write_text(root + "/dup.json", test_manifest_text());
   CampaignDriverOptions options = driver_options(root, "dup", 1);
-  ASSERT_EQ(run_campaign_driver(options), 0);
+  ASSERT_EQ(run_driver(options), 0);
   const std::string results = results_path(options.dir);
   const std::string text = read_text(results);
   const std::string first_line = text.substr(0, text.find('\n') + 1);
   write_text(results, text + first_line);
-  EXPECT_EQ(run_campaign_driver(options), 1);
+  EXPECT_EQ(run_driver(options), 1);
+}
+
+TEST(CampaignDriverTest, WrongKindDocumentFieldIsANamedErrorOnResume) {
+  // A journaled document with "failed": 0 under a self-consistent
+  // digest passes the journal loader; the reduce step must refuse it by
+  // name instead of aborting in the bool accessor.
+  const std::string root = make_temp_dir();
+  write_text(root + "/kind.json", test_manifest_text());
+  CampaignDriverOptions options = driver_options(root, "kind", 1);
+  ASSERT_EQ(run_driver(options), 0);
+  const std::string results = results_path(options.dir);
+  common::JsonlReadResult journal;
+  std::string error;
+  ASSERT_TRUE(common::read_jsonl_file(results, &journal, &error)) << error;
+  std::string text;
+  for (common::Json record : journal.records) {
+    if (record.find("id")->as_string() == "a-quickstart") {
+      common::Json document = *record.find("document");
+      document["failed"] = 0;
+      record["digest"] = campaign_digest(document_text(document));
+      record["document"] = std::move(document);
+    }
+    text += record.dump_compact() + "\n";
+  }
+  write_text(results, text);
+  ::testing::internal::CaptureStderr();
+  const int code = run_driver(options);
+  const std::string diagnostics = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(code, 1);
+  EXPECT_NE(diagnostics.find("a-quickstart"), std::string::npos)
+      << diagnostics;
+  EXPECT_NE(diagnostics.find("\"failed\""), std::string::npos)
+      << diagnostics;
 }
 
 TEST(CampaignDriverTest, CountsCompletionsRetriesAndQuarantines) {
@@ -685,7 +723,7 @@ TEST(CampaignDriverTest, CountsCompletionsRetriesAndQuarantines) {
   options.faults.kill.insert({"a-quickstart", 1});  // one retry
   obs::Registry::reset();
   obs::Registry::set_enabled(true);
-  const int code = run_campaign_driver(options);
+  const int code = run_driver(options);
   obs::Registry::set_enabled(false);
   EXPECT_EQ(code, 0);
   EXPECT_EQ(obs::Registry::counter_value(obs::Counter::kCampaignJobsCompleted),

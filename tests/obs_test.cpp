@@ -269,7 +269,7 @@ TEST(ObsTimeline, EmitsChromeTraceJson) {
                         /*dur_ns=*/500);
   timeline.add_wall_span("sweep_job", /*dur_ns=*/2000);
   EXPECT_EQ(timeline.size(), 2u);
-  const std::string text = timeline.to_json().dump();
+  const std::string text = timeline.dump();
   EXPECT_NE(text.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(text.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
   EXPECT_NE(text.find("\"ph\": \"X\""), std::string::npos);
@@ -287,7 +287,7 @@ TEST(ObsTimeline, EnergyMeterEmitsDwellSpans) {
   meter.set_state(sim::RadioState::kIdle, t0 + milliseconds(2));
   obs::set_active_timeline(nullptr);
   EXPECT_EQ(timeline.size(), 2u);  // the closed idle and rx dwells
-  const std::string text = timeline.to_json().dump();
+  const std::string text = timeline.dump();
   EXPECT_NE(text.find("\"idle\""), std::string::npos);
   EXPECT_NE(text.find("\"rx\""), std::string::npos);
 }

@@ -15,10 +15,15 @@ job runs without a build) and fails on:
   unknown-doc-flag    a documented `--flag` that neither the driver, nor
                       any experiment spec, nor the tool allowlist defines
   unknown-usage-flag  a usage-text `--flag` the driver does not accept
+  unused-tool-flag    a TOOL_FLAGS entry no documentation file mentions
+  shadowing-tool-flag a TOOL_FLAGS entry that is already a driver flag
+                      or an experiment parameter
 
 Tool scripts (tools/pw_*.py) own flags of their own; those are listed
 in TOOL_FLAGS below rather than discovered, so a typo in a doc cannot
-hide behind the allowlist by accident.
+hide behind the allowlist by accident. Like the pw_lint and pw_analyze
+allowlists, TOOL_FLAGS can only shrink: an entry the docs no longer
+need, or one the driver already defines, is itself a failure.
 """
 
 import pathlib
@@ -30,28 +35,16 @@ RUNNER = REPO / "src" / "runtime" / "runner.cpp"
 EXPERIMENTS_DIR = REPO / "src" / "runtime" / "experiments"
 DOCS = ["README.md", "EXPERIMENTS.md", "OBSERVABILITY.md", "CAMPAIGNS.md"]
 
-# Flags owned by the Python tools (tools/pw_city.py, tools/pw_campaign.py,
-# tools/bench_compare.py ...) or by external tools the docs quote (ctest,
-# git). Keep sorted; additions need a matching owner in tools/.
+# Documented flags owned by the Python tools (tools/pw_campaign.py,
+# tools/bench_compare.py ...) or by external tools the docs quote
+# (cmake, ctest). Keep sorted; every entry must be mentioned by a doc.
 TOOL_FLAGS = {
-    "backoff-ms",         # pw_campaign.py init
-    "baseline",           # bench_compare.py
     "build",              # cmake, quoted in build instructions
-    "campaign",           # shared: pw_run --campaign / pw_campaign.py init
-    "candidate",          # bench_compare.py
     "floor",              # bench_compare.py
-    "keep-dir",           # pw_city.py
-    "max-attempts",       # pw_campaign.py init
-    "metrics",            # shared name: pw_run / tool scripts
-    "output",             # pw_campaign.py init
-    "output-on-failure",  # ctest, quoted in build instructions
     "preset",             # cmake, quoted in build instructions
-    "processes",          # pw_city.py / pw_campaign.py resume
-    "pw-run",             # pw_city.py / pw_campaign.py resume
-    "seed",               # reserved per-experiment flag
+    "seed",               # reserved per-experiment flag / pw_campaign.py init
     "suite-version",      # pw_campaign.py init
     "test-dir",           # ctest, quoted in build instructions
-    "timeout-ms",         # pw_campaign.py init
 }
 
 # Usage-text placeholders like `--<param>=<value>`.
@@ -119,6 +112,14 @@ def main():
     for flag in sorted(driver - doc_mentions.keys()):
         failures.append(f"undocumented-flag: driver flag --{flag} appears "
                         f"in none of {', '.join(DOCS)}")
+
+    for flag in sorted(TOOL_FLAGS - doc_mentions.keys()):
+        failures.append(f"unused-tool-flag: TOOL_FLAGS entry --{flag} is "
+                        f"mentioned by none of {', '.join(DOCS)}; delete it")
+    for flag in sorted(TOOL_FLAGS & (driver | params)):
+        failures.append(f"shadowing-tool-flag: TOOL_FLAGS entry --{flag} "
+                        f"is already a driver flag or experiment parameter; "
+                        f"delete it")
 
     experiments_text = (REPO / "EXPERIMENTS.md").read_text() \
         if (REPO / "EXPERIMENTS.md").exists() else ""
