@@ -132,8 +132,8 @@ FanoutResult bench_fanout(bench::PerfReport& perf, std::size_t n,
   if (fading) {
     // Heavily correlated fading: every delivery composes a per-link
     // AR(1) fade on top of the cached static budget. The caller picks
-    // the coherence interval: short (100 µs) makes the chains advance
-    // on nearly every evaluation (worst-case throughput), long makes
+    // the coherence interval: short (100 µs) moves each link's fade on
+    // nearly every evaluation (worst-case throughput), long makes
     // repeat evaluations land in one interval (cache-hit harvest).
     mc.fading_rho = 0.9;
     mc.fading_sigma_db = 2.0;
@@ -375,7 +375,7 @@ int main() {
   bench::section("medium: fan-out under AR(1) fading (rho=0.9, 100 us)");
   // The dense 5000-radio point again, with the dynamic channel term ON:
   // every delivery composes a per-link fade on top of the cached static
-  // budget, and each link's AR(1) chain advances ~10k times per sim
+  // budget, and each link's fade moves ~10k coherence intervals per sim
   // second. Gated as its own absolute floor in CI — the fading lane must
   // stay within striking distance of the static-only fan-out, or the SoA
   // pipeline has stopped surviving the channel refactor.
@@ -384,7 +384,7 @@ int main() {
     const FanoutResult faded = bench_fanout(perf, 5000, 2000.0, rounds,
                                             /*fading_coherence_us=*/100.0);
     if (faded.fading_advances == 0) {
-      std::printf("  FAIL fanout_5000_fading: no AR(1) samples drawn\n");
+      std::printf("  FAIL fanout_5000_fading: no fading draws made\n");
       fading_lane_live = false;
     }
   }
@@ -414,7 +414,7 @@ int main() {
   bench_fanout(perf, 500, 2000.0, /*rounds=*/200,
                /*fading_coherence_us=*/0.0, /*note_perf=*/false);
   // Long-coherence fading pass: a pool member's turns recur inside one
-  // coherence interval, so the AR(1) lanes serve real cache hits and
+  // coherence interval, so the fading lines serve real cache hits and
   // bench_compare's fading_cache_hit_rate pair gets data to gate.
   bench_fanout(perf, 500, 2000.0, /*rounds=*/200,
                /*fading_coherence_us=*/2000.0, /*note_perf=*/false);

@@ -125,7 +125,7 @@ int main() {
                 fading_report.discovered,
                 100.0 * fading_report.response_rate());
     bench::kvf("survey wall (s)", "%.2f", dt);
-    bench::kvf("AR(1) samples drawn", "%.0f", double(fs.fading_advances));
+    bench::kvf("fading draws", "%.0f", double(fs.fading_advances));
     bench::kvf("fading cache hits", "%.0f", double(fs.fading_cache_hits));
     perf.note("fading_survey_tx_per_sec", double(fs.transmissions) / dt);
     perf.note("fading_survey_response_rate", fading_report.response_rate());

@@ -75,10 +75,10 @@ namespace politewifi::obs {
     "frame-error-rate memo misses (erfc/pow chain runs)")                     \
   X(kMediumPpduBytesCopied, "sim.medium.ppdu_bytes_copied", "octets",         \
     "payload octets copied post-transmit (copy-on-corrupt only)")             \
-  X(kMediumFadingAdvances, "sim.medium.fading_advances", "samples",           \
-    "AR(1) fading samples drawn (stationary restarts + chain steps)")         \
+  X(kMediumFadingAdvances, "sim.medium.fading_advances", "draws",             \
+    "fading Gaussian draws (bridge nodes + block endpoints)")                 \
   X(kMediumFadingCacheHits, "sim.medium.fading_cache_hits", "lookups",        \
-    "fading evaluations served from a link's cached chain position")          \
+    "fading evaluations served without a draw (same interval or spine node)") \
   X(kPpduPoolReuses, "sim.ppdu_pool.reuses", "buffers",                       \
     "PPDU buffers recycled from the pool free list")                          \
   X(kPpduPoolAllocations, "sim.ppdu_pool.allocations", "buffers",             \
@@ -126,7 +126,7 @@ namespace politewifi::obs {
     "generations",                                                            \
     "link/FER cache (re)allocations — growth drops the old contents")         \
   X(kMediumFadingLinksPeak, "sim.medium.fading_links_peak", "links",          \
-    "peak links holding live AR(1) fading state across all shards")           \
+    "peak links holding live fading state across all shards")                 \
   X(kShardSkewNs, "sim.shard.skew_ns", "ns",                                  \
     "peak spread between shard head-event times at an executor switch")       \
   X(kCampaignQueueDepthPeak, "runtime.campaign.queue_depth_peak", "jobs",     \

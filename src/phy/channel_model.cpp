@@ -11,13 +11,19 @@ namespace politewifi::phy {
 
 namespace {
 
-/// Salt separating the fading innovation stream from the shadowing
-/// stream: both hash the same pair key and seed, and the shadowing draw
+/// Salt separating the fading node stream from the shadowing stream:
+/// both hash the same pair key and seed, and the shadowing draw
 /// consumes counters k and k + 1, so the fading stream must live in an
 /// unrelated region of counter space.
 constexpr std::uint64_t kFadingSalt = 0x8f1d2ab04c96e35dULL;
 
-/// Counter stride between successive innovations. Odd and avalanche-
+/// Salt of the block-endpoint stream. The virtual endpoint of the block
+/// starting at r sits at interval r + kBlockIntervals, whose node-stream
+/// counter is the next block's restart draw; reusing it would couple the
+/// blocks, so the endpoint draws from its own stream at counter r.
+constexpr std::uint64_t kEndpointSalt = 0x3c6ef372fe94f82bULL;
+
+/// Counter stride between successive intervals. Odd and avalanche-
 /// friendly (the splitmix golden-ratio increment), so n -> base + n *
 /// stride never collides with the paired counter k + 1 of another n.
 constexpr std::uint64_t kCounterStride = 0x9e3779b97f4a7c15ULL;
@@ -44,9 +50,21 @@ ChannelModel::ChannelModel(ChannelParams params, std::uint64_t seed)
            "fading sigma must be non-negative");
   PW_CHECK(!fading_enabled() || params_.fading.coherence_ns > 0,
            "fading needs a positive coherence interval");
-  innovation_scale_db_ =
-      params_.fading.sigma_db *
-      std::sqrt(1.0 - params_.fading.rho * params_.fading.rho);
+  if (!fading_enabled()) return;
+  // 1 - rho^2h through expm1: for rho near 1 the direct subtraction
+  // loses digits to cancellation.
+  const double sigma = params_.fading.sigma_db;
+  const double log_rho = std::log(params_.fading.rho);
+  for (unsigned k = 0; k < kBridgeLevels; ++k) {
+    const double h = double(std::uint64_t{1} << k);
+    const double one_minus = -std::expm1(2.0 * h * log_rho);  // 1 - rho^2h
+    const double one_plus = 2.0 - one_minus;                  // 1 + rho^2h
+    bridge_mean_[k] = std::exp(h * log_rho) / one_plus;
+    bridge_scale_db_[k] = sigma * std::sqrt(one_minus / one_plus);
+  }
+  const double b = double(kBlockIntervals);
+  endpoint_mean_ = std::exp(b * log_rho);
+  endpoint_scale_db_ = sigma * std::sqrt(-std::expm1(2.0 * b * log_rho));
 }
 
 double ChannelModel::reference_loss_db(double frequency_hz) const {
@@ -94,41 +112,112 @@ double ChannelModel::gaussian(std::uint64_t k) {
   return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
 }
 
-double ChannelModel::innovation(std::uint64_t link_key,
-                                std::uint64_t n) const {
+void ChannelModel::start_block(FadingState& state, std::uint64_t link_key,
+                               std::uint64_t restart) const {
+  const std::uint64_t counter = restart * kCounterStride;
+  const double x0 =
+      params_.fading.sigma_db *
+      gaussian(splitmix(link_key ^ seed_ ^ kFadingSalt) + counter);
+  const double end =
+      endpoint_mean_ * x0 +
+      endpoint_scale_db_ *
+          gaussian(splitmix(link_key ^ seed_ ^ kEndpointSalt) + counter);
+  state.interval = restart;
+  state.value_db = x0;
+  state.spine_db[kBridgeLevels] = end;
+  state.valid = true;
+}
+
+std::uint64_t ChannelModel::walk_forward(FadingState& state,
+                                         std::uint64_t link_key,
+                                         std::uint64_t j) const {
+  const std::uint64_t i = state.interval % kBlockIntervals;
+  const std::uint64_t restart = state.interval - i;
+  PW_DCHECK(i < j && j < kBlockIntervals, "bridge walks only forward");
+  state.interval = restart + j;
+  // The spine's nodes split (i, kBlockIntervals] into dyadic brackets;
+  // find the one holding j. d is the highest bit where i and j differ
+  // (j has it set): below the lowest spine level, j sits in the level-t
+  // bracket [i, i + 2^t]; otherwise it sits in the level-d bracket
+  // between spine nodes d and d + 1, unless it is node d itself.
+  const unsigned t = spine_low_level(i);
+  const unsigned d = unsigned(std::bit_width(i ^ j)) - 1;
+  std::uint64_t lo;
+  unsigned level;
+  double left;
+  double right;
+  if (d < t) {
+    lo = i;
+    level = t;
+    left = state.value_db;
+    right = state.spine_db[t];
+  } else {
+    lo = (j >> d) << d;
+    if (lo == j) {  // a cached spine node: no draw
+      state.value_db = state.spine_db[d];
+      state.spine_db[d] = state.spine_db[d + 1];
+      return 0;
+    }
+    level = d;
+    left = state.spine_db[d];
+    right = state.spine_db[d + 1];
+  }
+  // Descend: draw each bracket's midpoint from its bridge conditional
+  // until j is the midpoint. Every bracket's right end is j's spine
+  // node at that level.
   const std::uint64_t base = splitmix(link_key ^ seed_ ^ kFadingSalt);
-  return gaussian(base + n * kCounterStride);
+  std::uint64_t draws = 0;
+  for (;;) {
+    state.spine_db[level] = right;
+    --level;
+    const std::uint64_t mid = lo + (std::uint64_t{1} << level);
+    const double z = gaussian(base + (restart + mid) * kCounterStride);
+    const double x =
+        bridge_mean_[level] * (left + right) + bridge_scale_db_[level] * z;
+    ++draws;
+    if (mid == j) {
+      state.spine_db[level] = right;
+      state.value_db = x;
+      return draws;
+    }
+    if (j < mid) {
+      right = x;
+    } else {
+      left = x;
+      lo = mid;
+    }
+  }
 }
 
 double ChannelModel::advance(FadingState& state, std::uint64_t link_key,
                              std::uint64_t interval,
                              std::uint64_t* steps_out) const {
   if (!fading_enabled()) return 0.0;
-  const std::uint64_t restart =
-      (interval / kBlockIntervals) * kBlockIntervals;
-  std::uint64_t n;
-  double x;
-  if (state.valid && state.interval <= interval && state.interval >= restart) {
-    if (state.interval == interval) return state.value_db;  // pure hit
-    // Continue the chain: stepping from a cached sample replays exactly
-    // the tail of the from-scratch fold, so incremental and cold
-    // evaluations are bit-identical.
-    n = state.interval;
-    x = state.value_db;
-  } else {
-    // Stationary restart at the block boundary: x_restart = sigma * z.
-    n = restart;
-    x = params_.fading.sigma_db * innovation(link_key, restart);
-    if (steps_out != nullptr) ++*steps_out;
+  if (state.valid && state.interval == interval) return state.value_db;
+  const std::uint64_t j = interval % kBlockIntervals;
+  const std::uint64_t restart = interval - j;
+  std::uint64_t draws = 0;
+  if (!state.valid || state.interval > interval || state.interval < restart) {
+    start_block(state, link_key, restart);
+    draws = 2;
   }
-  const double rho = params_.fading.rho;
-  while (n < interval) {
-    ++n;
-    x = rho * x + innovation_scale_db_ * innovation(link_key, n);
-    if (steps_out != nullptr) ++*steps_out;
-  }
-  state = FadingState{interval, x, true};
-  return x;
+  if (state.interval != interval) draws += walk_forward(state, link_key, j);
+  if (steps_out != nullptr) *steps_out += draws;
+  return state.value_db;
+}
+
+double ChannelModel::node_db(std::uint64_t link_key, std::uint64_t restart,
+                             std::uint64_t m) const {
+  PW_CHECK(restart % kBlockIntervals == 0 && m <= kBlockIntervals,
+           "bridge node %llu of a block at %llu is out of range",
+           static_cast<unsigned long long>(m),
+           static_cast<unsigned long long>(restart));
+  if (!fading_enabled()) return 0.0;
+  FadingState cold;
+  start_block(cold, link_key, restart);
+  if (m == kBlockIntervals) return cold.spine_db[kBridgeLevels];
+  if (m > 0) walk_forward(cold, link_key, m);
+  return cold.value_db;
 }
 
 }  // namespace politewifi::phy

@@ -8,21 +8,28 @@
 //    (the medium's link cache, its SoA fan-out lanes, the per-shard
 //    memos) may memoize it for as long as the geometry holds.
 //
-//  * a **dynamic fading term** — an AR(1) process in dB,
-//    x_n = rho * x_{n-1} + sigma * sqrt(1 - rho^2) * z_n, sampled once
-//    per coherence interval of sim time. The innovations z_n come from a
-//    counter-based RNG stream keyed by (link, seed, interval), and the
-//    chain restarts from its stationary distribution at fixed block
-//    boundaries, so x_n is a *pure function* of (link key, interval):
-//    any evaluation order, shard count, or cache state replays the
-//    identical value bit for bit. Incremental state (FadingState) is
-//    only ever a cache of that function.
+//  * a **dynamic fading term** — a stationary AR(1) process in dB,
+//    Cov(x_i, x_j) = sigma^2 * rho^|i - j|, one value per coherence
+//    interval of sim time, restarted independently every
+//    kBlockIntervals intervals. Each block is sampled as an exact
+//    dyadic Gaussian bridge: the block start x_0 = sigma * z and a
+//    virtual endpoint x_B are drawn first, then every interior node is
+//    drawn from its closed-form Gaussian conditional given the two
+//    nodes bracketing it. The standard normals come from counter-based
+//    RNG streams keyed by (link, seed, interval), so x_n is a *pure
+//    function* of (link key, interval): any evaluation order, shard
+//    count, or cache state replays the identical value bit for bit,
+//    and a cold evaluation draws at most 2 + log2(kBlockIntervals)
+//    normals. Incremental state (FadingState) is only ever a cache of
+//    that function.
 //
 // `fading.rho = 0` disables the dynamic term entirely; the model then
 // degenerates to today's memoryless channel and every byte downstream
 // is unchanged (ChannelEquivalence property-tests this).
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 
 namespace politewifi::phy {
@@ -49,24 +56,47 @@ struct ChannelParams {
 
 class ChannelModel {
  public:
-  /// Incremental AR(1) state for one link: the last interval the chain
-  /// was advanced to and its value there. Purely a cache — advancing
-  /// from here replays exactly the samples a from-scratch evaluation
-  /// walks through — so state may be discarded (cache collision, shard
-  /// migration) at any time without changing any returned value.
+  /// Intervals per stationary-restart block: at every multiple of this
+  /// the process redraws from its stationary distribution, and each
+  /// block is one dyadic bridge, bounding a cold evaluation to at most
+  /// 2 + log2(kBlockIntervals) draws. Within a block the
+  /// autocorrelation at lag k is exactly rho^k (across a boundary it
+  /// drops to 0 — a 1/kBlockIntervals-weight bias the moments test
+  /// budgets for).
+  static constexpr std::uint64_t kBlockIntervals = 256;
+  /// Bridge levels: node m of a block (m in [0, kBlockIntervals]) sits
+  /// at level ctz(m) and is drawn given nodes m -/+ 2^ctz(m).
+  static constexpr unsigned kBridgeLevels =
+      std::countr_zero(kBlockIntervals);
+
+  /// Incremental fading state for one link: the last interval it was
+  /// evaluated at, the value there, and its right spine — for the
+  /// block-local index j = interval mod kBlockIntervals and every level
+  /// k in [spine_low_level(j), kBridgeLevels], spine_db[k] holds node
+  /// spine_node(j, k), the nearest level-k bracket end above j.
+  /// Consecutive spine nodes bracket every later interval of the block,
+  /// so a forward move draws only the nodes below the smallest cached
+  /// bracket. Purely a cache — every node it holds is the exact double
+  /// a cold evaluation draws — so state may be discarded (cache
+  /// collision, shard migration) at any time without changing any
+  /// returned value.
   struct FadingState {
     std::uint64_t interval = 0;
     double value_db = 0.0;
+    double spine_db[kBridgeLevels + 1] = {};
     bool valid = false;
   };
 
-  /// Intervals per stationary-restart block: at every multiple of this
-  /// the chain redraws from its stationary distribution instead of
-  /// continuing, bounding a cold evaluation to kBlockIntervals steps.
-  /// Within a block the autocorrelation at lag k is exactly rho^k
-  /// (across a boundary it drops to 0 — a 1/kBlockIntervals-weight
-  /// bias the moments test budgets for).
-  static constexpr std::uint64_t kBlockIntervals = 256;
+  /// Lowest spine level a state at block-local index j holds: ctz(j),
+  /// with ctz(0) = kBridgeLevels.
+  static constexpr unsigned spine_low_level(std::uint64_t j) {
+    return std::min<unsigned>(std::countr_zero(j), kBridgeLevels);
+  }
+  /// The node a state at block-local index j caches at spine level k:
+  /// the smallest multiple of 2^k above j.
+  static constexpr std::uint64_t spine_node(std::uint64_t j, unsigned k) {
+    return ((j >> k) + 1) << k;
+  }
 
   ChannelModel(ChannelParams params, std::uint64_t seed);
 
@@ -104,22 +134,33 @@ class ChannelModel {
            static_cast<std::uint64_t>(params_.fading.coherence_ns);
   }
 
-  /// Advances `state` (for the link identified by `link_key` — use
+  /// Moves `state` (for the link identified by `link_key` — use
   /// pair_key for reciprocal fading) to `interval` and returns the
   /// fading value there in dB. `steps_out`, when non-null, is
-  /// incremented by the number of AR(1) samples actually drawn: 0 means
-  /// the state already held this interval (a pure cache hit). A stale,
-  /// invalid, future, or cross-block state is rewound to the block's
-  /// stationary restart, so the result never depends on what the state
-  /// held before the call.
+  /// incremented by the number of Gaussian draws (bridge nodes and
+  /// block endpoints) actually made: 0 means the state already held
+  /// this interval or had it cached as a spine node (a pure cache hit).
+  /// A forward move within the block draws only the nodes below the
+  /// smallest cached bracket; an invalid, earlier-block or rewound
+  /// state evaluates cold (at most 2 + log2(kBlockIntervals) draws). The
+  /// result never depends on what the state held before the call.
   double advance(FadingState& state, std::uint64_t link_key,
                  std::uint64_t interval,
                  std::uint64_t* steps_out = nullptr) const;
 
+  /// Bridge node `m` in [0, kBlockIntervals] of the block starting at
+  /// interval `restart` (a multiple of kBlockIntervals), evaluated from
+  /// scratch: node m < kBlockIntervals is the fade at interval
+  /// restart + m; node kBlockIntervals is the block's virtual endpoint
+  /// (never a fade — the next block restarts independently). The one
+  /// pure definition every cache of the fading term is checked against.
+  double node_db(std::uint64_t link_key, std::uint64_t restart,
+                 std::uint64_t m) const;
+
   /// The pure function: fading at (link_key, interval) from scratch.
   double fading_db(std::uint64_t link_key, std::uint64_t interval) const {
-    FadingState scratch;
-    return advance(scratch, link_key, interval);
+    const std::uint64_t j = interval % kBlockIntervals;
+    return node_db(link_key, interval - j, j);
   }
 
   // --- Shared deterministic hashing ----------------------------------------
@@ -133,13 +174,28 @@ class ChannelModel {
   /// splitmix(k), splitmix(k + 1) — the exact pattern shadowing_db uses,
   /// under a distinct key salt so the streams never alias.
   static double gaussian(std::uint64_t k);
-  /// Innovation z_n of this link's fading stream.
-  double innovation(std::uint64_t link_key, std::uint64_t n) const;
+  /// Resets `state` to the block starting at `restart`: draws the block
+  /// start x_0 and the virtual endpoint x_B (2 draws).
+  void start_block(FadingState& state, std::uint64_t link_key,
+                   std::uint64_t restart) const;
+  /// Moves a valid `state` forward within its block to block-local
+  /// index `j`, descending from the smallest cached bracket that holds
+  /// it. Returns the number of nodes drawn.
+  std::uint64_t walk_forward(FadingState& state, std::uint64_t link_key,
+                             std::uint64_t j) const;
 
   ChannelParams params_;
   std::uint64_t seed_;
-  /// sigma * sqrt(1 - rho^2), hoisted out of the per-sample recurrence.
-  double innovation_scale_db_ = 0.0;
+  /// Bridge coefficients per level k (half-width h = 2^k): a node is
+  /// bridge_mean_[k] * (left + right) + bridge_scale_db_[k] * z, with
+  /// a_h = rho^h / (1 + rho^2h), s_h = sigma * sqrt((1 - rho^2h) /
+  /// (1 + rho^2h)).
+  double bridge_mean_[kBridgeLevels] = {};
+  double bridge_scale_db_[kBridgeLevels] = {};
+  /// Virtual endpoint x_B = endpoint_mean_ * x_0 + endpoint_scale_db_ * z'
+  /// with B = kBlockIntervals: rho^B and sigma * sqrt(1 - rho^2B).
+  double endpoint_mean_ = 0.0;
+  double endpoint_scale_db_ = 0.0;
   /// Tiny frequency -> reference-loss memo (see reference_loss_db).
   struct RefLossMemo {
     double freq_hz = 0.0;

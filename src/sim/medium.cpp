@@ -319,15 +319,17 @@ void Medium::maybe_grow_link_cache() {
     memo.fer_lines.assign(want, FerMemoEntry{});  // sinr_db NaN = empty
     memo.fer_mask = want - 1;
     if (channel_.fading_enabled()) {
-      // Fading state is pair-keyed (reciprocal links share a line), so
-      // half the link-cache line count covers the same population.
-      memo.fading_lines.assign(want / 2, FadingLine{});
-      memo.fading_mask = want / 2 - 1;
+      // Fading state is pair-keyed (reciprocal links share a line) and
+      // a line holds a whole bridge spine (~100 B); an eighth of the
+      // link-cache line count still covers the live fading links (the
+      // scale-0.05 survey peaks at ~8k links in 16k lines).
+      memo.fading_lines.assign(want / 8, FadingLine{});
+      memo.fading_mask = want / 8 - 1;
     }
   }
-  // Growth drops every link's cached fading chain position (the values
-  // are pure functions, so nothing observable changes — the next
-  // evaluation just restarts from a block boundary).
+  // Growth drops every link's cached fading spine (the values are pure
+  // functions, so nothing observable changes — the next evaluation just
+  // starts cold from its block's restart).
   fading_links_live_ = 0;
   // Growth drops the old contents; the generation gauge makes a cache
   // that keeps reallocating (and therefore keeps missing) visible.
@@ -1329,13 +1331,17 @@ void Medium::audit_coherence() const {
   }
 
   // Fading-state lines are caches of a pure function: every live line
-  // must hold exactly the value a from-scratch evaluation of its
-  // (link, interval) produces, or the incremental advance drifted off
-  // the counter-based stream.
+  // must hold exactly the value and the spine nodes a from-scratch
+  // evaluation of its (link, interval) produces, or the incremental
+  // walk drifted off the counter-based stream. A bad spine node would
+  // otherwise surface only as a later wrong fade.
   for (const LinkMemo& memo : memos_) {
     for (const FadingLine& line : memo.fading_lines) {
       if (line.key == 0 || !line.state.valid) continue;
-      const double fresh = channel_.fading_db(line.key, line.state.interval);
+      const std::uint64_t j =
+          line.state.interval % phy::ChannelModel::kBlockIntervals;
+      const std::uint64_t restart = line.state.interval - j;
+      const double fresh = channel_.node_db(line.key, restart, j);
       PW_CHECK(std::bit_cast<std::uint64_t>(line.state.value_db) ==
                    std::bit_cast<std::uint64_t>(fresh),
                "fading line %.17g != recomputed %.17g for link key %llu at "
@@ -1343,6 +1349,19 @@ void Medium::audit_coherence() const {
                line.state.value_db, fresh,
                static_cast<unsigned long long>(line.key),
                static_cast<unsigned long long>(line.state.interval));
+      for (unsigned k = phy::ChannelModel::spine_low_level(j);
+           k <= phy::ChannelModel::kBridgeLevels; ++k) {
+        const std::uint64_t node = phy::ChannelModel::spine_node(j, k);
+        const double node_db = channel_.node_db(line.key, restart, node);
+        PW_CHECK(std::bit_cast<std::uint64_t>(line.state.spine_db[k]) ==
+                     std::bit_cast<std::uint64_t>(node_db),
+                 "fading spine level %u node %llu %.17g != recomputed %.17g "
+                 "for link key %llu at interval %llu",
+                 k, static_cast<unsigned long long>(node),
+                 line.state.spine_db[k], node_db,
+                 static_cast<unsigned long long>(line.key),
+                 static_cast<unsigned long long>(line.state.interval));
+      }
     }
   }
 

@@ -274,12 +274,13 @@ class Medium {
     /// (mirrored into a foreign shard's event stream).
     std::uint64_t shard_handoffs = 0;
     std::uint64_t mirrored_tx = 0;
-    /// AR(1) fading: samples actually drawn (stationary restarts plus
-    /// chain steps) vs evaluations served straight from a link's cached
-    /// fading state without drawing anything. The *values* are pure
-    /// functions of (link, interval) — these counters only describe how
-    /// much work the lazy advance did, so they are shard- and
-    /// schedule-dependent (ShardEquivalence carves them out).
+    /// Fading: Gaussian draws actually made (bridge nodes and block
+    /// endpoints) vs evaluations served without a draw — the link's
+    /// cached interval again, or a node its cached spine already holds.
+    /// The *values* are pure functions of (link, interval) — these
+    /// counters only describe how much work the lazy walk did, so they
+    /// are shard- and schedule-dependent (ShardEquivalence carves them
+    /// out).
     std::uint64_t fading_advances = 0;
     std::uint64_t fading_cache_hits = 0;
     /// Peak number of links holding live fading state across all shards.
@@ -423,18 +424,20 @@ class Medium {
   double raw_link_gain_db(const Radio& tx_radio, const Radio& rx_radio) const;
   /// The dynamic fading term for the (a, b) link at coherence interval
   /// `interval`, served through shard `shard`'s fading-state lines: a
-  /// line holding this link at this interval is a pure cache hit;
-  /// anything else advances (or restarts) the AR(1) chain. The returned
-  /// value is a pure function of (pair key, interval) regardless of
-  /// cache state, which is what keeps every shard count byte-identical.
+  /// line holding this link at this interval, or holding it as a spine
+  /// node, is a pure cache hit; a later interval of the same block
+  /// descends from the line's smallest cached bracket, anything else
+  /// evaluates the block's bridge cold. The returned value is a pure
+  /// function of (pair key, interval) regardless of cache state, which
+  /// is what keeps every shard count byte-identical.
   double link_fading_db(const Radio& a, const Radio& b,
                         std::uint64_t interval, std::uint32_t shard) const;
   /// One sender's slice of audit_coherence: its grid residency and (when
   /// valid) its cached neighbor list vs the brute-force reception set.
   void audit_radio(const Radio& radio) const;
   /// Grows every shard's memo with the attached population (link and
-  /// FER lines ~ 256 × radios, power of two, clamped; fading lines
-  /// half that). Growing drops the old contents, which only happens
+  /// FER lines ~ 256 × radios, power of two, clamped; fading lines an
+  /// eighth of that). Growing drops the old contents, which only happens
   /// during topology construction. The oracle never allocates them.
   void maybe_grow_link_cache();
   /// phy::frame_error_rate memoized in a direct-mapped cache keyed by the
@@ -508,12 +511,12 @@ class Medium {
     std::uint32_t packed = 0;  // (octets << 1) | dsss bit
     std::int32_t ndbps = 0;
   };
-  /// One link's cached AR(1) fading chain position (see
-  /// phy::ChannelModel::FadingState). Keyed by the order-independent
-  /// pair key; 0 = empty. Purely a cache of the pure fading function,
-  /// so a collision overwriting a line (or a shard split partitioning
-  /// the lines differently) never changes a returned value — only how
-  /// many samples the next advance has to draw.
+  /// One link's cached fading position and bridge spine (see
+  /// phy::ChannelModel::FadingState, ~100 B). Keyed by the
+  /// order-independent pair key; 0 = empty. Purely a cache of the pure
+  /// fading function, so a collision overwriting a line (or a shard
+  /// split partitioning the lines differently) never changes a returned
+  /// value — only how many nodes the next evaluation has to draw.
   struct FadingLine {
     std::uint64_t key = 0;
     phy::ChannelModel::FadingState state;

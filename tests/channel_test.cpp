@@ -1,17 +1,20 @@
 // Channel-model tests: the static/dynamic decomposition, the AR(1)
-// fading stream's purity and moments, and the ChannelEquivalence
-// property — `fading_rho = 0` must be byte-identical to the memoryless
-// channel across every engine configuration (sharded/unsharded ×
-// production/reference oracle), all the way up to the survey document the
-// runtime publishes — and the fading-state lines must be a pure cache.
+// fading bridge's purity, draw contract and moments, and the
+// ChannelEquivalence property — `fading_rho = 0` must be byte-identical
+// to the memoryless channel across every engine configuration
+// (sharded/unsharded × production/reference oracle), all the way up to
+// the survey document the runtime publishes — and the fading-state
+// lines must be a pure cache.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/injector.h"
 #include "medium_test_peer.h"
 #include "phy/channel_model.h"
@@ -33,7 +36,7 @@ phy::ChannelParams fading_params(double rho, double sigma_db,
   return p;
 }
 
-// --- The dynamic term: AR(1) stream contract ---------------------------------
+// --- The dynamic term: AR(1) bridge contract ---------------------------------
 
 TEST(ChannelModel, FadingDisabledDrawsNothing) {
   for (const auto& ch :
@@ -47,6 +50,22 @@ TEST(ChannelModel, FadingDisabledDrawsNothing) {
   }
   EXPECT_TRUE(phy::ChannelModel(fading_params(0.5, 2.0), 7).fading_enabled());
 }
+
+/// Every spine node `st` caches must be the exact double the pure node
+/// accessor draws from scratch.
+void expect_spine_is_pure(const phy::ChannelModel& ch, std::uint64_t key,
+                          const phy::ChannelModel::FadingState& st) {
+  using CM = phy::ChannelModel;
+  const std::uint64_t j = st.interval % CM::kBlockIntervals;
+  const std::uint64_t restart = st.interval - j;
+  for (unsigned k = CM::spine_low_level(j); k <= CM::kBridgeLevels; ++k) {
+    EXPECT_EQ(st.spine_db[k], ch.node_db(key, restart, CM::spine_node(j, k)))
+        << "interval " << st.interval << " spine level " << k;
+  }
+}
+
+constexpr std::uint64_t kMaxDraws =
+    2 + phy::ChannelModel::kBridgeLevels;  // 2 + log2(kBlockIntervals)
 
 TEST(ChannelModel, FadeIsAPureFunctionOfLinkAndInterval) {
   const phy::ChannelModel ch(fading_params(0.85, 3.0, 250'000), 99);
@@ -66,23 +85,77 @@ TEST(ChannelModel, FadeIsAPureFunctionOfLinkAndInterval) {
   // A different link never aliases this stream.
   const std::uint64_t other = phy::ChannelModel::pair_key(5, 10);
   EXPECT_NE(ch.fading_db(key, 17), ch.fading_db(other, 17));
+
+  // The same property under a seeded random walk per link: repeats,
+  // short and long forward moves (landing inside a cached bracket, on a
+  // cached spine node, or past the whole spine), rewinds and
+  // cross-block jumps, from weakly to almost fully correlated
+  // processes. Whatever the state held, the value is the cold one, no
+  // evaluation draws more than a cold one may, and the spine left
+  // behind is pure too.
+  for (const double rho : {0.05, 0.5, 0.9, 0.999}) {
+    const phy::ChannelModel walked(fading_params(rho, 2.5), 7);
+    Rng walk(1729);
+    std::uint64_t max_draws = 0;
+    for (std::uint64_t link = 0; link < 40; ++link) {
+      const std::uint64_t link_key =
+          phy::ChannelModel::pair_key(link, link + 1);
+      phy::ChannelModel::FadingState walker;
+      std::uint64_t n = std::uint64_t(walk.uniform_int(0, 2000));
+      for (int step = 0; step < 4000; ++step) {
+        switch (walk.uniform_int(0, 5)) {
+          case 0: break;                                        // repeat
+          case 1: n += std::uint64_t(walk.uniform_int(1, 4)); break;
+          case 2: n += std::uint64_t(walk.uniform_int(5, 255)); break;
+          case 3:                                               // rewind
+            n -= std::min(n, std::uint64_t(walk.uniform_int(1, 300)));
+            break;
+          case 4: n += std::uint64_t(walk.uniform_int(256, 1024)); break;
+          default: n = std::uint64_t(walk.uniform_int(0, 4096)); break;
+        }
+        const bool repeat = walker.valid && walker.interval == n;
+        std::uint64_t draws = 0;
+        const double v = walked.advance(walker, link_key, n, &draws);
+        ASSERT_EQ(v, walked.fading_db(link_key, n))
+            << "rho " << rho << " link " << link << " interval " << n;
+        ASSERT_LE(draws, kMaxDraws) << "rho " << rho << " interval " << n;
+        if (repeat) {
+          EXPECT_EQ(draws, 0u);
+        }
+        max_draws = std::max(max_draws, draws);
+        if (step % 16 == 0) expect_spine_is_pure(walked, link_key, walker);
+      }
+    }
+    EXPECT_EQ(max_draws, kMaxDraws) << "the walk never evaluated cold";
+  }
 }
 
+// The draw contract of the bridge + right-spine cache on a link swept
+// interval by interval across two stationary restarts (256, 512): every
+// value is the cold one, a repeated interval draws nothing, no single
+// evaluation draws more than a cold one may, and a full block draws
+// each of its kBlockIntervals - 1 interior nodes and two block ends
+// exactly once.
 TEST(ChannelModel, IncrementalAdvanceReplaysTheColdChain) {
-  const phy::ChannelModel ch(fading_params(0.9, 2.0), 4);
-  const std::uint64_t key = phy::ChannelModel::pair_key(1, 2);
-  phy::ChannelModel::FadingState st;
-  // 600 sequential intervals cross two stationary-restart boundaries
-  // (256, 512); each advance draws exactly one sample, and re-asking
-  // for the same interval is a zero-draw cache hit.
+  using CM = phy::ChannelModel;
+  const CM ch(fading_params(0.9, 2.0), 4);
+  const std::uint64_t key = CM::pair_key(1, 2);
+  CM::FadingState st;
+  std::uint64_t block_draws = 0;
   for (std::uint64_t n = 0; n < 600; ++n) {
     std::uint64_t steps = 0;
     const double inc = ch.advance(st, key, n, &steps);
-    EXPECT_EQ(steps, 1u) << "interval " << n;
+    EXPECT_LE(steps, kMaxDraws) << "interval " << n;
     EXPECT_EQ(inc, ch.fading_db(key, n)) << "interval " << n;
+    block_draws += steps;
     steps = 0;
     EXPECT_EQ(ch.advance(st, key, n, &steps), inc);
     EXPECT_EQ(steps, 0u) << "interval " << n;
+    expect_spine_is_pure(ch, key, st);
+    if ((n + 1) % CM::kBlockIntervals == 0) {
+      EXPECT_EQ(block_draws, CM::kBlockIntervals + 1) << "block ending " << n;
+      block_draws = 0;
+    }
   }
 }
 
@@ -111,8 +184,8 @@ TEST(ChannelModel, IntervalAtQuantisesSimTimeByCoherence) {
 
 // Ensemble moments across independent links: the stationary variance is
 // sigma^2 and the lag-k autocorrelation is rho^k (exactly, within a
-// restart block — the block-boundary bias is ~lag/kBlockIntervals and
-// the sampled intervals below never straddle one).
+// restart block — the block-boundary bias is ~lag/kBlockIntervals; the
+// lag checks never straddle a boundary, the seam checks test it).
 TEST(ChannelModel, AR1MomentsMatchTheory) {
   const double rho = 0.8;
   const double sigma = 3.0;
@@ -153,6 +226,70 @@ TEST(ChannelModel, AR1MomentsMatchTheory) {
     }
     const double corr = cov / std::sqrt((var * kLinks) * var_l);
     EXPECT_NEAR(corr, std::pow(rho, double(lag)), 0.06) << "lag " << lag;
+  }
+
+  // The same law at the bridge's seams, where a wrong level coefficient
+  // would hide from the mid-block lags above: the block start, the
+  // first node, both sides of the top midpoint 128 and the last
+  // interval must all have variance sigma^2; pairs straddling the top
+  // midpoint and the two ends of a block must correlate as rho^lag; and
+  // the last interval of a block must be uncorrelated with the next
+  // block's restart. Bounds are ~4 standard errors: sigma^2 sqrt(2/N)
+  // for a variance and (1 - c^2)/sqrt(N) for a correlation c.
+  constexpr int kSeamLinks = 20000;
+  constexpr std::uint64_t kStart = 3 * phy::ChannelModel::kBlockIntervals;
+  const std::vector<std::uint64_t> at = {0, 1, 126, 127, 128,
+                                         129, 130, 255, 256};
+  const auto column = [&](std::uint64_t j) {
+    return std::size_t(std::find(at.begin(), at.end(), j) - at.begin());
+  };
+  const double seam_sigma = 2.0;
+  for (const double seam_rho : {0.05, 0.9, 0.999}) {
+    const phy::ChannelModel seams(fading_params(seam_rho, seam_sigma), 31337);
+    // samples[c][i]: link i's fade at interval kStart + at[c].
+    std::vector<std::vector<double>> samples(at.size(),
+                                             std::vector<double>(kSeamLinks));
+    for (int i = 0; i < kSeamLinks; ++i) {
+      const std::uint64_t key = phy::ChannelModel::pair_key(2 * i, 2 * i + 1);
+      for (std::size_t c = 0; c < at.size(); ++c) {
+        samples[c][i] = seams.fading_db(key, kStart + at[c]);
+      }
+    }
+    const auto moments = [&](std::size_t c) {
+      double s1 = 0.0;
+      double s2 = 0.0;
+      for (const double x : samples[c]) {
+        s1 += x;
+        s2 += x * x;
+      }
+      const double m = s1 / kSeamLinks;
+      return std::pair{m, s2 / kSeamLinks - m * m};
+    };
+    const double n_sqrt = std::sqrt(double(kSeamLinks));
+    for (const std::uint64_t j : {0u, 1u, 127u, 128u, 129u, 255u}) {
+      const auto [m, v] = moments(column(j));
+      EXPECT_NEAR(m, 0.0, 4.0 * seam_sigma / n_sqrt)
+          << "rho " << seam_rho << " j " << j;
+      EXPECT_NEAR(v, seam_sigma * seam_sigma,
+                  4.0 * seam_sigma * seam_sigma * std::sqrt(2.0) / n_sqrt)
+          << "rho " << seam_rho << " j " << j;
+    }
+    const auto expect_corr = [&](std::uint64_t ja, std::uint64_t jb,
+                                 double want) {
+      const auto [ma, va] = moments(column(ja));
+      const auto [mb, vb] = moments(column(jb));
+      double c = 0.0;
+      for (int i = 0; i < kSeamLinks; ++i) {
+        c += (samples[column(ja)][i] - ma) * (samples[column(jb)][i] - mb);
+      }
+      EXPECT_NEAR(c / kSeamLinks / std::sqrt(va * vb), want,
+                  4.0 * (1.0 - want * want) / n_sqrt)
+          << "rho " << seam_rho << " corr(" << ja << ", " << jb << ")";
+    };
+    expect_corr(127, 128, seam_rho);
+    expect_corr(126, 130, std::pow(seam_rho, 4.0));
+    expect_corr(0, 255, std::pow(seam_rho, 255.0));
+    expect_corr(255, 256, 0.0);  // across the block boundary
   }
 }
 
@@ -275,10 +412,11 @@ TEST(ChannelEquivalence, RhoZeroIsByteIdenticalToTheMemorylessChannel) {
 }
 
 // With fading ON, production serves every fade through per-shard
-// fading-state lines that advance each link's AR(1) chain incrementally;
-// the oracle keeps no lines and evaluates every fade from a cold chain.
-// Identical bytes prove the lines are a pure cache of the fading
-// function.
+// fading-state lines that walk each link's bridge spine incrementally;
+// the oracle keeps no lines and evaluates every fade cold from its
+// block's endpoints. Identical bytes prove the lines are a pure cache of
+// the fading function (and the coherence audit re-derives every cached
+// spine node).
 TEST(ChannelEquivalence, FadingStateLinesAreAPureCache) {
   sim::MediumConfig mc;
   mc.fading_rho = 0.9;

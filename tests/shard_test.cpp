@@ -224,7 +224,7 @@ bool shard_dependent_metric(const std::string& name) {
          name == "sim.medium.link_cache_evictions" ||
          name == "sim.medium.fer_cache_hits" ||
          name == "sim.medium.fer_cache_misses" ||
-         // Per-shard AR(1) chain caches replay different spans of the
+         // Per-shard fading spine caches replay different spans of the
          // same pure fading function, so draw/hit accounting (and how
          // many links hold live state) is shard-layout-dependent; the
          // fading *values* are not, which the fingerprints below prove.
@@ -269,7 +269,7 @@ ShardFingerprint run_shard_scenario(std::uint64_t scenario_seed, int shards,
   mc.shard_cell_m = 150.0;
   if (fading) {
     // Heavily correlated fast fading: ~6 coherence intervals per 25 ms
-    // step, so the walker's links cross many AR(1) samples and several
+    // step, so the walker's links cross many bridge nodes and several
     // stationary-restart blocks over the 3 s run.
     mc.fading_rho = 0.9;
     mc.fading_sigma_db = 2.0;
@@ -406,7 +406,7 @@ TEST_P(ShardEquivalence, ShardedRunIsByteIdenticalToUnsharded) {
                                 /*fading=*/false);
 }
 
-// With fading ON the per-shard AR(1) caches replay *different spans* of
+// With fading ON the per-shard fading caches replay *different spans* of
 // the fading function (migrations discard state, mirrored fan-outs warm
 // different memos) — yet every delivered power, FER draw, energy sample
 // and trace byte must still match the unsharded run, because the fade is

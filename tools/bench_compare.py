@@ -64,10 +64,11 @@ METRIC_RATE_PAIRS = (
      "sim.medium.link_cache_hits", "sim.medium.link_cache_misses"),
     ("ppdu_pool_reuse_rate",
      "sim.ppdu_pool.reuses", "sim.ppdu_pool.allocations"),
-    # Fraction of fading evaluations served at a link's cached AR(1)
-    # chain position (the "bad" side counts chain samples drawn). Zero
-    # totals — fading off in the harvest pass, or metrics compiled
-    # out — skip as no-data like every other pair.
+    # Fading evaluations served without a draw (the link's cached
+    # interval or a cached bridge-spine node) against Gaussian draws
+    # made (bridge nodes and block endpoints). Zero totals — fading off
+    # in the harvest pass, or metrics compiled out — skip as no-data
+    # like every other pair.
     ("fading_cache_hit_rate",
      "sim.medium.fading_cache_hits", "sim.medium.fading_advances"),
 )
