@@ -6,6 +6,15 @@
 //   PTK = PRF-384(PMK, "Pairwise key expansion",
 //                 min(AA,SA) || max(AA,SA) || min(ANonce,SNonce) || max(...))
 // The CCMP temporal key is octets 32..47 of the PTK.
+//
+// All three key the MAC once (RFC 2104 §4's precomputation): key⊕ipad
+// and key⊕opad are each folded into a SHA-1 chaining state by one
+// compression, and every MAC under that key resumes from those two
+// states instead of hashing the pads again. A MAC over a 20-octet
+// message — each PBKDF2 iteration after U1 — is then exactly two
+// compressions on one pre-padded 16-word block (words 0-4 the message,
+// word 5 the 0x80 marker, word 15 the bit length 672), with no byte
+// round-trip, allocation or `Sha1` object.
 #pragma once
 
 #include <cstdint>

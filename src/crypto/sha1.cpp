@@ -1,6 +1,7 @@
 #include "crypto/sha1.h"
 
 #include <cstring>
+#include <utility>
 
 namespace politewifi::crypto {
 
@@ -10,10 +11,51 @@ constexpr std::uint32_t rotl(std::uint32_t x, int n) {
   return (x << n) | (x >> (32 - n));
 }
 
-}  // namespace
+/// FIPS 180-4 §4.1.1's f_t for round I.
+template <int I>
+constexpr std::uint32_t round_f(std::uint32_t b, std::uint32_t c,
+                                std::uint32_t d) {
+  if constexpr (I < 20) {
+    return d ^ (b & (c ^ d));  // Ch
+  } else if constexpr (I >= 40 && I < 60) {
+    return (b & c) | (d & (b | c));  // Maj
+  } else {
+    return b ^ c ^ d;  // Parity
+  }
+}
 
-Sha1::Sha1()
-    : h_{0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u, 0xC3D2E1F0u} {}
+/// FIPS 180-4 §4.2.1's K_t, one per 20 rounds.
+constexpr std::uint32_t kRoundK[4] = {0x5A827999u, 0x6ED9EBA1u,
+                                      0x8F1BBCDCu, 0xCA62C1D6u};
+
+/// Round I of the compression. `s` holds the five working words; the
+/// roles rotate instead of the values: a sits in slot (5 - I % 5) % 5
+/// and b..e follow it cyclically, so after 80 rounds a is back in slot 0.
+/// `x` is the message schedule as a 16-word ring: from round 16 on,
+/// slot I % 16 is overwritten with W[I] once its old value W[I-16] has
+/// been folded in.
+template <int I>
+inline void sha1_round(std::uint32_t (&s)[5], std::uint32_t (&x)[16]) {
+  constexpr int a = (5 - I % 5) % 5;
+  constexpr int b = (a + 1) % 5, c = (a + 2) % 5, d = (a + 3) % 5,
+                e = (a + 4) % 5;
+  if constexpr (I >= 16) {
+    x[I % 16] = rotl(x[(I + 13) % 16] ^ x[(I + 8) % 16] ^
+                         x[(I + 2) % 16] ^ x[I % 16],
+                     1);
+  }
+  s[e] += rotl(s[a], 5) + round_f<I>(s[b], s[c], s[d]) + kRoundK[I / 20] +
+          x[I % 16];
+  s[b] = rotl(s[b], 30);
+}
+
+template <std::size_t... I>
+inline void sha1_rounds(std::uint32_t (&s)[5], std::uint32_t (&x)[16],
+                        std::index_sequence<I...>) {
+  (sha1_round<static_cast<int>(I)>(s, x), ...);
+}
+
+}  // namespace
 
 void Sha1::update(std::span<const std::uint8_t> data) {
   total_bits_ += static_cast<std::uint64_t>(data.size()) * 8;
@@ -70,45 +112,23 @@ Sha1::Digest Sha1::hash(std::span<const std::uint8_t> data) {
   return s.finalize();
 }
 
+void Sha1::compress(State& state, const std::uint32_t w[16]) {
+  std::uint32_t x[16];
+  std::memcpy(x, w, sizeof x);
+  std::uint32_t s[5] = {state[0], state[1], state[2], state[3], state[4]};
+  sha1_rounds(s, x, std::make_index_sequence<80>{});
+  for (int i = 0; i < 5; ++i) state[i] += s[i];
+}
+
 void Sha1::process_block(const std::uint8_t* block) {
-  std::uint32_t w[80];
+  std::uint32_t w[16];
   for (int i = 0; i < 16; ++i) {
     w[i] = (std::uint32_t{block[i * 4]} << 24) |
            (std::uint32_t{block[i * 4 + 1]} << 16) |
            (std::uint32_t{block[i * 4 + 2]} << 8) |
            std::uint32_t{block[i * 4 + 3]};
   }
-  for (int i = 16; i < 80; ++i)
-    w[i] = rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-
-  std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-  for (int i = 0; i < 80; ++i) {
-    std::uint32_t f, k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5A827999u;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    const std::uint32_t tmp = rotl(a, 5) + f + e + k + w[i];
-    e = d;
-    d = c;
-    c = rotl(b, 30);
-    b = a;
-    a = tmp;
-  }
-  h_[0] += a;
-  h_[1] += b;
-  h_[2] += c;
-  h_[3] += d;
-  h_[4] += e;
+  compress(h_, w);
 }
 
 }  // namespace politewifi::crypto

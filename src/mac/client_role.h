@@ -35,7 +35,8 @@ struct ClientConfig {
   /// TIM processing margin).
   Duration beacon_wake_window = milliseconds(5);
 
-  /// Skip PBKDF2 (see ApConfig::fast_keys); both sides must agree.
+  /// Skip PBKDF2, ~3 ms per derivation (see ApConfig::fast_keys); both
+  /// sides must agree.
   bool fast_keys = false;
 
   /// 802.11w Protected Management Frames (the paper's footnote 2): once

@@ -118,11 +118,12 @@ AttemptOutcome spawn_attempt(const std::vector<std::string>& argv,
   }
   if (log_fd >= 0) ::close(log_fd);
 
-  // Timeout by counted polls: src/runtime is wall-clock-free by lint,
-  // and a 10 ms granularity is ample for a whole-process budget.
-  const std::int64_t max_polls =
-      timeout_ms > 0 ? (timeout_ms + 9) / 10 : 0;
-  std::int64_t polls = 0;
+  // Timeout by counted sleep: src/runtime is wall-clock-free by lint,
+  // so the budget is charged with the time slept between polls. Each
+  // nap is a quarter of the time slept so far, from 1 ms up to 10 ms:
+  // a child is reaped within about a quarter of its run time, and a
+  // long one costs at most 100 polls a second.
+  std::int64_t slept_ms = 0;
   for (;;) {
     const pid_t done = ::waitpid(pid, status, timeout_ms > 0 ? WNOHANG : 0);
     if (done == pid) break;
@@ -130,12 +131,14 @@ AttemptOutcome spawn_attempt(const std::vector<std::string>& argv,
       *status = -1;
       return AttemptOutcome::kCrashed;
     }
-    if (++polls > max_polls) {
+    if (slept_ms >= timeout_ms) {
       ::kill(pid, SIGKILL);
       ::waitpid(pid, status, 0);
       return AttemptOutcome::kTimeout;
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const std::int64_t nap_ms = std::clamp<std::int64_t>(slept_ms / 4, 1, 10);
+    std::this_thread::sleep_for(std::chrono::milliseconds(nap_ms));
+    slept_ms += nap_ms;
   }
   if (!WIFEXITED(*status)) return AttemptOutcome::kCrashed;
   const int code = WEXITSTATUS(*status);

@@ -21,8 +21,10 @@
 //     (campaign continues; exit code reports the quarantine).
 //   * A document that contradicts a pinned expect_digest quarantines
 //     immediately: determinism failures do not resolve by retrying.
-//   * Timeouts are measured by counted 10 ms waitpid polls, never by
-//     clock reads (src/runtime is wall-clock-free by lint).
+//   * Timeouts are measured by counting the time slept between
+//     waitpid polls (each nap a quarter of the time slept so far, 1 to
+//     10 ms), never by clock reads (src/runtime is wall-clock-free by
+//     lint).
 //
 // Fault injection (CampaignFaults) exists for tests and the CI smoke:
 // a (id, attempt) in `kill` makes that child SIGKILL itself before

@@ -63,6 +63,18 @@ class FixtureFindings(unittest.TestCase):
         self.assertIn("refill", out)
         self.assertIn("grow_slot", out)
 
+    def test_hot_alloc_assigned_new_and_templated_make_unique(self):
+        code, out, _err = run_fixture("hot_alloc_forms")
+        self.assertEqual(code, 1, out)
+        # One finding per root: `*out = new`, `out = new`, and a
+        # make_unique whose template arguments precede the call.
+        self.assertEqual(out.count("[hot-new]"), 3, out)
+        self.assertIn("operator new reachable from PW_HOT root fill_slot",
+                      out)
+        self.assertIn("operator new reachable from PW_HOT root assign_slot",
+                      out)
+        self.assertIn("make_unique reachable from PW_HOT root own_slot", out)
+
     def test_unguarded_write_flagged_locked_sibling_not(self):
         code, out, _err = run_fixture("unguarded_write")
         self.assertEqual(code, 1, out)

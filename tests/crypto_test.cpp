@@ -1,6 +1,8 @@
 // Crypto substrate tests against published vectors: FIPS-197 AES,
 // FIPS-180 SHA-1, RFC 2202 HMAC, RFC 6070 PBKDF2, RFC 3610 CCM, the
-// IEEE 802.11i PMK vector, and CCMP frame protection properties.
+// IEEE 802.11i PMK vectors, and CCMP frame protection properties. SHA-1
+// is also run at every block-boundary length, and PBKDF2 against a
+// test-only RFC 2898 transcription across length and iteration splits.
 #include <gtest/gtest.h>
 
 #include "crypto/aes.h"
@@ -117,6 +119,24 @@ TEST(Sha1, IncrementalMatchesOneShot) {
   EXPECT_EQ(h.finalize(), Sha1::hash(data));
 }
 
+TEST(Sha1, EveryBlockBoundaryLength) {
+  // Messages of 0..200 octets cross every update/finalize split: a
+  // one-block and a two-block final pad (lengths 55/56 mod 64), whole
+  // blocks, and tails of every size. Byte i of message n is
+  // (7i + n) & 0xff; the 201 digests are chained into one hash whose
+  // expected value comes from Python's hashlib.
+  Sha1 chain;
+  for (std::size_t n = 0; n <= 200; ++n) {
+    Bytes msg(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      msg[i] = static_cast<std::uint8_t>(7 * i + n);
+    }
+    chain.update(Sha1::hash(msg));
+  }
+  EXPECT_EQ(to_hex(chain.finalize()),
+            "d0de06f4c5cb01efe13d538b17bbc0bd8144a1c2");
+}
+
 // --- HMAC-SHA1 (RFC 2202) ----------------------------------------------------------
 
 TEST(HmacSha1, Rfc2202Case1) {
@@ -158,6 +178,66 @@ TEST(HmacSha1, LongKeyIsHashedFirst) {
 
 // --- PBKDF2 (RFC 6070) ----------------------------------------------------------------
 
+/// RFC 2898 §5.2 transcribed literally on the public hmac_sha1 — the
+/// test-only oracle for the production function's keyed word path:
+///   DK = T_1 || T_2 || ... || T_l, truncated to dk_len octets
+///   T_i = U_1 ^ U_2 ^ ... ^ U_c
+///   U_1 = PRF(P, S || INT(i)),  U_j = PRF(P, U_{j-1})
+Bytes reference_pbkdf2_sha1(std::span<const std::uint8_t> password,
+                            std::span<const std::uint8_t> salt,
+                            unsigned c, std::size_t dk_len) {
+  const std::size_t h_len = Sha1::kDigestSize;
+  const std::size_t l = (dk_len + h_len - 1) / h_len;
+  Bytes dk;
+  for (std::uint32_t i = 1; i <= l; ++i) {
+    Bytes msg(salt.begin(), salt.end());
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      msg.push_back(static_cast<std::uint8_t>(i >> shift));
+    }
+    Sha1::Digest u = hmac_sha1(password, msg);
+    Sha1::Digest t = u;
+    for (unsigned j = 2; j <= c; ++j) {
+      u = hmac_sha1(password, u);
+      for (std::size_t k = 0; k < h_len; ++k) t[k] ^= u[k];
+    }
+    dk.insert(dk.end(), t.begin(), t.end());
+  }
+  dk.resize(dk_len);
+  return dk;
+}
+
+TEST(Pbkdf2, MatchesRfc2898Reference) {
+  // Passwords past 64 octets take the hashed-key branch. U_1's message
+  // is the salt plus 4 octets, so the salt lengths put it on both sides
+  // of SHA-1's padding splits (55/56 and 64 octets mod 64). dk_len
+  // covers partial, whole and multiple output blocks.
+  for (const std::size_t pw_len : {0, 1, 8, 63, 64, 65, 100}) {
+    std::string password(pw_len, '\0');
+    for (std::size_t i = 0; i < pw_len; ++i) {
+      password[i] = static_cast<char>((31 * i + pw_len) & 0xff);
+    }
+    const std::span<const std::uint8_t> pw{
+        reinterpret_cast<const std::uint8_t*>(password.data()),
+        password.size()};
+    for (const std::size_t salt_len :
+         {0, 1, 4, 51, 52, 55, 56, 59, 60, 64, 100}) {
+      Bytes salt(salt_len);
+      for (std::size_t i = 0; i < salt_len; ++i) {
+        salt[i] = static_cast<std::uint8_t>(13 * i + salt_len + 1);
+      }
+      for (const unsigned iterations : {1u, 2u, 3u, 17u}) {
+        for (const std::size_t dk_len : {1, 19, 20, 21, 32, 40, 41}) {
+          EXPECT_EQ(to_hex(pbkdf2_sha1(password, salt, iterations, dk_len)),
+                    to_hex(reference_pbkdf2_sha1(pw, salt, iterations,
+                                                 dk_len)))
+              << "password " << pw_len << " salt " << salt_len
+              << " iterations " << iterations << " dk_len " << dk_len;
+        }
+      }
+    }
+  }
+}
+
 TEST(Pbkdf2, Rfc6070Case1) {
   const std::string salt = "salt";
   const std::span<const std::uint8_t> s{
@@ -191,6 +271,15 @@ TEST(Pbkdf2, Rfc6070LongOutput) {
       "3d2eec4fe41c849b80c8d83662c0e44a8b291a964cf2f07038");
 }
 
+TEST(Pbkdf2, Rfc6070EmbeddedNuls) {
+  const std::string password("pass\0word", 9);
+  const std::string salt("sa\0lt", 5);
+  const std::span<const std::uint8_t> s{
+      reinterpret_cast<const std::uint8_t*>(salt.data()), salt.size()};
+  EXPECT_EQ(to_hex(pbkdf2_sha1(password, s, 4096, 16)),
+            "56fa6aa75548099dcc37d7f03425e0c3");
+}
+
 // --- WPA2 key hierarchy -------------------------------------------------------------------
 
 TEST(Wpa2, KnownPmkVector) {
@@ -199,6 +288,14 @@ TEST(Wpa2, KnownPmkVector) {
   const Pmk pmk = derive_pmk("password", "IEEE");
   EXPECT_EQ(to_hex(pmk),
             "f42c6fc52df0ebef9ebb4b90b38a5f902e83fe1b135a70e23aed762e9710a12e");
+}
+
+TEST(Wpa2, KnownPmkVectorsJ42) {
+  // IEEE Std 802.11-2016 J.4.2's other two PSK vectors.
+  EXPECT_EQ(to_hex(derive_pmk("ThisIsAPassword", "ThisIsASSID")),
+            "0dc0d6eb90555ed6419756b9a15ec3e3209b63df707dd508d14581f8982721af");
+  EXPECT_EQ(to_hex(derive_pmk(std::string(32, 'a'), std::string(32, 'Z'))),
+            "becb93866bb8c3832cb777c2f559807c8c59afcb6eae734885001300a981cc62");
 }
 
 TEST(Wpa2, PtkSymmetricInNonceAndMacOrder) {

@@ -452,8 +452,11 @@ def _extract_body_facts(fn, toks, code_text):
         t, line = toks[i][0], toks[i][1]
         prev = toks[i - 1][0] if i > 0 else ""
         nxt = toks[i + 1][0] if i + 1 < n else ""
-        if t == "new" and prev not in ("=", "operator"):
+        if t == "new" and prev != "operator":
             fn.events.append(("hot-new", line, "operator new"))
+        elif t in ALLOC_CALLEES and nxt == "<":
+            # make_unique<T>(...): the template arguments hide the call.
+            fn.events.append(("hot-new", line, t))
         elif t == "delete" and prev not in ("=", "operator") and \
                 nxt not in (";", ",", ")"):
             fn.events.append(("hot-new", line, "operator delete"))
