@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <deque>
 #include <filesystem>
@@ -15,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/check.h"
 #include "common/json_parse.h"
 #include "obs/metrics.h"
 #include "runtime/campaign/journal.h"
@@ -150,16 +152,21 @@ AttemptOutcome spawn_attempt(const std::vector<std::string>& argv,
 }
 
 /// Shared driver state, all mutated under one mutex: the queue, the
-/// per-job progress snapshot, the journaled records and the dispatch
-/// budget. Journal appends and state rewrites happen under the lock so
-/// "append record, then snapshot state" stays atomic on disk.
+/// per-job progress view, the journaled records and the dispatch
+/// budget. Journal appends happen under the lock, so each log's line
+/// order is the order in which the driver acted.
 struct DriverState {
   std::mutex mu;
+  /// Idle workers wait here: signalled on a re-queue, on the last
+  /// in-flight attempt ending, on `stopped` and on `io_failed`.
+  std::condition_variable wake;
   std::deque<std::size_t> queue;  // indices into manifest.jobs
   int inflight = 0;
   int budget = 0;  // remaining dispatches; <0 = unlimited
   bool stopped = false;           // budget ran out with work remaining
   bool io_failed = false;
+  bool has_attempts_header = false;
+  bool journaled = false;  // this invocation appended an attempt event
   std::map<std::string, JobProgress> progress;
   std::map<std::string, JobRecord> records;
   std::vector<std::string> quarantine_log;  // narration lines
@@ -308,6 +315,7 @@ int run_campaign_driver(const CampaignManifest& manifest,
     }
     state.records = std::move(journal.completed);
     state.progress = std::move(journal.progress);
+    state.has_attempts_header = journal.has_attempts_header;
   }
 
   // Keep a canonical manifest copy next to the journal it explains —
@@ -326,16 +334,12 @@ int run_campaign_driver(const CampaignManifest& manifest,
     }
   }
 
+  // Quarantined jobs re-enter the queue too: their next claim is
+  // attempt 1, a fresh budget (next_attempt).
   for (std::size_t i = 0; i < manifest.jobs.size(); ++i) {
-    const CampaignJob& job = manifest.jobs[i];
-    if (state.records.count(job.id) != 0) continue;
-    JobProgress& progress = state.progress[job.id];
-    if (progress.status.has_value() && *progress.status == "quarantined") {
-      // A resume is an operator decision to try again: quarantined jobs
-      // re-enter the queue with a fresh attempt budget.
-      progress = JobProgress{};
+    if (state.records.count(manifest.jobs[i].id) == 0) {
+      state.queue.push_back(i);
     }
-    state.queue.push_back(i);
   }
   state.budget = options.faults.stop_after > 0 ? options.faults.stop_after
                                                : -1;
@@ -350,59 +354,83 @@ int run_campaign_driver(const CampaignManifest& manifest,
               total, already, state.queue.size(),
               std::max(1, options.processes));
 
-  // Rewrites the snapshot; call with state.mu held. A failure is
-  // printed once and latches io_failed, which stops every worker from
-  // claiming further jobs: a campaign that can no longer checkpoint
-  // must not keep spawning work it cannot journal.
-  const auto snapshot_state_locked = [&] {
-    if (!write_campaign_state(options.dir, manifest, manifest_digest,
-                              state.progress, &error)) {
-      std::fprintf(stderr, "pw_run: %s\n", error.c_str());
-      state.io_failed = true;
+  // Latches a journal I/O failure; call with state.mu held. The error
+  // is printed once and every worker stops claiming jobs: a campaign
+  // that can no longer journal must not keep spawning work it would
+  // lose.
+  const auto fail_io_locked = [&] {
+    std::fprintf(stderr, "pw_run: %s\n", error.c_str());
+    state.io_failed = true;
+    state.wake.notify_all();
+  };
+
+  // Appends one attempt event (after the header, on a directory's
+  // first) and applies it to the in-memory view by the loader's replay
+  // rule, so the state.json written at exit is what replaying the logs
+  // gives. Call with state.mu held; false once the append failed.
+  const auto journal_event_locked = [&](const AttemptEvent& event) {
+    if (!state.has_attempts_header) {
+      if (!append_attempt_line(options.dir,
+                               attempts_header(manifest, manifest_digest),
+                               &error)) {
+        fail_io_locked();
+        return false;
+      }
+      state.has_attempts_header = true;
     }
+    if (!append_attempt_line(options.dir, event.to_json(), &error)) {
+      fail_io_locked();
+      return false;
+    }
+    state.journaled = true;
+    std::string replay_error;
+    PW_CHECK(replay_attempt_event(event, &state.progress[event.id],
+                                  &replay_error),
+             "%s", replay_error.c_str());
+    return true;
   };
 
   const auto worker = [&] {
+    std::unique_lock<std::mutex> lock(state.mu);
     for (;;) {
-      std::size_t index = 0;
-      int attempt = 0;
-      {
-        std::unique_lock<std::mutex> lock(state.mu);
-        if (state.io_failed) return;
-        if (state.queue.empty()) {
-          if (state.inflight == 0) return;
-          lock.unlock();
-          // A retrying peer may re-enqueue; check back shortly.
-          std::this_thread::sleep_for(std::chrono::milliseconds(5));
-          continue;
-        }
-        if (state.budget == 0) {
-          state.stopped = true;
-          return;
-        }
-        if (state.budget > 0) --state.budget;
-        index = state.queue.front();
-        state.queue.pop_front();
-        ++state.inflight;
-        const CampaignJob& job = manifest.jobs[index];
-        JobProgress& progress = state.progress[job.id];
-        attempt = static_cast<int>(++progress.attempts);
-        progress.log = "logs/" + job.id + ".attempt" +
-                       std::to_string(attempt) + ".log";
-        snapshot_state_locked();
-        if (state.io_failed) {
-          // The claim itself could not be checkpointed: release it
-          // unstarted instead of running a job the journal will lose.
-          --state.inflight;
-          return;
-        }
+      // Idle until there is work or none can come: the queue refills
+      // only when an in-flight attempt re-queues its job.
+      state.wake.wait(lock, [&] {
+        return state.io_failed || state.stopped || !state.queue.empty() ||
+               state.inflight == 0;
+      });
+      if (state.io_failed || state.stopped || state.queue.empty()) return;
+      if (state.budget == 0) {
+        state.stopped = true;
+        state.wake.notify_all();
+        return;
       }
+      if (state.budget > 0) --state.budget;
+      const std::size_t index = state.queue.front();
+      state.queue.pop_front();
+      ++state.inflight;
       const CampaignJob& job = manifest.jobs[index];
+      AttemptEvent claim;
+      claim.kind = AttemptEvent::Kind::kClaimed;
+      claim.id = job.id;
+      const auto known = state.progress.find(job.id);
+      claim.attempt =
+          known == state.progress.end() ? 1 : next_attempt(known->second);
+      claim.log =
+          "logs/" + job.id + ".attempt" + std::to_string(claim.attempt) +
+          ".log";
+      if (!journal_event_locked(claim)) {
+        // The claim itself could not be journaled: release it unstarted
+        // instead of running a job the journal will lose.
+        --state.inflight;
+        return;
+      }
+      lock.unlock();
+
+      const int attempt = static_cast<int>(claim.attempt);
       const std::string doc_path =
           options.dir + "/scratch/" + job.id + ".json";
-      const std::string log_path = options.dir + "/logs/" + job.id +
-                                   ".attempt" + std::to_string(attempt) +
-                                   ".log";
+      const std::string log_path = options.dir + "/" + claim.log;
       std::vector<std::string> argv;
       argv.push_back(options.argv0);
       argv.push_back(job.experiment);
@@ -436,8 +464,12 @@ int run_campaign_driver(const CampaignManifest& manifest,
         if (!document.has_value()) outcome = AttemptOutcome::kNoDocument;
       }
 
-      std::unique_lock<std::mutex> lock(state.mu);
+      lock.lock();
       JobProgress& progress = state.progress[job.id];
+      AttemptEvent end;
+      end.id = job.id;
+      end.attempt = claim.attempt;
+      bool requeue = false;
       if (document.has_value()) {
         JobRecord record;
         record.id = job.id;
@@ -450,61 +482,56 @@ int run_campaign_driver(const CampaignManifest& manifest,
           // Deterministic contradiction: retrying reproduces the same
           // bytes, so this quarantines on the spot.
           PW_COUNT(kCampaignJobsQuarantined);
-          progress.status = "quarantined";
-          state.quarantine_log.push_back(
-              job.id + ": digest " + record.digest +
-              " contradicts pinned expect_digest " + *job.expect_digest);
+          end.kind = AttemptEvent::Kind::kQuarantined;
+          end.reason = "digest " + record.digest +
+                       " contradicts pinned expect_digest " +
+                       *job.expect_digest;
+          state.quarantine_log.push_back(job.id + ": " + end.reason);
+          journal_event_locked(end);
+        } else if (!append_job_record(options.dir, record, &error)) {
+          fail_io_locked();
         } else {
-          if (!append_job_record(options.dir, record, &error)) {
-            std::fprintf(stderr, "pw_run: %s\n", error.c_str());
-            state.io_failed = true;
-          } else {
-            PW_COUNT(kCampaignJobsCompleted);
-            progress.status = "completed";
-            progress.digest = record.digest;
-            state.records[job.id] = std::move(record);
-            std::error_code cleanup;
-            fs::remove(doc_path, cleanup);
-            fs::remove(doc_path + ".metrics.json", cleanup);
-            fs::remove(doc_path + ".trace.json", cleanup);
-          }
+          // The record is the completion: no attempt event follows it.
+          PW_COUNT(kCampaignJobsCompleted);
+          progress.status = "completed";
+          progress.digest = record.digest;
+          progress.claim_open = false;
+          state.records[job.id] = std::move(record);
+          std::error_code cleanup;
+          fs::remove(doc_path, cleanup);
+          fs::remove(doc_path + ".metrics.json", cleanup);
+          fs::remove(doc_path + ".trace.json", cleanup);
         }
-        snapshot_state_locked();
-        --state.inflight;
-        if (state.io_failed) return;
-        continue;
-      }
-
-      // Failed attempt: retry with backoff or quarantine.
-      if (progress.attempts >= manifest.policy.max_attempts) {
+      } else if (progress.attempts >= manifest.policy.max_attempts) {
+        // Failed attempt with the budget spent: quarantine.
         PW_COUNT(kCampaignJobsQuarantined);
-        progress.status = "quarantined";
-        state.quarantine_log.push_back(
-            job.id + ": " + outcome_name(outcome) + " after " +
-            std::to_string(progress.attempts) + " attempts; last log " +
-            options.dir + "/" + *progress.log);
-        snapshot_state_locked();
-        --state.inflight;
-        if (state.io_failed) return;
-        continue;
+        end.kind = AttemptEvent::Kind::kQuarantined;
+        end.reason = std::string(outcome_name(outcome)) + " after " +
+                     std::to_string(progress.attempts) + " attempts";
+        state.quarantine_log.push_back(job.id + ": " + end.reason +
+                                       "; last log " + log_path);
+        journal_event_locked(end);
+      } else {
+        // Failed attempt: retry after a deterministic exponential
+        // backoff, base << (attempt - 1), shift capped so a deep retry
+        // chain cannot overflow.
+        PW_COUNT(kCampaignJobsRetried);
+        end.kind = AttemptEvent::Kind::kFailed;
+        end.outcome = outcome_name(outcome);
+        end.backoff_ms = manifest.policy.backoff_ms
+                         << std::min<std::int64_t>(progress.attempts - 1, 10);
+        if (journal_event_locked(end)) {
+          lock.unlock();
+          std::this_thread::sleep_for(
+              std::chrono::milliseconds(end.backoff_ms));
+          lock.lock();
+          state.queue.push_back(index);
+          requeue = true;
+        }
       }
-      PW_COUNT(kCampaignJobsRetried);
-      // Deterministic exponential backoff: base << (attempt - 1),
-      // shift capped so a deep retry chain cannot overflow.
-      const std::int64_t delay =
-          manifest.policy.backoff_ms
-          << std::min<std::int64_t>(progress.attempts - 1, 10);
-      progress.backoff_ms.push_back(delay);
-      snapshot_state_locked();
-      if (state.io_failed) {
-        --state.inflight;
-        return;
-      }
-      lock.unlock();
-      std::this_thread::sleep_for(std::chrono::milliseconds(delay));
-      lock.lock();
-      state.queue.push_back(index);
       --state.inflight;
+      if (requeue || state.inflight == 0) state.wake.notify_all();
+      if (state.io_failed) return;
     }
   };
 
@@ -515,6 +542,15 @@ int run_campaign_driver(const CampaignManifest& manifest,
   for (int i = 0; i < pool; ++i) threads.emplace_back(worker);
   for (auto& t : threads) t.join();
 
+  // The state.json view, written once per invocation on every exit
+  // path, and only when this invocation journaled an event: re-invoking
+  // a finished campaign writes nothing.
+  if (state.journaled &&
+      !write_campaign_state(options.dir, manifest, manifest_digest,
+                            state.progress, &error)) {
+    std::fprintf(stderr, "pw_run: %s\n", error.c_str());
+    state.io_failed = true;
+  }
   if (state.io_failed) {
     std::fprintf(stderr, "pw_run: campaign aborted on journal I/O failure\n");
     return 1;
@@ -522,12 +558,10 @@ int run_campaign_driver(const CampaignManifest& manifest,
   for (const std::string& line : state.quarantine_log) {
     std::fprintf(stderr, "pw_run: quarantined %s\n", line.c_str());
   }
+  // This invocation's quarantines: an earlier one was re-queued and is
+  // pending until its next claim.
   const std::size_t completed = state.records.size();
-  std::size_t quarantined = 0;
-  for (const auto& [id, progress] : state.progress) {
-    quarantined += progress.status.has_value() &&
-                   *progress.status == "quarantined";
-  }
+  const std::size_t quarantined = state.quarantine_log.size();
   if (state.stopped && completed + quarantined < total) {
     std::printf("Campaign '%s': checkpoint after %zu/%zu jobs; resume "
                 "with the same command\n",

@@ -10,15 +10,24 @@
 //   * Jobs already journaled in results.jsonl are skipped on entry;
 //     their digests were cross-checked by the journal loader, so a
 //     resumed campaign finishes with byte-identical job records to one
-//     that never stopped.
+//     that never stopped. Attempt counts and backoff schedules resume
+//     from the replayed attempts.jsonl.
+//   * The two append-only logs are the only per-event writes, each
+//     line flushed under the pool mutex before the driver acts on it:
+//     a `claimed` line before the fork, a `failed` line before the
+//     backoff sleep, a `quarantined` line, and the results.jsonl record
+//     as the completion. state.json, the per-job view, is written once
+//     after the pool joins, and only if this invocation journaled an
+//     event.
 //   * Every attempt runs in a fork/exec child whose stdout+stderr land
 //     in logs/<id>.attempt<k>.log. A child that crashes, exceeds the
 //     per-attempt timeout (SIGKILLed), exits nonzero without a
 //     document, or writes an unparseable document is re-dispatched
 //     after a deterministic exponential backoff — base policy.backoff_ms
-//     doubled per further attempt, schedule recorded in state.json —
-//     until policy.max_attempts is exhausted, which quarantines the job
-//     (campaign continues; exit code reports the quarantine).
+//     doubled per further attempt — until policy.max_attempts is
+//     exhausted, which quarantines the job (campaign continues; exit
+//     code reports the quarantine). Idle workers wait on a condition
+//     variable for a re-queue or the end of the last attempt in flight.
 //   * A document that contradicts a pinned expect_digest quarantines
 //     immediately: determinism failures do not resolve by retrying.
 //   * Timeouts are measured by counting the time slept between

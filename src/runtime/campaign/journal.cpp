@@ -1,9 +1,11 @@
 #include "runtime/campaign/journal.h"
 
 #include <cstdio>
+#include <functional>
+#include <initializer_list>
+#include <string_view>
 #include <utility>
 
-#include "common/json_parse.h"
 #include "common/jsonl.h"
 
 namespace politewifi::runtime::campaign {
@@ -11,6 +13,16 @@ namespace politewifi::runtime::campaign {
 namespace {
 
 using common::Json;
+
+/// id → manifest job, built once per load: each record and event looks
+/// its job up here instead of scanning manifest.jobs.
+using JobIndex = std::map<std::string, const CampaignJob*, std::less<>>;
+
+JobIndex index_jobs(const CampaignManifest& manifest) {
+  JobIndex index;
+  for (const CampaignJob& job : manifest.jobs) index.emplace(job.id, &job);
+  return index;
+}
 
 bool set_error(std::string* error, std::string message) {
   if (error != nullptr) *error = std::move(message);
@@ -21,20 +33,6 @@ bool file_exists(const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return false;
   std::fclose(f);
-  return true;
-}
-
-bool read_whole_file(const std::string& path, std::string* out,
-                     std::string* error) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return set_error(error, "cannot open " + path);
-  out->clear();
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out->append(buf, n);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  if (!ok) return set_error(error, "read error on " + path);
   return true;
 }
 
@@ -57,21 +55,51 @@ const Json* require(const Json& object, const std::string& what,
   return v;
 }
 
+/// These files are machine-written, so an unexpected key is corruption
+/// or drift, never an extension.
+bool only_keys(const Json& object, const std::string& what,
+               std::initializer_list<std::string_view> known,
+               std::string* error) {
+  for (const auto& [key, value] : object.as_object()) {
+    (void)value;
+    bool listed = false;
+    for (const std::string_view name : known) listed |= key == name;
+    if (!listed) {
+      return set_error(error, what + " carries unknown key \"" + key + "\"");
+    }
+  }
+  return true;
+}
+
+/// Reads a whole log. A torn tail refuses resume: the line was never
+/// durable, and truncating it is an operator step, not a silent one.
+bool read_log(const std::string& path, std::vector<Json>* lines,
+              std::string* error) {
+  common::JsonlReadResult log;
+  if (!common::read_jsonl_file(path, &log, error)) return false;
+  if (log.torn_tail) {
+    return set_error(
+        error, path + ": torn record at byte offset " +
+                   std::to_string(log.torn_tail_offset) +
+                   " (the writer died mid-append); run `tools/"
+                   "pw_campaign.py repair <dir>` to truncate it, then "
+                   "resume");
+  }
+  *lines = std::move(log.records);
+  return true;
+}
+
 /// Parses one results.jsonl record and cross-checks it against its
-/// manifest job. Strictness mirrors the manifest parser: these files
-/// are machine-written, so any surprise is corruption or drift.
-bool parse_record(const Json& doc, const CampaignManifest& manifest,
-                  JobRecord* out, std::string* error) {
+/// manifest job. Strictness mirrors the manifest parser.
+bool parse_record(const Json& doc, const JobIndex& jobs, JobRecord* out,
+                  std::string* error) {
   if (!doc.is_object()) {
     return set_error(error, "results.jsonl: record is not an object");
   }
-  for (const auto& [key, value] : doc.as_object()) {
-    (void)value;
-    if (key != "digest" && key != "document" && key != "experiment" &&
-        key != "id" && key != "seed") {
-      return set_error(error, "results.jsonl: record carries unknown key \"" +
-                                  key + "\"");
-    }
+  if (!only_keys(doc, "results.jsonl: record",
+                 {"digest", "document", "experiment", "id", "seed"},
+                 error)) {
+    return false;
   }
   const Json* id = require(doc, "results.jsonl: record", "id",
                            Json::Kind::kString, "string", error);
@@ -96,150 +124,153 @@ bool parse_record(const Json& doc, const CampaignManifest& manifest,
   out->digest = digest->as_string();
   out->document = *document;
 
-  const CampaignJob* job = nullptr;
-  for (const CampaignJob& candidate : manifest.jobs) {
-    if (candidate.id == out->id) {
-      job = &candidate;
-      break;
-    }
+  const auto it = jobs.find(out->id);
+  if (it == jobs.end()) {
+    return set_error(error, what + " is not a job of this manifest");
   }
-  if (job == nullptr) {
-    return set_error(error, "results.jsonl: record for \"" + out->id +
-                                "\" which is not a job of this manifest");
-  }
-  if (job->experiment != out->experiment || job->seed != out->seed) {
-    return set_error(error, "results.jsonl: record for \"" + out->id +
-                                "\" disagrees with the manifest (experiment "
-                                "or seed drift; was the manifest edited "
-                                "mid-campaign?)");
+  const CampaignJob& job = *it->second;
+  if (job.experiment != out->experiment || job.seed != out->seed) {
+    return set_error(error, what + " disagrees with the manifest "
+                                "(experiment or seed drift; was the "
+                                "manifest edited mid-campaign?)");
   }
   const std::string recomputed = campaign_digest(document_text(out->document));
   if (recomputed != out->digest) {
-    return set_error(error, "results.jsonl: record for \"" + out->id +
-                                "\" fails its own digest (" + recomputed +
+    return set_error(error, what + " fails its own digest (" + recomputed +
                                 " != " + out->digest + "): corrupt journal");
   }
-  if (job->expect_digest.has_value() && *job->expect_digest != out->digest) {
-    return set_error(error, "job \"" + out->id + "\": journaled digest " +
-                                out->digest + " does not match the pinned "
-                                "expect_digest " + *job->expect_digest);
+  if (job.expect_digest.has_value() && *job.expect_digest != out->digest) {
+    return set_error(error, what + ": journaled digest " + out->digest +
+                                " does not match the pinned expect_digest " +
+                                *job.expect_digest);
   }
   return true;
 }
 
-bool parse_progress_entry(const Json& doc, const std::string& id,
-                          JobProgress* out, std::string* error) {
-  const std::string what = "state.json: job \"" + id + "\"";
-  if (!doc.is_object()) {
-    return set_error(error, what + " is not an object");
+/// attempts.jsonl line 1: the campaign identity, cross-checked against
+/// the manifest being resumed.
+bool check_header(const Json& doc, const std::string& what,
+                  const CampaignManifest& manifest,
+                  const std::string& manifest_digest, std::string* error) {
+  if (!doc.is_object() || doc.find("event") != nullptr) {
+    return set_error(error, what + ": the first line must be the campaign "
+                                "header, not an event");
   }
-  const auto wrong_kind = [&](const char* key, const char* kind_name) {
-    return set_error(error,
-                     what + ": \"" + key + "\" must be a " + kind_name);
-  };
-  for (const auto& [key, value] : doc.as_object()) {
-    if (key == "attempts") {
-      if (value.kind() != Json::Kind::kInt) {
-        return wrong_kind("attempts", "integer");
-      }
-      out->attempts = value.as_int();
-    } else if (key == "backoff_ms") {
-      if (value.kind() != Json::Kind::kArray) {
-        return wrong_kind("backoff_ms", "array of integers");
-      }
-      for (std::size_t i = 0; i < value.size(); ++i) {
-        if (value.at(i).kind() != Json::Kind::kInt) {
-          return wrong_kind("backoff_ms", "array of integers");
-        }
-        out->backoff_ms.push_back(value.at(i).as_int());
-      }
-    } else if (key == "digest") {
-      if (value.kind() != Json::Kind::kString) {
-        return wrong_kind("digest", "string");
-      }
-      out->digest = value.as_string();
-    } else if (key == "status") {
-      if (value.kind() != Json::Kind::kString) {
-        return wrong_kind("status", "string");
-      }
-      out->status = value.as_string();
-      if (*out->status != "completed" && *out->status != "quarantined") {
-        return set_error(error, what + " has unknown status \"" +
-                                    *out->status + "\"");
-      }
-    } else if (key == "log") {
-      if (value.kind() != Json::Kind::kString) {
-        return wrong_kind("log", "string");
-      }
-      out->log = value.as_string();
-    } else {
-      return set_error(error,
-                       what + " carries unknown key \"" + key + "\"");
-    }
+  if (!only_keys(doc, what,
+                 {"campaign", "manifest_digest", "schema_version",
+                  "suite_version"},
+                 error)) {
+    return false;
   }
-  return true;
-}
-
-bool load_state(const std::string& path, const CampaignManifest& manifest,
-                const std::string& manifest_digest, CampaignJournal* out,
-                std::string* error) {
-  std::string text;
-  if (!read_whole_file(path, &text, error)) return false;
-  std::string parse_error;
-  auto doc = common::parse_json(text, &parse_error);
-  if (!doc.has_value() || !doc->is_object()) {
-    return set_error(error, path + ": corrupt state snapshot: " +
-                                (doc.has_value() ? "not an object"
-                                                 : parse_error));
-  }
-  const Json* schema_version = require(*doc, path, "schema_version",
+  const Json* schema_version = require(doc, what, "schema_version",
                                        Json::Kind::kInt, "integer", error);
-  const Json* campaign = require(*doc, path, "campaign", Json::Kind::kString,
-                                 "string", error);
-  const Json* suite = require(*doc, path, "suite_version",
-                              Json::Kind::kString, "string", error);
-  const Json* digest = require(*doc, path, "manifest_digest",
+  const Json* campaign =
+      require(doc, what, "campaign", Json::Kind::kString, "string", error);
+  const Json* suite = require(doc, what, "suite_version", Json::Kind::kString,
+                              "string", error);
+  const Json* digest = require(doc, what, "manifest_digest",
                                Json::Kind::kString, "string", error);
-  const Json* jobs =
-      require(*doc, path, "jobs", Json::Kind::kObject, "object", error);
   if (schema_version == nullptr || campaign == nullptr || suite == nullptr ||
-      digest == nullptr || jobs == nullptr) {
+      digest == nullptr) {
     return false;
   }
   if (schema_version->as_int() != 1) {
-    return set_error(error, path + ": unsupported schema_version");
+    return set_error(error, what + ": unsupported schema_version");
   }
   if (campaign->as_string() != manifest.campaign ||
       suite->as_string() != manifest.suite_version) {
-    return set_error(error, path + ": journal belongs to campaign \"" +
+    return set_error(error, what + ": journal belongs to campaign \"" +
                                 campaign->as_string() + "\" suite \"" +
                                 suite->as_string() +
                                 "\", not this manifest");
   }
   if (digest->as_string() != manifest_digest) {
-    return set_error(error, path + ": journal was written by a manifest "
+    return set_error(error, what + ": journal was written by a manifest "
                                 "with digest " + digest->as_string() +
                                 ", this one is " + manifest_digest +
                                 ": refusing to mix campaigns");
   }
-  for (const auto& [id, entry] : jobs->as_object()) {
-    bool known = false;
-    for (const CampaignJob& job : manifest.jobs) known |= job.id == id;
-    if (!known) {
-      return set_error(error, path + ": progress for \"" + id +
-                                  "\" which is not a job of this manifest");
+  return true;
+}
+
+/// Parses one attempts.jsonl event line against the manifest's jobs.
+bool parse_attempt_event(const Json& doc, const std::string& what,
+                         const JobIndex& jobs, AttemptEvent* out,
+                         std::string* error) {
+  if (!doc.is_object()) return set_error(error, what + " is not an object");
+  const Json* event =
+      require(doc, what, "event", Json::Kind::kString, "string", error);
+  if (event == nullptr) return false;
+  const Json* id =
+      require(doc, what, "id", Json::Kind::kString, "string", error);
+  if (id == nullptr) return false;
+  out->id = id->as_string();
+  const std::string job_what = what + ": job \"" + out->id + "\"";
+  if (jobs.find(out->id) == jobs.end()) {
+    return set_error(error, job_what + " is not a job of this manifest");
+  }
+  const Json* attempt = require(doc, job_what, "attempt", Json::Kind::kInt,
+                                "integer", error);
+  if (attempt == nullptr) return false;
+  out->attempt = attempt->as_int();
+
+  const std::string& name = event->as_string();
+  if (name == "claimed") {
+    out->kind = AttemptEvent::Kind::kClaimed;
+    if (!only_keys(doc, job_what, {"attempt", "event", "id", "log"}, error)) {
+      return false;
     }
-    JobProgress progress;
-    if (!parse_progress_entry(entry, id, &progress, error)) return false;
-    out->progress[id] = std::move(progress);
+    const Json* log =
+        require(doc, job_what, "log", Json::Kind::kString, "string", error);
+    if (log == nullptr) return false;
+    out->log = log->as_string();
+  } else if (name == "failed") {
+    out->kind = AttemptEvent::Kind::kFailed;
+    if (!only_keys(doc, job_what,
+                   {"attempt", "backoff_ms", "event", "id", "outcome"},
+                   error)) {
+      return false;
+    }
+    const Json* outcome = require(doc, job_what, "outcome",
+                                  Json::Kind::kString, "string", error);
+    const Json* backoff = require(doc, job_what, "backoff_ms",
+                                  Json::Kind::kInt, "integer", error);
+    if (outcome == nullptr || backoff == nullptr) return false;
+    out->outcome = outcome->as_string();
+    out->backoff_ms = backoff->as_int();
+  } else if (name == "quarantined") {
+    out->kind = AttemptEvent::Kind::kQuarantined;
+    if (!only_keys(doc, job_what, {"attempt", "event", "id", "reason"},
+                   error)) {
+      return false;
+    }
+    const Json* reason = require(doc, job_what, "reason",
+                                 Json::Kind::kString, "string", error);
+    if (reason == nullptr) return false;
+    out->reason = reason->as_string();
+  } else {
+    return set_error(error, job_what + ": unknown event \"" + name + "\"");
   }
   return true;
+}
+
+const char* event_name(AttemptEvent::Kind kind) {
+  switch (kind) {
+    case AttemptEvent::Kind::kClaimed: return "claimed";
+    case AttemptEvent::Kind::kFailed: return "failed";
+    case AttemptEvent::Kind::kQuarantined: return "quarantined";
+  }
+  return "?";
 }
 
 }  // namespace
 
 std::string results_path(const std::string& dir) {
   return dir + "/results.jsonl";
+}
+
+std::string attempts_path(const std::string& dir) {
+  return dir + "/attempts.jsonl";
 }
 
 std::string state_path(const std::string& dir) { return dir + "/state.json"; }
@@ -258,71 +289,137 @@ common::Json JobRecord::to_json() const {
   return doc;
 }
 
+common::Json AttemptEvent::to_json() const {
+  Json doc = Json::object();
+  doc["attempt"] = attempt;
+  doc["event"] = event_name(kind);
+  doc["id"] = id;
+  switch (kind) {
+    case Kind::kClaimed:
+      doc["log"] = log;
+      break;
+    case Kind::kFailed:
+      doc["backoff_ms"] = backoff_ms;
+      doc["outcome"] = outcome;
+      break;
+    case Kind::kQuarantined:
+      doc["reason"] = reason;
+      break;
+  }
+  return doc;
+}
+
+std::int64_t next_attempt(const JobProgress& progress) {
+  const bool quarantined =
+      progress.status.has_value() && *progress.status == "quarantined";
+  return quarantined ? 1 : progress.attempts + 1;
+}
+
+bool replay_attempt_event(const AttemptEvent& event, JobProgress* progress,
+                          std::string* error) {
+  const auto refuse = [&](const std::string& why) {
+    return set_error(error, "job \"" + event.id + "\": " +
+                                event_name(event.kind) + " attempt " +
+                                std::to_string(event.attempt) + why);
+  };
+  if (event.kind == AttemptEvent::Kind::kClaimed) {
+    const std::int64_t expected = next_attempt(*progress);
+    if (event.attempt != expected) {
+      return refuse(" where attempt " + std::to_string(expected) +
+                    " was next (attempt numbers may not skip or go "
+                    "backwards)");
+    }
+    if (expected == 1) *progress = JobProgress{};
+    progress->attempts = event.attempt;
+    progress->log = event.log;
+    progress->claim_open = true;
+    return true;
+  }
+  if (!progress->claim_open || event.attempt != progress->attempts) {
+    return refuse(" does not end the open claim");
+  }
+  progress->claim_open = false;
+  if (event.kind == AttemptEvent::Kind::kFailed) {
+    progress->backoff_ms.push_back(event.backoff_ms);
+  } else {
+    progress->status = "quarantined";
+  }
+  return true;
+}
+
+common::Json attempts_header(const CampaignManifest& manifest,
+                             const std::string& manifest_digest) {
+  Json doc = Json::object();
+  doc["campaign"] = manifest.campaign;
+  doc["manifest_digest"] = manifest_digest;
+  doc["schema_version"] = static_cast<std::int64_t>(1);
+  doc["suite_version"] = manifest.suite_version;
+  return doc;
+}
+
 bool load_campaign_journal(const std::string& dir,
                            const CampaignManifest& manifest,
                            const std::string& manifest_digest,
                            CampaignJournal* out, std::string* error) {
   out->completed.clear();
   out->progress.clear();
+  out->has_attempts_header = false;
 
   const std::string results = results_path(dir);
-  if (file_exists(results)) {
-    common::JsonlReadResult journal;
-    if (!common::read_jsonl_file(results, &journal, error)) return false;
-    if (journal.torn_tail) {
-      return set_error(
-          error, results + ": torn record at byte offset " +
-                     std::to_string(journal.torn_tail_offset) +
-                     " (the writer died mid-append); run `tools/"
-                     "pw_campaign.py repair <dir>` to truncate it, then "
-                     "resume");
-    }
-    for (const Json& doc : journal.records) {
-      JobRecord record;
-      if (!parse_record(doc, manifest, &record, error)) return false;
-      const std::string id = record.id;
-      if (!out->completed.emplace(id, std::move(record)).second) {
-        return set_error(error, results + ": duplicate record for \"" + id +
-                                    "\": corrupt journal (a job must be "
-                                    "journaled exactly once)");
-      }
-    }
+  const std::string attempts = attempts_path(dir);
+  const bool have_results = file_exists(results);
+  if (!file_exists(attempts)) {
+    if (!have_results) return true;  // a fresh campaign
+    return set_error(error, results + " exists but " + attempts +
+                                " does not: the campaign directory is "
+                                "half-deleted or was written by an older "
+                                "pw_run");
   }
+  const JobIndex jobs = index_jobs(manifest);
 
-  const std::string state = state_path(dir);
-  if (file_exists(state)) {
-    if (!load_state(state, manifest, manifest_digest, out, error)) {
+  std::vector<Json> lines;
+  if (!read_log(attempts, &lines, error)) return false;
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const std::string what = attempts + " line " + std::to_string(i + 1);
+    if (i == 0) {
+      if (!check_header(lines[0], what, manifest, manifest_digest, error)) {
+        return false;
+      }
+      out->has_attempts_header = true;
+      continue;
+    }
+    AttemptEvent event;
+    if (!parse_attempt_event(lines[i], what, jobs, &event, error)) {
       return false;
     }
-  } else if (!out->completed.empty()) {
-    return set_error(error, state + ": missing but " + results +
-                                " has records; the campaign directory is "
-                                "half-deleted");
-  }
-
-  // Cross-file coherence. The driver appends to results.jsonl first and
-  // rewrites state.json second, so a record journaled but not yet
-  // marked completed in the snapshot is exactly the crash window
-  // between those two non-atomic writes (driver SIGKILLed/OOMed in
-  // between) — recoverable, not corruption: the record's self-digest
-  // was already re-proven above, so the snapshot entry is patched from
-  // the journal and the next state rewrite persists the repair.
-  for (const auto& [id, record] : out->completed) {
-    JobProgress& progress = out->progress[id];
-    if (!progress.status.has_value() || *progress.status != "completed" ||
-        !progress.digest.has_value() || *progress.digest != record.digest) {
-      progress.status = "completed";
-      progress.digest = record.digest;
-      if (progress.attempts < 1) progress.attempts = 1;
+    std::string replay_error;
+    if (!replay_attempt_event(event, &out->progress[event.id],
+                              &replay_error)) {
+      return set_error(error, what + ": " + replay_error);
     }
   }
-  // The reverse — snapshot says completed, record missing — cannot
-  // arise from that write order and stays a hard error.
-  for (const auto& [id, progress] : out->progress) {
-    if (progress.status.has_value() && *progress.status == "completed" &&
-        out->completed.find(id) == out->completed.end()) {
-      return set_error(error, state + ": \"" + id + "\" marked completed "
-                                  "but results.jsonl has no record for it");
+
+  if (!have_results) return true;
+  if (!read_log(results, &lines, error)) return false;
+  for (const Json& doc : lines) {
+    JobRecord record;
+    if (!parse_record(doc, jobs, &record, error)) return false;
+    const std::string id = record.id;
+    // The claim is flushed before the child is forked, so a record
+    // always has one; a completed job's status and digest come from
+    // its record.
+    const auto progress = out->progress.find(id);
+    if (progress == out->progress.end()) {
+      return set_error(error, results + ": record for \"" + id + "\" but " +
+                                  attempts + " never claimed it");
+    }
+    progress->second.status = "completed";
+    progress->second.digest = record.digest;
+    progress->second.claim_open = false;
+    if (!out->completed.emplace(id, std::move(record)).second) {
+      return set_error(error, results + ": duplicate record for \"" + id +
+                                  "\": corrupt journal (a job must be "
+                                  "journaled exactly once)");
     }
   }
   return true;
@@ -334,16 +431,17 @@ bool append_job_record(const std::string& dir, const JobRecord& record,
                                      error);
 }
 
+bool append_attempt_line(const std::string& dir, const common::Json& line,
+                         std::string* error) {
+  return common::append_jsonl_record(attempts_path(dir), line, error);
+}
+
 bool write_campaign_state(const std::string& dir,
                           const CampaignManifest& manifest,
                           const std::string& manifest_digest,
                           const std::map<std::string, JobProgress>& progress,
                           std::string* error) {
-  Json doc = Json::object();
-  doc["campaign"] = manifest.campaign;
-  doc["manifest_digest"] = manifest_digest;
-  doc["schema_version"] = static_cast<std::int64_t>(1);
-  doc["suite_version"] = manifest.suite_version;
+  Json doc = attempts_header(manifest, manifest_digest);
   Json jobs = Json::object();
   for (const auto& [id, entry] : progress) {
     Json j = Json::object();

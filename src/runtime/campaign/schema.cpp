@@ -41,11 +41,25 @@ constexpr SchemaField kCampaignSchema[] = {
     {"record.id", "id of the completed job"},
     {"record.seed", "effective sub-seed the job ran with"},
 
-    // --- state: the state.json snapshot ----------------------------------
-    {"state.campaign", "campaign name, cross-checked on resume"},
+    // --- attempt: one attempts.jsonl line --------------------------------
+    {"attempt.campaign", "header: campaign name, cross-checked on resume"},
+    {"attempt.manifest_digest",
+     "header: crc32 of the manifest; resume refuses a different manifest"},
+    {"attempt.schema_version", "header: attempts.jsonl layout version, 1"},
+    {"attempt.suite_version",
+     "header: suite_version, cross-checked on resume"},
+    {"attempt.event", "one of claimed, failed or quarantined"},
+    {"attempt.id", "id of the job the event is about"},
+    {"attempt.attempt", "the attempt number the event is about"},
+    {"attempt.log", "claimed: campaign-dir-relative log of this attempt"},
+    {"attempt.outcome", "failed: crashed, timeout or no document"},
+    {"attempt.backoff_ms", "failed: delay before the job is re-dispatched"},
+    {"attempt.reason", "quarantined: why the job was quarantined"},
+
+    // --- state: the state.json view --------------------------------------
+    {"state.campaign", "campaign name echoed from the manifest"},
     {"state.jobs", "per-job progress map keyed by job id"},
-    {"state.manifest_digest",
-     "crc32 of the manifest; resume refuses a different manifest"},
+    {"state.manifest_digest", "crc32 of the manifest the logs belong to"},
     {"state.schema_version", "state.json layout version, currently 1"},
     {"state.suite_version", "suite_version echoed from the manifest"},
 

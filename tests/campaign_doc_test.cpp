@@ -28,7 +28,8 @@ std::string read_repo_file(const std::string& rel) {
 }
 
 constexpr const char* kPrefixes[] = {"manifest.", "job.",   "policy.",
-                                     "record.",   "state.", "doc."};
+                                     "record.",   "attempt.", "state.",
+                                     "doc."};
 
 bool ends_with(const std::string& s, const std::string& suffix) {
   return s.size() >= suffix.size() &&

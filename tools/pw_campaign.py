@@ -6,7 +6,7 @@ Subcommands:
     init     author a canonical manifest from experiment specs
     status   summarize a campaign directory's journal
     resume   re-invoke `pw_run --campaign` over an existing directory
-    repair   truncate a torn results.jsonl tail after a writer crash
+    repair   truncate a torn tail in either log after a writer crash
 
 `init` takes positional job specs `experiment[:key=value...]` and emits
 the byte-exact canonical manifest the C++ side would re-serialize:
@@ -21,6 +21,13 @@ Python-authored golden against the C++ round-trip).
     pw_run --campaign=m.json --procs=4 --json=nightly.json
     tools/pw_campaign.py status m.campaign
 
+`status` reads the same two append-only logs the driver resumes from,
+results.jsonl and attempts.jsonl, and replays them by the driver's
+rules (runtime/campaign/journal.cpp, replay_attempt_event): it is
+correct while a campaign runs, when state.json (written once, at the
+driver's exit) is stale. The pw_campaign_replay ctest pins the two
+replays to each other.
+
 CAMPAIGNS.md documents the manifest schema and journal semantics.
 """
 
@@ -29,6 +36,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import zlib
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 DEFAULT_PW_RUN = REPO / "build" / "src" / "runtime" / "pw_run"
@@ -94,30 +102,100 @@ def cmd_init(args):
     return 0
 
 
+LOGS = ("results.jsonl", "attempts.jsonl")
+
+
+def read_log(path):
+    """Returns (lines, torn_offset_or_None) of a JSONL log, ([], None)
+    when it does not exist. A final line without a newline that does not
+    parse is a torn tail; any other line that does not parse is fatal."""
+    if not path.exists():
+        return [], None
+    data = path.read_bytes()
+    lines, offset = [], 0
+    while offset < len(data):
+        newline = data.find(b"\n", offset)
+        end = len(data) if newline < 0 else newline
+        try:
+            lines.append(json.loads(data[offset:end]))
+        except ValueError:
+            if newline < 0:
+                return lines, offset
+            sys.exit(f"pw_campaign: {path}: corrupt interior record at byte "
+                     f"{offset}")
+        offset = end + 1
+    return lines, None
+
+
+def replay(campaign_dir, manifest, attempts, records):
+    """Per-job progress shaped like state.json's jobs, by the driver's
+    replay rules, plus the ids whose latest claim is still open."""
+    def fail(where, message):
+        sys.exit(f"pw_campaign: {campaign_dir / where}: {message}")
+
+    ids = {job["id"] for job in manifest["jobs"]}
+    progress, open_claims = {}, set()
+    if attempts:
+        digest = "crc32:%08x" % zlib.crc32(
+            (campaign_dir / "manifest.json").read_bytes())
+        header = {"campaign": manifest["campaign"], "manifest_digest": digest,
+                  "schema_version": 1,
+                  "suite_version": manifest["suite_version"]}
+        if attempts[0] != header:
+            fail("attempts.jsonl", f"header {attempts[0]} does not match "
+                 f"this manifest ({header}): refusing to mix campaigns")
+    for number, event in enumerate(attempts[1:], start=2):
+        where = f"attempts.jsonl line {number}"
+        if not isinstance(event, dict) or event.get("id") not in ids:
+            fail(where, "event for a job that is not in this manifest")
+        job_id, kind = event["id"], event.get("event")
+        attempt = event.get("attempt")
+        entry = progress.get(job_id)
+        if kind == "claimed":
+            if entry is None or entry.get("status") == "quarantined":
+                expected = 1  # a fresh entry, as after a resume
+            else:
+                expected = entry["attempts"] + 1
+            if attempt != expected:
+                fail(where, f"job {job_id!r} claims attempt {attempt} where "
+                     f"{expected} was next")
+            if expected == 1:
+                entry = progress[job_id] = {"attempts": 0, "backoff_ms": []}
+            entry["attempts"] = attempt
+            entry["log"] = event["log"]
+            open_claims.add(job_id)
+        elif kind in ("failed", "quarantined"):
+            if job_id not in open_claims or attempt != entry["attempts"]:
+                fail(where, f"job {job_id!r}: {kind} attempt {attempt} does "
+                     f"not end the open claim")
+            open_claims.discard(job_id)
+            if kind == "failed":
+                entry["backoff_ms"].append(event["backoff_ms"])
+            else:
+                entry["status"] = "quarantined"
+        else:
+            fail(where, f"unknown event {kind!r}")
+    for record in records:
+        job_id = record.get("id")
+        if job_id not in progress:
+            fail("results.jsonl", f"record for {job_id!r} but attempts.jsonl "
+                 f"never claimed it")
+        progress[job_id]["status"] = "completed"
+        progress[job_id]["digest"] = record["digest"]
+        open_claims.discard(job_id)
+    return progress, open_claims
+
+
 def load_journal(campaign_dir):
-    """Returns (records, progress, torn_offset_or_None)."""
-    results = campaign_dir / "results.jsonl"
-    records, torn = [], None
-    if results.exists():
-        data = results.read_bytes()
-        offset = 0
-        for line in data.split(b"\n"):
-            end = offset + len(line)
-            if line:
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError:
-                    if end >= len(data):  # no trailing newline: torn tail
-                        torn = offset
-                    else:
-                        sys.exit(f"pw_campaign: {results}: corrupt interior "
-                                 f"record at byte {offset}")
-            offset = end + 1
-    state = campaign_dir / "state.json"
-    progress = {}
-    if state.exists():
-        progress = json.loads(state.read_text()).get("jobs", {})
-    return records, progress, torn
+    """Returns (records, progress, open_claims, torn) where torn maps a
+    log's name to the byte offset of its torn tail."""
+    manifest = json.loads((campaign_dir / "manifest.json").read_text())
+    records, torn_results = read_log(campaign_dir / "results.jsonl")
+    attempts, torn_attempts = read_log(campaign_dir / "attempts.jsonl")
+    torn = {name: offset for name, offset in zip(
+        LOGS, (torn_results, torn_attempts)) if offset is not None}
+    progress, open_claims = replay(campaign_dir, manifest, attempts, records)
+    return records, progress, open_claims, torn
 
 
 def cmd_status(args):
@@ -127,7 +205,7 @@ def cmd_status(args):
         sys.exit(f"pw_campaign: {campaign_dir} is not a campaign directory "
                  f"(no manifest.json)")
     manifest = json.loads(manifest_path.read_text())
-    records, progress, torn = load_journal(campaign_dir)
+    records, progress, open_claims, torn = load_journal(campaign_dir)
     completed = {record["id"] for record in records}
     quarantined = sorted(job_id for job_id, entry in progress.items()
                          if entry.get("status") == "quarantined")
@@ -145,15 +223,17 @@ def cmd_status(args):
             status = f"completed  {entry.get('digest', '?')}"
         elif job_id in quarantined:
             status = f"QUARANTINED (see {entry.get('log', 'logs/')})"
+        elif job_id in open_claims:
+            status = f"claimed, no result (attempt {entry['attempts']})"
         elif entry.get("attempts"):
             status = f"pending after {entry['attempts']} attempt(s)"
         else:
             status = "pending"
         print(f"  {job_id:24} {status}")
-    if torn is not None:
-        print(f"torn tail:   results.jsonl has a partial record at byte "
-              f"{torn}; run `tools/pw_campaign.py repair {campaign_dir}`")
-    return 1 if (quarantined or torn is not None) else 0
+    for name, offset in torn.items():
+        print(f"torn tail:   {name} has a partial record at byte {offset}; "
+              f"run `tools/pw_campaign.py repair {campaign_dir}`")
+    return 1 if (quarantined or torn) else 0
 
 
 def cmd_resume(args):
@@ -176,18 +256,20 @@ def cmd_resume(args):
 
 def cmd_repair(args):
     campaign_dir = pathlib.Path(args.dir)
-    results = campaign_dir / "results.jsonl"
-    if not results.exists():
-        sys.exit(f"pw_campaign: {results} does not exist")
-    _, _, torn = load_journal(campaign_dir)
-    if torn is None:
-        print("results.jsonl is clean; nothing to repair")
-        return 0
-    data = results.read_bytes()
-    results.write_bytes(data[:torn])
-    print(f"truncated torn tail: {len(data) - torn} bytes dropped at "
-          f"byte {torn} (the record was never durable; the job will "
-          f"re-run on resume)")
+    for name in LOGS:
+        log = campaign_dir / name
+        if not log.exists():
+            print(f"{name} does not exist yet; nothing to repair")
+            continue
+        _, torn = read_log(log)
+        if torn is None:
+            print(f"{name} is clean; nothing to repair")
+            continue
+        data = log.read_bytes()
+        log.write_bytes(data[:torn])
+        print(f"{name}: truncated torn tail, {len(data) - torn} bytes "
+              f"dropped at byte {torn} (the line was never durable; the "
+              f"attempt re-runs on resume)")
     return 0
 
 
@@ -239,7 +321,7 @@ def main():
     resume.set_defaults(func=cmd_resume)
 
     repair = sub.add_parser("repair",
-                            help="truncate a torn results.jsonl tail")
+                            help="truncate a torn tail in either log")
     repair.add_argument("dir", help="campaign directory")
     repair.set_defaults(func=cmd_repair)
 
