@@ -333,6 +333,7 @@ double bench_ppdu_pipeline(bench::PerfReport& perf, std::size_t n_rx,
 }  // namespace
 
 int main() {
+  const double scale = bench::env_scale(1.0);
   bench::PerfReport perf("event_engine");
   bench::header("Event engine", "scheduler + medium microbenchmarks");
 
@@ -344,7 +345,6 @@ int main() {
   bench_cancel_churn(perf);
 
   bench::section("medium: fan-out (tx pool among n radios, 2 km square)");
-  const double scale = bench::env_scale(1.0);
   const int rounds = scale >= 1.0 ? 2000 : 200;
   bool fanout_hits_dominate = true;
   for (const std::size_t n : {std::size_t{10}, std::size_t{500},

@@ -1,11 +1,7 @@
-// Shared helpers for the experiment-reproduction benches.
+// Shared helpers for the perf benches.
 //
-// Each bench binary regenerates one table or figure from the paper and
-// prints paper-vs-measured rows. They are runnable standalone:
-//   for b in build/bench/*; do $b; done
-//
-// Every bench also reports engine throughput (events/sec, simulated-time
-// over wall-time) and emits a machine-readable BENCH_<name>.json via
+// Each bench reports engine throughput (events/sec, simulated-time over
+// wall-time) and emits a machine-readable BENCH_<name>.json via
 // PerfReport — which lives in src/runtime/perf_report.h since the
 // experiment runtime and the benches share one canonical JSON writer.
 // The JSONs land at the repo root (PW_BENCH_DEFAULT_DIR, baked in by
@@ -19,6 +15,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/flags.h"
 #include "runtime/perf_report.h"
 
 namespace politewifi::bench {
@@ -37,12 +34,19 @@ inline void section(const std::string& name) {
 
 /// Reads a scale override from the environment (PW_SCALE), used by the
 /// expensive benches to allow quick runs: PW_SCALE=0.05 bench_table2...
+/// A malformed or non-positive value exits 2 with a named error, so call
+/// it before any simulation runs: a typo must not silently buy a
+/// full-scale run.
 inline double env_scale(double default_scale) {
-  if (const char* s = std::getenv("PW_SCALE")) {
-    const double v = std::atof(s);
-    if (v > 0.0) return v;
+  const char* s = std::getenv("PW_SCALE");
+  if (s == nullptr) return default_scale;
+  double v = 0.0;
+  if (!common::parse_double(s, &v) || v <= 0.0) {
+    std::fprintf(stderr, "PW_SCALE: expected a positive number, got \"%s\"\n",
+                 s);
+    std::exit(2);
   }
-  return default_scale;
+  return v;
 }
 
 inline void kv(const char* key, const std::string& value) {

@@ -1,6 +1,6 @@
 // Strict command-line parsing for the experiment runtime.
 //
-// Exists because of a real bug class: examples/wardriving.cpp used to run
+// Exists because of a real bug class: the wardriving frontend once ran
 // `std::atof(argv[1])`, so `./wardriving fast` silently surveyed a city
 // scaled by 0.0 — an empty town and a meaningless result. Everything
 // here rejects malformed input loudly instead of coercing it: scalar

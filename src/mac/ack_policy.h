@@ -10,7 +10,8 @@
 // cannot exist: it fully decrypts and verifies the frame before deciding
 // to ACK. Because the decode cannot finish inside SIFS, its ACKs are
 // always late — the transmitter's ACK timeout fires first and legitimate
-// traffic collapses into retry storms. bench_sifs_ablation quantifies it.
+// traffic collapses into retry storms. LinkAblation in
+// tests/paper_claims_test.cpp quantifies it.
 #pragma once
 
 #include <cstdint>

@@ -60,9 +60,9 @@ class Experiment {
 
   virtual const ExperimentSpec& spec() const = 0;
 
-  /// Runs to completion. Human-readable narration goes to stdout (the
-  /// historical examples/ output, preserved byte for byte); structured
-  /// results go into ctx.results(). A failed run calls ctx.fail().
+  /// Runs to completion. Human-readable narration goes to stdout;
+  /// structured results go into ctx.results(). A failed run calls
+  /// ctx.fail().
   virtual void run(RunContext& ctx) = 0;
 };
 

@@ -22,7 +22,7 @@ class ExperimentRegistry {
  public:
   using Factory = std::unique_ptr<Experiment> (*)();
 
-  /// The process-wide registry used by pw_run and the example wrappers.
+  /// The process-wide registry used by pw_run and the tests.
   static ExperimentRegistry& instance();
 
   ExperimentRegistry() = default;

@@ -1,7 +1,6 @@
 // ResultSink: one canonical document per experiment run.
 //
-// Each run emits both the historical human-readable narration (stdout,
-// preserved byte for byte from the examples/ era) and a canonical
+// Each run emits both human-readable narration (stdout) and a canonical
 // key-sorted JSON document shaped as:
 //
 //   { "experiment": ..., "seed": ..., "smoke": ..., "params": {...},

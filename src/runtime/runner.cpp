@@ -72,9 +72,9 @@ void print_pw_run_usage() {
       "--campaign-dir the journal lives in a TMPDIR scratch directory,\n"
       "removed on success and kept (path printed) otherwise.\n"
       "\n"
-      "Every run narrates on stdout exactly like the historical example\n"
-      "binaries; --json additionally writes the canonical key-sorted JSON\n"
-      "document (bare --json: <experiment>.json in the current directory).\n"
+      "Every run narrates in human-readable form on stdout; --json\n"
+      "additionally writes the canonical key-sorted JSON document (bare\n"
+      "--json: <experiment>.json in the current directory).\n"
       "--metrics collects the obs/ registry over the run: the canonical\n"
       "metrics block is appended to the JSON document and written alone to\n"
       "PATH (default <experiment>.metrics.json); byte-identical across\n"
@@ -474,72 +474,6 @@ int pw_run_main(int argc, char** argv) {
     std::fprintf(stderr, "pw_run: %s\n", result.error.c_str());
     return 2;
   }
-  int exit_code = result.exit_code;
-  if (json_arg.has_value() &&
-      !write_json(name, result.json, *json_arg, /*force_dir=*/false)) {
-    exit_code = 1;
-  }
-  if (!write_obs_outputs(name, result, metrics_arg, timeline_arg,
-                         /*force_dir=*/false)) {
-    exit_code = 1;
-  }
-  return exit_code;
-}
-
-int example_main(const std::string& name, int argc, char** argv,
-                 const std::vector<std::string>& positional_params) {
-  register_builtin_experiments();
-  const auto usage = [&](const std::string& message) {
-    std::fprintf(stderr, "%s: %s\n", name.c_str(), message.c_str());
-    std::string line = "usage: " + name;
-    for (const auto& p : positional_params) line += " [<" + p + ">]";
-    line += " [--<param>=<value> ...] [--seed=N] [--json[=PATH]]";
-    line += " [--metrics[=PATH]] [--timeline[=PATH]]";
-    std::fprintf(stderr, "%s\n", line.c_str());
-    std::fprintf(stderr,
-                 "(same experiment as `pw_run %s`; see pw_run --list)\n",
-                 name.c_str());
-    return 2;
-  };
-
-  std::string parse_error;
-  const auto parsed = common::parse_args(argc, argv, &parse_error);
-  if (!parsed.has_value()) return usage(parse_error);
-  if (parsed->positionals.size() > positional_params.size()) {
-    return usage("too many arguments");
-  }
-
-  std::vector<common::Flag> flags;
-  for (std::size_t i = 0; i < parsed->positionals.size(); ++i) {
-    flags.push_back(common::Flag{positional_params[i],
-                                 parsed->positionals[i]});
-  }
-  const bool smoke = parsed->has_flag("smoke");
-  std::optional<std::string> json_arg;
-  std::optional<std::string> metrics_arg;
-  std::optional<std::string> timeline_arg;
-  for (const auto& flag : parsed->flags) {
-    if (flag.name == "smoke") continue;
-    if (flag.name == "json") {
-      json_arg = flag.value.value_or("");
-      continue;
-    }
-    if (flag.name == "metrics") {
-      metrics_arg = flag.value.value_or("");
-      continue;
-    }
-    if (flag.name == "timeline") {
-      timeline_arg = flag.value.value_or("");
-      continue;
-    }
-    flags.push_back(flag);
-  }
-  RunOptions options;
-  options.metrics = metrics_arg.has_value();
-  options.timeline = options.metrics || timeline_arg.has_value();
-
-  const auto result = run_experiment(name, flags, smoke, options);
-  if (result.exit_code == 2) return usage(result.error);
   int exit_code = result.exit_code;
   if (json_arg.has_value() &&
       !write_json(name, result.json, *json_arg, /*force_dir=*/false)) {

@@ -1,10 +1,10 @@
 // The one driver every frontend shares.
 //
-// `pw_run` (the CLI), the thin examples/ wrappers, and the runtime tests
-// all execute experiments through run_experiment(): registry lookup,
-// flag resolution against the spec, RunContext construction, the run
-// itself, and the canonical JSON document out the other side. No
-// frontend owns any experiment logic.
+// `pw_run` (the CLI, and so every campaign child) and the tests all
+// execute experiments through run_experiment(): registry lookup, flag
+// resolution against the spec, RunContext construction, the run itself,
+// and the canonical JSON document out the other side. No frontend owns
+// any experiment logic.
 #pragma once
 
 #include <string>
@@ -43,8 +43,7 @@ struct RunExperimentResult {
   std::string error;
 };
 
-/// Runs one registered experiment. Human narration goes to stdout (the
-/// experiment's own, byte-identical to the historical examples/); the
+/// Runs one registered experiment. Human narration goes to stdout; the
 /// structured document comes back in `json`.
 RunExperimentResult run_experiment(const std::string& name,
                                    const std::vector<common::Flag>& flags,
@@ -62,14 +61,5 @@ int pw_run_main(int argc, char** argv);
 bool write_output(const char* label, const std::string& default_name,
                   const std::string& text, const std::string& arg,
                   bool force_dir);
-
-/// Shared main() for the thin examples/ wrappers: legacy positional
-/// arguments map onto the named parameters in `positional_params`
-/// (e.g. wardriving's trailing scale), then modern --flags apply on
-/// top. Malformed input gets a usage message instead of atof-style
-/// silent coercion. stdout is byte-identical to the pre-registry
-/// example binaries.
-int example_main(const std::string& name, int argc, char** argv,
-                 const std::vector<std::string>& positional_params = {});
 
 }  // namespace politewifi::runtime

@@ -130,12 +130,22 @@ TEST(Figure6, UnattackedVictimSleepsNearTenMilliwatts) {
 }
 
 TEST(Figure6, AttackAboveKneePinsRadioAwake) {
-  BatteryRig rig;
-  core::BatteryDrainAttack attack(rig.sim, *rig.attacker, *rig.victim);
-  const auto r = attack.run(100.0, seconds(3), seconds(20));
-  EXPECT_LT(r.sleep_fraction, 0.05);
-  EXPECT_GT(r.avg_power_mw, 200.0);  // paper: ~230 mW once awake
-  EXPECT_GT(r.acks_elicited, 1500u);
+  // Paper: ~230 mW once awake. 20 pps is just past the knee the 100 ms
+  // idle timer puts at ~10 pps; 100 pps is well past it.
+  struct Point {
+    double rate_pps;
+    double min_mw;
+    std::uint64_t min_acks;  // 3/4 of the frames sent over 20 s
+  };
+  for (const Point p : {Point{20.0, 180.0, 300}, Point{100.0, 200.0, 1500}}) {
+    SCOPED_TRACE(p.rate_pps);
+    BatteryRig rig;
+    core::BatteryDrainAttack attack(rig.sim, *rig.attacker, *rig.victim);
+    const auto r = attack.run(p.rate_pps, seconds(3), seconds(20));
+    EXPECT_LT(r.sleep_fraction, 0.05);
+    EXPECT_GT(r.avg_power_mw, p.min_mw);
+    EXPECT_GT(r.acks_elicited, p.min_acks);
+  }
 }
 
 TEST(Figure6, PowerGrowsWithRate) {
@@ -203,59 +213,88 @@ TEST(Figure5, CsiVarianceSeparatesActivities) {
 
   const auto series = sensing::resample_amplitude(collector.samples(),
                                                   /*subcarrier=*/17, 150.0);
-  auto window_variance = [&](double t0, double t1) {
+  auto window_sigma = [&](double t0, double t1) {
     std::vector<double> seg;
     for (std::size_t i = 0; i < series.size(); ++i) {
       const double t = series.time_of(i) - series.t0_s;
       if (t >= t0 && t < t1) seg.push_back(series.v[i]);
     }
-    return sensing::variance(seg);
+    return sensing::stddev(seg);
   };
 
-  const double still_var = window_variance(1, 7);
-  const double pickup_var = window_variance(8.5, 11.5);
-  const double hold_var = window_variance(13, 19);
-  const double typing_var = window_variance(21, 27);
+  const double still_sigma = window_sigma(1, 7);
+  const double pickup_sigma = window_sigma(8.5, 11.5);
+  const double hold_sigma = window_sigma(13, 19);
+  const double typing_sigma = window_sigma(21, 27);
 
   // The Figure 5 shape: still is flat; pickup is wild; typing is clearly
   // busier than holding.
-  EXPECT_GT(pickup_var, 50.0 * still_var);
-  EXPECT_GT(typing_var, 2.0 * hold_var);
-  EXPECT_GT(hold_var, still_var);
+  EXPECT_GT(pickup_sigma, 20.0 * still_sigma);
+  EXPECT_GT(typing_sigma, 1.5 * hold_sigma);
+  EXPECT_GT(hold_sigma, still_sigma);
 }
 
 TEST(Figure5, ActivityDetectorFindsTheArc) {
-  // Same scene, evaluated through the sensing pipeline's segmentation.
-  Simulation sim({.medium = {.shadowing_sigma_db = 0.0}, .seed = 52});
-  mac::ClientConfig cc;
-  cc.fast_keys = true;
-  Device& victim = sim.add_client("tablet", kVictimMac, {4, 0}, cc);
-  sim::RadioConfig rig;
-  rig.position = {9, 5};
-  rig.capture_csi = true;
-  Device& attacker = sim.add_device(
-      {.name = "esp32", .kind = sim::DeviceKind::kAttacker}, kAttackerMac,
-      rig);
+  // Same rig, evaluated through the sensing pipeline's segmentation: each
+  // walk must show up as exactly one motion event within 2 s of its start
+  // (the §4.3 "sharp changes at times 9 and 32").
+  using scenario::Activity;
+  struct Scene {
+    std::uint64_t body_seed;
+    std::vector<std::pair<Activity, int>> phases_s;
+    std::vector<double> walks_s;
+  };
+  const Scene scenes[] = {
+      {9,
+       {{Activity::kStill, 10},
+        {Activity::kWalking, 5},
+        {Activity::kStill, 10}},
+       {10.0}},
+      // The §4.3 living room: someone walks through at 9 s and at 32 s.
+      {91,
+       {{Activity::kStill, 9},
+        {Activity::kWalking, 3},
+        {Activity::kStill, 20},
+        {Activity::kWalking, 3},
+        {Activity::kStill, 10}},
+       {9.0, 32.0}},
+  };
+  for (const Scene& scene : scenes) {
+    SCOPED_TRACE(scene.body_seed);
+    Simulation sim({.medium = {.shadowing_sigma_db = 0.0}, .seed = 52});
+    mac::ClientConfig cc;
+    cc.fast_keys = true;
+    Device& victim = sim.add_client("tablet", kVictimMac, {4, 0}, cc);
+    sim::RadioConfig rig;
+    rig.position = {9, 5};
+    rig.capture_csi = true;
+    Device& attacker = sim.add_device(
+        {.name = "esp32", .kind = sim::DeviceKind::kAttacker}, kAttackerMac,
+        rig);
 
-  scenario::BodyMotionModel model({.seed = 9});
-  model.add_phase(scenario::Activity::kStill, seconds(10));
-  model.add_phase(scenario::Activity::kWalking, seconds(5));
-  model.add_phase(scenario::Activity::kStill, seconds(10));
+    scenario::BodyMotionModel model({.seed = scene.body_seed});
+    int total_s = 0;
+    for (const auto& [activity, s] : scene.phases_s) {
+      model.add_phase(activity, seconds(s));
+      total_s += s;
+    }
 
-  scenario::install_body_csi(sim.medium(), victim.radio(), attacker.radio(),
-                             &model, sim.now());
-  core::CsiCollector collector(attacker, victim.address());
-  collector.start(150.0);
-  sim.run_for(seconds(25));
-  collector.stop();
+    scenario::install_body_csi(sim.medium(), victim.radio(), attacker.radio(),
+                               &model, sim.now());
+    core::CsiCollector collector(attacker, victim.address());
+    collector.start(150.0);
+    sim.run_for(seconds(total_s));
+    collector.stop();
 
-  const auto series =
-      sensing::resample_amplitude(collector.samples(), 17, 150.0);
-  sensing::ActivityDetector detector;
-  const auto events = detector.motion_events(series);
-  // One motion event, around t = 10 s (the §4.3 "sharp change").
-  ASSERT_GE(events.size(), 1u);
-  EXPECT_NEAR(events.front() - series.t0_s, 10.0, 2.0);
+    const auto series =
+        sensing::resample_amplitude(collector.samples(), 17, 150.0);
+    sensing::ActivityDetector detector;
+    const auto events = detector.motion_events(series);
+    ASSERT_EQ(events.size(), scene.walks_s.size());
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      EXPECT_NEAR(events[i] - series.t0_s, scene.walks_s[i], 2.0);
+    }
+  }
 }
 
 // --- Miniature wardrive --------------------------------------------------------------------

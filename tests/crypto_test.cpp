@@ -463,6 +463,16 @@ TEST(DecodeLatency, CitedRangeCovered) {
   const DecodeLatencyModel slow{.device_class_scale = 1.5};
   EXPECT_LE(slow.decode_us(1000), 800.0);
   EXPECT_GE(slow.decode_us(1000), 500.0);
+
+  // Across fast/mid/slow device classes and MPDUs from 28 B to 1534 B,
+  // every decode takes more than 12x the 10 us 2.4 GHz SIFS.
+  for (const double device_class_scale : {0.7, 1.0, 1.5}) {
+    const DecodeLatencyModel model{.device_class_scale = device_class_scale};
+    for (const std::size_t bytes : {28u, 128u, 512u, 1534u}) {
+      EXPECT_GT(model.decode_us(bytes), 12.0 * 10.0)
+          << "class " << device_class_scale << ", " << bytes << " B";
+    }
+  }
 }
 
 TEST(DecodeLatency, AlwaysExceedsSifs) {

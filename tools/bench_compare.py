@@ -18,7 +18,9 @@ Rules:
     printed but never gate.
   - A bench present in the baseline but missing from the fresh run fails
     (a silently-skipped bench is how regressions hide); a new bench with
-    no baseline is reported and passes.
+    no baseline is reported and passes. Likewise a gated or counter key
+    that is numeric in the baseline fails by name when the fresh run
+    drops it or writes a non-number (null, a string, NaN).
   - With --metrics, the "metrics" block a bench may embed (the obs/
     registry harvested over a fixed-size pass, see OBSERVABILITY.md) is
     also gated: efficiency rates derived from counter pairs (cache
@@ -47,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -98,6 +101,11 @@ def is_gated(key: str) -> bool:
 
 def is_counter(key: str) -> bool:
     return key.endswith(COUNTER_SUFFIXES)
+
+
+def is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and math.isfinite(value)
 
 
 def compare_metrics(name: str, base: dict, cur: dict, threshold_pp: float,
@@ -209,10 +217,15 @@ def main() -> int:
             failures.append(f"{name}: no fresh run (bench skipped or broken)")
             continue
         for key, base_v in base.items():
-            if not isinstance(base_v, (int, float)):
+            if not is_number(base_v):
                 continue
             cur_v = cur.get(key)
-            if not isinstance(cur_v, (int, float)):
+            if not is_number(cur_v):
+                if is_gated(key) or is_counter(key):
+                    got = "missing" if key not in cur else json.dumps(cur_v)
+                    failures.append(f"{name}.{key}: {base_v:g} in the "
+                                    f"baseline, {got} in the fresh run")
+                    print(f"  FAIL {name}.{key}: {base_v:g} -> {got}")
                 continue
             if is_gated(key) and base_v > 0:
                 change = (cur_v - base_v) / base_v
@@ -250,7 +263,7 @@ def main() -> int:
     for name, cur in sorted(fresh.items()):
         for key, floor in sorted(floors.items()):
             cur_v = cur.get(key)
-            if not isinstance(cur_v, (int, float)):
+            if not is_number(cur_v):
                 continue
             unseen.pop(key, None)
             status = "OK"

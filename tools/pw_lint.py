@@ -1,6 +1,5 @@
 #!/usr/bin/env python3
-"""pw_lint: repo-specific determinism and hygiene checks for src/ and
-examples/.
+"""pw_lint: repo-specific determinism and hygiene checks for src/.
 
 The simulator's results are exact-equivalence claims (byte-identical
 survey output, bit-reproducible sweeps), so the classic ways C++ code
@@ -67,7 +66,7 @@ inline with `// pw-lint: allow(rule)` on the offending line. Unused
 allowlist entries are themselves errors, so the file can only shrink.
 
 Usage:
-  python3 tools/pw_lint.py             # lint src/ + examples/ (the CI gate)
+  python3 tools/pw_lint.py             # lint src/ (the CI gate)
   python3 tools/pw_lint.py FILES...    # lint specific files (pre-push)
 """
 
@@ -100,7 +99,7 @@ INSTRUMENTED_DIRS = ("src/sim", "src/mac", "src/phy", "src/runtime")
 FANOUT_FILES = ("src/sim/medium.cpp",)
 
 # Linted roots for a no-argument run.
-LINT_ROOTS = ("src", "examples")
+LINT_ROOTS = ("src",)
 
 WALL_CLOCK_RE = re.compile(
     r"\b(?:time|clock|gettimeofday|clock_gettime|getrandom)\s*\("
