@@ -10,11 +10,12 @@
 // Full scale takes a few minutes; set PW_SCALE=0.05 for a quick pass.
 #include <chrono>
 #include <iostream>
+#include <thread>
+#include <vector>
 
 #include "bench_util.h"
 #include "core/wardrive.h"
 #include "scenario/city.h"
-#include "sim/sweep_runner.h"
 
 using namespace politewifi;
 
@@ -137,7 +138,7 @@ int main() {
   // `pw_run --city` runs the survey as a campaign of one child process
   // per district through the campaign driver's pool; this phase measures
   // the same split in-process: four quarter-scale district
-  // surveys run back to back, then through a 4-worker SweepRunner pool.
+  // surveys run back to back, then on four threads, one per district.
   // Each district is a complete Simulation over a 4-shard medium (the
   // ShardEquivalence suite proves the shard count cannot change the
   // survey), so the parallel phase's speedup is pure wall-clock. Both
@@ -168,9 +169,13 @@ int main() {
   for (std::size_t k = 0; k < districts; ++k) district_tx += run_district(k);
   const double seq_s = seconds_since(t_seq);
 
-  const sim::SweepRunner pool(static_cast<unsigned>(districts));
+  std::vector<std::uint64_t> par_tx(districts);
+  std::vector<std::thread> threads;
   const auto t_par = std::chrono::steady_clock::now();
-  const auto par_tx = pool.run_indexed(districts, run_district);
+  for (std::size_t k = 0; k < districts; ++k) {
+    threads.emplace_back([&, k] { par_tx[k] = run_district(k); });
+  }
+  for (auto& t : threads) t.join();
   const double par_s = seconds_since(t_par);
   std::uint64_t par_tx_total = 0;
   for (const auto tx : par_tx) par_tx_total += tx;

@@ -28,15 +28,4 @@ void CsiCollector::start(double rate_pps) {
 
 void CsiCollector::stop() { injector_.stop_stream(target_); }
 
-std::vector<CsiCollector::AmplitudePoint> CsiCollector::amplitude_series(
-    int subcarrier) const {
-  std::vector<AmplitudePoint> out;
-  out.reserve(samples_.size());
-  for (const auto& s : samples_) {
-    out.push_back({to_seconds(s.time.time_since_epoch()),
-                   s.csi.amplitude(subcarrier)});
-  }
-  return out;
-}
-
 }  // namespace politewifi::core

@@ -33,13 +33,6 @@ class CsiCollector {
   const std::vector<CsiSample>& samples() const { return samples_; }
   void clear() { samples_.clear(); }
 
-  /// Amplitude time series of one subcarrier (paper plots subcarrier 17).
-  struct AmplitudePoint {
-    double t_s;
-    double amplitude;
-  };
-  std::vector<AmplitudePoint> amplitude_series(int subcarrier) const;
-
   std::uint64_t frames_injected() const {
     return injector_.stats().frames_injected;
   }

@@ -15,7 +15,7 @@
 //  - collision-corrupted receivers get a fresh pooled copy (copy-on-
 //    corrupt) — intact receivers never copy,
 //  - a pool and its refs belong to one simulation thread; the refcount is
-//    deliberately non-atomic (sweep workers each own an independent sim).
+//    deliberately non-atomic (concurrent simulations each own their own).
 #pragma once
 
 #include <cstdint>
@@ -111,11 +111,12 @@ class PpduRef {
 ///
 /// Concurrency: the pool is *thread-confined*, not thread-safe — one
 /// pool, its refs, and its (deliberately non-atomic) refcounts belong
-/// to exactly one simulation thread; sweep workers each own an
+/// to exactly one simulation thread; concurrent simulations each own an
 /// independent Medium and pool. There is no mutex here on purpose, so
 /// there is nothing for PW_GUARDED_BY to name: the confinement contract
-/// is enforced dynamically instead (the TSan CI job runs the sweep and
-/// equivalence suites, and ~PpduPool/audit() account for every buffer).
+/// is enforced dynamically instead (the TSan CI job runs concurrent
+/// simulations and the equivalence suites, and ~PpduPool/audit()
+/// account for every buffer).
 class PpduPool {
  public:
   struct Stats {

@@ -104,11 +104,6 @@ class Station {
   const MacAddress& address() const { return config_.address; }
   const MacStats& stats() const { return stats_; }
 
-  /// Changes this interface's MAC address (defense::MacRotation). Takes
-  /// effect for the next received PPDU: frames addressed to the old MAC
-  /// are no longer ours and are no longer ACKed.
-  void set_address(const MacAddress& address) { config_.address = address; }
-
   /// Upper-layer (MLME/LLC) delivery: FCS-valid, addressed to us (or
   /// broadcast/multicast), deduplicated. Decryption is the caller's job.
   void set_upper_handler(UpperHandler handler) { upper_ = std::move(handler); }

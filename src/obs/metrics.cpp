@@ -41,9 +41,6 @@ constexpr HistInfo kHistInfo[] = {
     {"runtime.experiment_wall_ns", "ns",
      "wall time of one experiment run (wall: canonical block excludes it)",
      kWallNsEdges, /*wall=*/true},
-    {"sim.sweep.job_wall_ns", "ns",
-     "wall time of one sweep point (wall: canonical block excludes it)",
-     kWallNsEdges, /*wall=*/true},
 };
 static_assert(std::size(kHistInfo) == kNumHists);
 

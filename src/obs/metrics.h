@@ -8,11 +8,12 @@
 // canonical `metrics` JSON be golden-gated like every other document
 // this repo emits.
 //
-// Determinism across PW_THREADS is by construction: all cells are
+// Determinism across threads is by construction: all cells are
 // process-global relaxed atomics updated only with commutative integer
 // operations — counters and histogram buckets accumulate by addition,
 // gauges merge by max — so the collected totals are independent of
-// thread interleaving. The one thing that is *not* deterministic, wall
+// thread interleaving (the campaign driver's pool threads count
+// concurrently). The one thing that is *not* deterministic, wall
 // time, lives in histograms flagged `wall` which the canonical
 // `to_json()` excludes; wall spans flow to the TimelineProfiler instead
 // (see OBSERVABILITY.md for the full rules).
@@ -85,8 +86,6 @@ namespace politewifi::obs {
     "PPDU buffers heap-allocated (pool cold or pooling off)")                 \
   X(kRadioStateTransitions, "sim.radio.state_transitions", "transitions",     \
     "radio power-state changes metered by EnergyMeter")                       \
-  X(kSweepJobs, "sim.sweep.jobs", "jobs",                                     \
-    "sweep points executed by SweepRunner workers")                           \
   X(kShardHandoffs, "sim.shard.handoffs", "migrations",                       \
     "mobile radios migrated to another shard at a cell-exit horizon")         \
   X(kShardMirroredTx, "sim.shard.mirrored_tx", "ppdus",                       \
@@ -103,7 +102,7 @@ namespace politewifi::obs {
   X(kPhyFerDraws, "phy.fer_draws", "draws",                                   \
     "frame-error-rate computations at the PHY")                               \
   X(kRuntimeSubseedsDerived, "runtime.subseeds_derived", "seeds",             \
-    "sub-seeds derived from the run seed (labels + sweep indices)")           \
+    "sub-seeds derived from the run seed, one per label")           \
   X(kRuntimeSimsBuilt, "runtime.sims_built", "simulations",                   \
     "Simulations constructed through RunContext::make_sim")                   \
   X(kCampaignJobsCompleted, "runtime.campaign.jobs_completed", "jobs",        \
@@ -154,7 +153,6 @@ enum class Hist : std::uint16_t {
   kPhyFerPpm,             // FER per draw, parts-per-million
   kMacTxOctets,           // transmitted MPDU sizes
   kRuntimeExperimentWallNs,  // wall: one experiment run
-  kSweepJobWallNs,           // wall: one sweep point
   kCount,
 };
 
@@ -213,7 +211,7 @@ class Registry {
     enabled_.store(on, std::memory_order_relaxed);
   }
   /// Zeroes every cell. Must not race instrumented threads; the runtime
-  /// only calls it between runs, after SweepRunner workers have joined.
+  /// only calls it between runs.
   static void reset();
 
   static void count(Counter c, std::int64_t n) {
@@ -240,7 +238,7 @@ class Registry {
 
   /// The canonical metrics block: {"counters": {...}, "gauges": {...},
   /// "histograms": {...}} with every catalogued name present and wall
-  /// histograms excluded. Byte-identical across PW_THREADS.
+  /// histograms excluded. Independent of which threads did the counting.
   static common::Json to_json() { return to_json(/*include_wall=*/false); }
   /// `include_wall=true` adds the wall histograms — diagnostics only,
   /// never golden-gated.

@@ -6,8 +6,8 @@
 //     timeline group, tid = the radio id), one complete ("ph":"X") event
 //     per radio power-state dwell. A battery-drain run opened in
 //     Perfetto shows the paper's Figure 6 duty cycle directly.
-//   - *Wall-time* spans: PW_TIMEIT scopes (experiment runs, sweep
-//     points) on per-thread tracks under the reserved pid 0.
+//   - *Wall-time* spans: PW_TIMEIT scopes (experiment runs) on
+//     per-thread tracks under the reserved pid 0.
 //
 // The trace is diagnostics, not a result: span order, wall timestamps
 // and group numbering depend on thread scheduling, so timelines are
@@ -89,7 +89,7 @@ void set_active_timeline(TimelineProfiler* timeline);
 
 /// Process-unique pid for one medium's radio tracks (>= 1; pid 0 is the
 /// wall-clock group). Monotonic across the process — uniqueness is all
-/// the trace needs, so concurrent sweep simulations may interleave.
+/// the trace needs, so concurrent simulations may interleave.
 std::int64_t allocate_timeline_group();
 
 }  // namespace politewifi::obs

@@ -6,13 +6,6 @@
 
 namespace politewifi::phy {
 
-double CsiSnapshot::mean_amplitude() const {
-  if (h.empty()) return 0.0;
-  double sum = 0.0;
-  for (const auto& v : h) sum += std::abs(v);
-  return sum / double(h.size());
-}
-
 PathSet make_static_paths(double distance_m, int n_reflections, Rng& rng) {
   PathSet paths;
   paths.reserve(static_cast<std::size_t>(n_reflections) + 1);

@@ -41,9 +41,6 @@ struct CsiSnapshot {
 
   double amplitude(int subcarrier) const { return std::abs(h.at(subcarrier)); }
   double phase(int subcarrier) const { return std::arg(h.at(subcarrier)); }
-
-  /// Mean amplitude across subcarriers (coarse RSSI proxy).
-  double mean_amplitude() const;
 };
 
 /// One harvested CSI observation: a snapshot plus the RSSI it arrived

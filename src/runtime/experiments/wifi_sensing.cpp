@@ -37,10 +37,13 @@ class WifiSensingExperiment final : public Experiment {
              .description = "fake-frame poll rate for the bedroom zone",
              .default_value = 50.0,
              .min_value = 1.0},
+            // Bounded by the band estimate_breathing scans: outside it
+            // the estimator reports the nearest in-band rate, or nothing.
             {.name = "breathing_bpm",
              .description = "ground-truth breathing rate of the sleeper",
              .default_value = 16.0,
-             .min_value = 4.0},
+             .min_value = sensing::BreathingEstimatorConfig{}.min_bpm,
+             .max_value = sensing::BreathingEstimatorConfig{}.max_bpm},
             {.name = "living_seed",
              .description = "living-room body-motion sub-seed",
              .default_value = std::int64_t{71},

@@ -160,11 +160,6 @@ std::uint64_t RunContext::derive_seed(std::string_view label) const {
   return splitmix64(run_.seed ^ fnv1a64(label));
 }
 
-std::uint64_t RunContext::derive_seed(std::uint64_t index) const {
-  PW_COUNT(kRuntimeSubseedsDerived);
-  return splitmix64(run_.seed ^ (0x5deece66dULL + index));
-}
-
 const ParamValue& RunContext::param(const std::string& name) const {
   const auto it = run_.params.find(name);
   PW_CHECK(it != run_.params.end());
@@ -202,11 +197,6 @@ std::unique_ptr<sim::Simulation> RunContext::make_sim(
   config.seed = run_.seed + seed_offset;
   PW_COUNT(kRuntimeSimsBuilt);
   return std::make_unique<sim::Simulation>(std::move(config));
-}
-
-sim::SweepRunner& RunContext::sweep() {
-  if (sweep_ == nullptr) sweep_ = std::make_unique<sim::SweepRunner>();
-  return *sweep_;
 }
 
 }  // namespace politewifi::runtime

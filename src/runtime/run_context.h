@@ -3,8 +3,7 @@
 // The context is where the declarative half (ExperimentSpec + CLI
 // overrides) turns operational: resolved parameter values, the run
 // seed and deterministic sub-seed derivation, Simulation construction
-// (so no experiment ever hand-rolls a seed), SweepRunner threading for
-// embarrassingly-parallel sweep points, and the ResultSink the run
+// (so no experiment ever hand-rolls a seed), and the ResultSink the run
 // reports into.
 #pragma once
 
@@ -18,7 +17,6 @@
 #include "runtime/experiment.h"
 #include "runtime/result_sink.h"
 #include "sim/network.h"
-#include "sim/sweep_runner.h"
 
 namespace politewifi::runtime {
 
@@ -51,8 +49,6 @@ class RunContext {
   /// distinct labels decorrelate and the derivation never touches a
   /// wall clock.
   std::uint64_t derive_seed(std::string_view label) const;
-  /// Sub-seed for sweep point `index` (bit-identical across PW_THREADS).
-  std::uint64_t derive_seed(std::uint64_t index) const;
 
   // Typed parameter access; the parameter must exist in the spec with
   // the matching declared type (contract-checked).
@@ -67,11 +63,6 @@ class RunContext {
   std::unique_ptr<sim::Simulation> make_sim(sim::MediumConfig medium = {},
                                             std::uint64_t seed_offset = 0);
 
-  /// Worker pool for independent sweep points (PW_THREADS honored;
-  /// results are collected by index, so output is thread-count
-  /// independent). Lazily constructed.
-  sim::SweepRunner& sweep();
-
   ResultSink& sink() { return sink_; }
   common::Json& results() { return sink_.results(); }
 
@@ -85,7 +76,6 @@ class RunContext {
 
   const ExperimentSpec& spec_;
   ResolvedRun run_;
-  std::unique_ptr<sim::SweepRunner> sweep_;
   ResultSink sink_;
 };
 

@@ -77,8 +77,8 @@ void print_pw_run_usage() {
       "--json: <experiment>.json in the current directory).\n"
       "--metrics collects the obs/ registry over the run: the canonical\n"
       "metrics block is appended to the JSON document and written alone to\n"
-      "PATH (default <experiment>.metrics.json); byte-identical across\n"
-      "PW_THREADS. --metrics implies --timeline, which writes a Chrome\n"
+      "PATH (default <experiment>.metrics.json); byte-identical from run\n"
+      "to run. --metrics implies --timeline, which writes a Chrome\n"
       "trace (chrome://tracing / Perfetto) to PATH (default\n"
       "<experiment>.trace.json). See OBSERVABILITY.md.\n");
 }

@@ -27,8 +27,6 @@ const char* activity_name(Activity a) {
     case Activity::kTyping: return "typing";
     case Activity::kWalking: return "walking";
     case Activity::kBreathing: return "breathing";
-    case Activity::kGesturePush: return "gesture-push";
-    case Activity::kGestureWave: return "gesture-wave";
   }
   return "?";
 }
@@ -111,25 +109,6 @@ BodyMotionModel::Deflection BodyMotionModel::deflection(
       const double f = config_.breathing_bpm / 60.0;
       d.hand_m = 0.0;
       d.body_m = 0.012 * std::sin(2.0 * M_PI * f * t + phase1_);
-      return d;
-    }
-
-    case Activity::kGesturePush: {
-      // One smooth out-and-back hand motion spanning the phase: a single
-      // ~0.35 m excursion.
-      const double progress = std::clamp(t / std::max(len, 0.1), 0.0, 1.0);
-      d.hand_m = 0.35 * std::sin(M_PI * progress);
-      d.body_m = 0.02 * std::sin(M_PI * progress);
-      return d;
-    }
-
-    case Activity::kGestureWave: {
-      // Side-to-side waving: ~0.2 m strokes at ~2 Hz with soft onset and
-      // release.
-      const double envelope =
-          std::sin(M_PI * std::clamp(t / std::max(len, 0.1), 0.0, 1.0));
-      d.hand_m = 0.20 * envelope * std::sin(2.0 * M_PI * 2.0 * t + phase2_);
-      d.body_m = 0.0;
       return d;
     }
   }

@@ -29,8 +29,6 @@ enum class Activity : std::uint8_t {
   kTyping,     // typing (keystroke schedule attached)
   kWalking,    // walking through the scene
   kBreathing,  // sitting still, breathing only
-  kGesturePush,  // a deliberate push toward the device and back
-  kGestureWave,  // hand waving (the gesture-recognition workload [28,30])
 };
 
 const char* activity_name(Activity a);

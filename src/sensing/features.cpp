@@ -34,14 +34,6 @@ std::vector<double> moving_stddev(const std::vector<double>& x, int w) {
   return out;
 }
 
-std::vector<double> abs_diff(const std::vector<double>& x) {
-  std::vector<double> out(x.size(), 0.0);
-  for (std::size_t i = 1; i < x.size(); ++i) {
-    out[i] = std::abs(x[i] - x[i - 1]);
-  }
-  return out;
-}
-
 double goertzel_power(const std::vector<double>& x, double freq_hz,
                       double fs_hz) {
   if (x.empty() || fs_hz <= 0.0) return 0.0;
@@ -56,26 +48,6 @@ double goertzel_power(const std::vector<double>& x, double freq_hz,
   const double power =
       s1 * s1 + s2 * s2 - coeff * s1 * s2;
   return power / double(x.size() * x.size());
-}
-
-double dominant_frequency(const std::vector<double>& x, double fs_hz,
-                          double f_lo, double f_hi, double step_hz) {
-  if (x.empty()) return 0.0;
-  // Remove the mean so the DC bin doesn't dominate.
-  std::vector<double> centered = x;
-  const double m = mean(x);
-  for (double& v : centered) v -= m;
-
-  double best_f = f_lo;
-  double best_p = -1.0;
-  for (double f = f_lo; f <= f_hi + 1e-9; f += step_hz) {
-    const double p = goertzel_power(centered, f, fs_hz);
-    if (p > best_p) {
-      best_p = p;
-      best_f = f;
-    }
-  }
-  return best_f;
 }
 
 std::vector<std::size_t> find_peaks(const std::vector<double>& x,

@@ -14,18 +14,10 @@ std::vector<double> moving_variance(const std::vector<double>& x, int w);
 /// Sliding-window standard deviation.
 std::vector<double> moving_stddev(const std::vector<double>& x, int w);
 
-/// First difference |x[i] - x[i-1]| (out[0] = 0): motion energy proxy.
-std::vector<double> abs_diff(const std::vector<double>& x);
-
 /// Goertzel single-bin DFT power at `freq_hz` for a series sampled at
 /// `fs_hz`. The breathing estimator scans this across candidate rates.
 double goertzel_power(const std::vector<double>& x, double freq_hz,
                       double fs_hz);
-
-/// Frequency (Hz) of the strongest spectral component in
-/// [f_lo, f_hi], scanned at `step_hz` resolution, after mean removal.
-double dominant_frequency(const std::vector<double>& x, double fs_hz,
-                          double f_lo, double f_hi, double step_hz = 0.01);
 
 /// Simple peak picking: indices of local maxima above `threshold` with at
 /// least `min_separation` samples between accepted peaks.

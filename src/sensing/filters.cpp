@@ -33,19 +33,6 @@ std::vector<double> moving_average(const std::vector<double>& x, int w) {
   return out;
 }
 
-std::vector<double> median_filter(const std::vector<double>& x, int w) {
-  if (x.empty() || w <= 1) return x;
-  std::vector<double> out(x.size());
-  std::vector<double> window;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const auto [lo, hi] = window_bounds(i, x.size(), w);
-    window.assign(x.begin() + lo, x.begin() + hi);
-    out[i] = median(std::move(window));
-    window.clear();
-  }
-  return out;
-}
-
 std::vector<double> hampel_filter(const std::vector<double>& x, int w,
                                   double n_sigmas) {
   if (x.empty() || w <= 1) return x;

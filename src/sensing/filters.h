@@ -1,9 +1,8 @@
 // Denoising filters for CSI amplitude streams.
 //
 // The standard WiFi-sensing preprocessing chain: Hampel to kill CSI
-// outlier spikes, a moving average or Butterworth low-pass to suppress
-// estimation noise while keeping motion dynamics, and a median filter as
-// a robust alternative.
+// outlier spikes, then a moving average or Butterworth low-pass to
+// suppress estimation noise while keeping motion dynamics.
 #pragma once
 
 #include <vector>
@@ -12,9 +11,6 @@ namespace politewifi::sensing {
 
 /// Centered moving average with window `w` (odd preferred; edges shrink).
 std::vector<double> moving_average(const std::vector<double>& x, int w);
-
-/// Centered moving median with window `w`.
-std::vector<double> median_filter(const std::vector<double>& x, int w);
 
 /// Hampel outlier rejection: a sample farther than `n_sigmas` scaled MADs
 /// from the window median is replaced by that median.

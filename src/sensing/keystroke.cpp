@@ -72,13 +72,6 @@ std::vector<KeystrokeEvent> KeystrokeDetector::detect(
   return events;
 }
 
-double KeystrokeDetector::typing_rate(
-    const std::vector<KeystrokeEvent>& events) {
-  if (events.size() < 2) return 0.0;
-  const double span = events.back().time_s - events.front().time_s;
-  return span <= 0.0 ? 0.0 : double(events.size() - 1) / span;
-}
-
 KeystrokeMatchScore match_keystrokes(const std::vector<KeystrokeEvent>& events,
                                      const std::vector<double>& truth_times_s,
                                      double tolerance_s) {

@@ -47,9 +47,6 @@ class KeystrokeDetector {
   /// to a typing segment found by ActivityDetector).
   std::vector<KeystrokeEvent> detect(const TimeSeries& amplitude) const;
 
-  /// Estimated typing rate (keys/second) from detected events.
-  static double typing_rate(const std::vector<KeystrokeEvent>& events);
-
  private:
   KeystrokeDetectorConfig config_;
 };

@@ -2,15 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 
 namespace politewifi::sensing {
 
-namespace {
-
-TimeSeries resample(const std::vector<phy::CsiSample>& samples,
-                    double rate_hz,
-                    const std::function<double(const phy::CsiSample&)>& f) {
+TimeSeries resample_amplitude(const std::vector<phy::CsiSample>& samples,
+                              int subcarrier, double rate_hz) {
   TimeSeries out;
   if (samples.empty() || rate_hz <= 0.0) return out;
   out.dt_s = 1.0 / rate_hz;
@@ -27,25 +23,9 @@ TimeSeries resample(const std::vector<phy::CsiSample>& samples,
            to_seconds(samples[src + 1].time.time_since_epoch()) <= t) {
       ++src;
     }
-    out.v.push_back(f(samples[src]));
+    out.v.push_back(samples[src].csi.amplitude(subcarrier));
   }
   return out;
-}
-
-}  // namespace
-
-TimeSeries resample_amplitude(const std::vector<phy::CsiSample>& samples,
-                              int subcarrier, double rate_hz) {
-  return resample(samples, rate_hz, [subcarrier](const phy::CsiSample& s) {
-    return s.csi.amplitude(subcarrier);
-  });
-}
-
-TimeSeries resample_mean_amplitude(
-    const std::vector<phy::CsiSample>& samples, double rate_hz) {
-  return resample(samples, rate_hz, [](const phy::CsiSample& s) {
-    return s.csi.mean_amplitude();
-  });
 }
 
 int select_best_subcarrier(const std::vector<phy::CsiSample>& samples) {

@@ -28,10 +28,6 @@ struct TimeSeries {
 TimeSeries resample_amplitude(const std::vector<phy::CsiSample>& samples,
                               int subcarrier, double rate_hz);
 
-/// Mean amplitude across all subcarriers, resampled the same way.
-TimeSeries resample_mean_amplitude(
-    const std::vector<phy::CsiSample>& samples, double rate_hz);
-
 /// The subcarrier whose amplitude varies the most over the capture — the
 /// standard sensing trick: multipath geometry makes some subcarriers sit
 /// at insensitive points of the phasor sum, so pick the most responsive

@@ -234,7 +234,7 @@ class Medium {
 
   /// Per-medium radio identity, deterministic in attach order. Keeping the
   /// counter here (not a process-wide static) makes concurrent independent
-  /// simulations — the sweep runner's bread and butter — bit-reproducible.
+  /// simulations in one process bit-reproducible.
   std::uint64_t allocate_radio_id() { return next_radio_id_++; }
   void on_radio_moved(Radio& radio);
   void on_radio_retuned(Radio& radio);

@@ -1,14 +1,14 @@
 // Event-engine tests: the pooled scheduler (against a sorted reference
-// model), the SmallFn callable, the sweep runner, and the medium's
-// production-vs-reference-oracle equivalence properties.
+// model), the SmallFn callable, concurrent independent simulations, and
+// the medium's production-vs-reference-oracle equivalence properties.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
@@ -21,7 +21,6 @@
 #include "scheduler_test_peer.h"
 #include "sim/event_queue.h"
 #include "sim/network.h"
-#include "sim/sweep_runner.h"
 #include "sim/trace.h"
 
 using namespace politewifi;
@@ -296,19 +295,13 @@ TEST(SchedulerPool, OrderingIsStableAcrossPooling) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 4, 5, 6, 8, 9}));
 }
 
-// --- SweepRunner --------------------------------------------------------------
+// --- Concurrent simulations -------------------------------------------------
 
-TEST(SweepRunner, ResultsLandAtTheirIndex) {
-  sim::SweepRunner runner(4);
-  const auto out =
-      runner.run_indexed(64, [](std::size_t i) { return int(i) * 3; });
-  ASSERT_EQ(out.size(), 64u);
-  for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], int(i) * 3);
-}
-
-TEST(SweepRunner, SingleThreadMatchesMultiThread) {
+TEST(ConcurrentSimulations, MatchSequentialRuns) {
+  // Independent simulations on concurrent threads (bench_table2_wardrive's
+  // parallel districts) must not observe each other: per-medium radio ids
+  // and thread-confined PPDU pools.
   auto job = [](std::size_t i) {
-    // A tiny self-contained simulation per point, as the benches do.
     sim::Simulation sim({.medium = {.shadowing_sigma_db = 0.0},
                          .seed = 300 + i});
     sim::RadioConfig rc;
@@ -317,27 +310,15 @@ TEST(SweepRunner, SingleThreadMatchesMultiThread) {
     sim.run_for(milliseconds(50));
     return sim.scheduler().events_executed();
   };
-  const auto seq = sim::SweepRunner(1).run_indexed(8, job);
-  const auto par = sim::SweepRunner(4).run_indexed(8, job);
+  constexpr std::size_t kRuns = 8;
+  std::vector<std::uint64_t> seq(kRuns), par(kRuns);
+  for (std::size_t i = 0; i < kRuns; ++i) seq[i] = job(i);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < kRuns; ++i) {
+    threads.emplace_back([&par, &job, i] { par[i] = job(i); });
+  }
+  for (auto& t : threads) t.join();
   EXPECT_EQ(seq, par);
-}
-
-TEST(SweepRunner, PropagatesWorkerExceptions) {
-  sim::SweepRunner runner(3);
-  EXPECT_THROW(runner.for_each_index(
-                   16,
-                   [](std::size_t i) {
-                     if (i == 11) throw std::runtime_error("boom");
-                   }),
-               std::runtime_error);
-}
-
-TEST(SweepRunner, EveryIndexRunsExactlyOnce) {
-  std::vector<std::atomic<int>> hits(257);
-  sim::SweepRunner runner(5);
-  runner.for_each_index(hits.size(),
-                        [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 // --- Production vs reference oracle ------------------------------------------

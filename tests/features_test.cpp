@@ -1,8 +1,7 @@
-// Tests for the later-added features: beacon stuffing (§5 related work),
-// ARF rate adaptation, and randomized-MAC survey realism.
+// Tests for the later-added features: ARF rate adaptation and
+// randomized-MAC survey realism.
 #include <gtest/gtest.h>
 
-#include "core/beacon_stuffing.h"
 #include "core/monitor.h"
 #include "mac/rate_control.h"
 #include "scenario/city.h"
@@ -13,97 +12,6 @@ namespace {
 
 using sim::Device;
 using sim::Simulation;
-
-// --- Beacon stuffing -----------------------------------------------------------
-
-TEST(BeaconStuffing, ChunkSerializeParseRoundTrip) {
-  core::StuffedChunk c;
-  c.seq = 2;
-  c.total = 5;
-  c.payload = {1, 2, 3, 4};
-  const auto parsed = core::StuffedChunk::parse(c.serialize());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->seq, 2);
-  EXPECT_EQ(parsed->total, 5);
-  EXPECT_EQ(parsed->payload, c.payload);
-}
-
-TEST(BeaconStuffing, ParseRejectsGarbage) {
-  EXPECT_FALSE(core::StuffedChunk::parse(Bytes{}).has_value());
-  EXPECT_FALSE(core::StuffedChunk::parse(Bytes{1, 2, 3, 4}).has_value());
-  // seq >= total is invalid.
-  EXPECT_FALSE(
-      core::StuffedChunk::parse(Bytes{0x50, 0x57, 5, 5}).has_value());
-}
-
-TEST(BeaconStuffing, ShortMessageOneBeacon) {
-  Simulation sim({.medium = {.shadowing_sigma_db = 0.0}, .seed = 120});
-  sim::RadioConfig rc;
-  Device& sender = sim.add_device(
-      {.name = "billboard"}, {0x02, 0x11, 0x11, 0x11, 0x11, 0x11}, rc);
-  sim::RadioConfig rx;
-  rx.position = {20, 0};
-  Device& listener = sim.add_device(
-      {.name = "phone"}, {0x3c, 0x28, 0x6d, 1, 1, 1}, rx);
-
-  core::MonitorHub hub(listener.station());
-  core::BeaconStuffingReceiver receiver(hub);
-  core::BeaconStuffer stuffer(sender);
-  stuffer.broadcast("50% off espresso");
-  sim.run_for(milliseconds(300));
-  stuffer.stop();
-
-  ASSERT_FALSE(receiver.messages().empty());
-  EXPECT_EQ(receiver.messages().front(), "50% off espresso");
-  // The listener never associated with anything.
-  EXPECT_EQ(listener.station().stats().frames_transmitted, 0u);
-}
-
-TEST(BeaconStuffing, LongMessageReassembledFromChunks) {
-  Simulation sim({.medium = {.shadowing_sigma_db = 0.0}, .seed = 121});
-  sim::RadioConfig rc;
-  Device& sender = sim.add_device(
-      {.name = "billboard"}, {0x02, 0x11, 0x11, 0x11, 0x11, 0x12}, rc);
-  sim::RadioConfig rx;
-  rx.position = {15, 0};
-  Device& listener = sim.add_device(
-      {.name = "phone"}, {0x3c, 0x28, 0x6d, 1, 1, 2}, rx);
-
-  core::MonitorHub hub(listener.station());
-  core::BeaconStuffingReceiver receiver(hub);
-  std::string message;
-  for (int i = 0; i < 30; ++i) {
-    message += "location-based advertisement segment ";
-  }
-  ASSERT_GT(message.size(), core::StuffedChunk::kMaxChunkPayload * 3);
-
-  core::BeaconStuffer stuffer(sender);
-  stuffer.broadcast(message);
-  sim.run_for(seconds(2));
-  stuffer.stop();
-
-  ASSERT_FALSE(receiver.messages().empty());
-  EXPECT_EQ(receiver.messages().front(), message);
-}
-
-TEST(BeaconStuffing, CallbackFires) {
-  Simulation sim({.medium = {.shadowing_sigma_db = 0.0}, .seed = 122});
-  sim::RadioConfig rc;
-  Device& sender = sim.add_device(
-      {.name = "tx"}, {0x02, 0x11, 0x11, 0x11, 0x11, 0x13}, rc);
-  sim::RadioConfig rx;
-  rx.position = {10, 0};
-  Device& listener = sim.add_device(
-      {.name = "rx"}, {0x3c, 0x28, 0x6d, 1, 1, 3}, rx);
-  core::MonitorHub hub(listener.station());
-  core::BeaconStuffingReceiver receiver(hub);
-  std::string got;
-  receiver.set_on_message([&got](const std::string& m) { got = m; });
-  core::BeaconStuffer stuffer(sender);
-  stuffer.broadcast("hi");
-  sim.run_for(milliseconds(300));
-  EXPECT_EQ(got, "hi");
-}
 
 // --- ARF rate control ------------------------------------------------------------
 

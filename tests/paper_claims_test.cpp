@@ -15,6 +15,7 @@
 #include <limits>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/flags.h"
 #include "common/json_parse.h"
@@ -22,6 +23,8 @@
 #include "crypto/wpa2.h"
 #include "frames/data.h"
 #include "runtime/experiments/all.h"
+#include "runtime/registry.h"
+#include "runtime/run_context.h"
 #include "runtime/runner.h"
 #include "scenario/device_profiles.h"
 #include "scenario/oui_db.h"
@@ -175,9 +178,10 @@ TEST(LinkAblation, ValidatingReceiverKillsLinkYetAnswersRts) {
 
 /// The canonical --smoke document of a registered experiment, run
 /// in-process; null (and a test failure) when the run does not succeed.
-common::Json smoke_document(const std::string& experiment) {
+common::Json smoke_document(const std::string& experiment,
+                            const std::vector<common::Flag>& flags = {}) {
   runtime::register_builtin_experiments();
-  const auto run = runtime::run_experiment(experiment, {}, /*smoke=*/true);
+  const auto run = runtime::run_experiment(experiment, flags, /*smoke=*/true);
   if (run.exit_code != 0) {
     ADD_FAILURE() << experiment << " exited " << run.exit_code << ": "
                   << run.error;
@@ -284,6 +288,35 @@ TEST(PaperClaims, WifiSensingMotionOccupancyBreathing) {
   EXPECT_NEAR(events->at(0).as_double(), 8.0, 2.0);
   EXPECT_NEAR(number(doc, "/results/bedroom/breathing/rate_bpm"),
               number(doc, "/results/bedroom/truth_bpm"), 1.5);
+}
+
+// The sleeper's rate is bounded by the band estimate_breathing scans
+// (8-30 bpm): at both edges the estimate tracks the truth, and a rate
+// outside the band is refused before anything runs instead of being
+// reported as the nearest in-band rate.
+TEST(PaperClaims, WifiSensingBreathingRateStaysInTheEstimatorBand) {
+  runtime::register_builtin_experiments();
+  const auto experiment =
+      runtime::ExperimentRegistry::instance().create("wifi_sensing");
+  ASSERT_NE(experiment, nullptr);
+  for (const std::string outside : {"7", "31"}) {
+    runtime::ResolvedRun resolved;
+    std::string error;
+    EXPECT_FALSE(runtime::resolve_run(experiment->spec(),
+                                      {{"breathing_bpm", outside}},
+                                      /*smoke=*/true, &resolved, &error))
+        << outside;
+    EXPECT_NE(error.find("--breathing_bpm: " + outside + " is out of range"),
+              std::string::npos)
+        << error;
+  }
+  for (const std::string edge : {"8", "30"}) {
+    const common::Json doc =
+        smoke_document("wifi_sensing", {{"breathing_bpm", edge}});
+    EXPECT_NEAR(number(doc, "/results/bedroom/breathing/rate_bpm"),
+                std::stod(edge), 1.5)
+        << edge;
+  }
 }
 
 // Extension (Wi-Peep): ACK time-of-flight localizes every device in the

@@ -1,13 +1,11 @@
 // Sensing pipeline unit tests: series statistics, filters, features,
-// activity segmentation, keystroke detection, vitals, and DTW — on
+// activity segmentation, keystroke detection, vitals and resampling — on
 // synthetic signals with known answers.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 
 #include "sensing/activity.h"
-#include "sensing/dtw.h"
 #include "sensing/filters.h"
 #include "sensing/keystroke.h"
 #include "sensing/vitals.h"
@@ -66,13 +64,6 @@ TEST(Filters, MovingAverageReducesNoiseVariance) {
   EXPECT_LT(variance(smoothed), variance(noise) / 4.0);
 }
 
-TEST(Filters, MedianFilterKillsImpulses) {
-  std::vector<double> v(30, 1.0);
-  v[10] = 100.0;
-  const auto out = median_filter(v, 5);
-  EXPECT_DOUBLE_EQ(out[10], 1.0);
-}
-
 TEST(Filters, HampelReplacesOutliersOnly) {
   std::vector<double> v = sine(1.0, 100.0, 1.0);
   v[37] += 25.0;  // spike
@@ -120,12 +111,6 @@ TEST(Features, GoertzelFindsTheTone) {
   const double fs = 100.0;
   const auto v = sine(7.0, fs, 4.0);
   EXPECT_GT(goertzel_power(v, 7.0, fs), 10.0 * goertzel_power(v, 3.0, fs));
-}
-
-TEST(Features, DominantFrequency) {
-  const double fs = 50.0;
-  auto v = sine(0.3, fs, 60.0);
-  EXPECT_NEAR(dominant_frequency(v, fs, 0.1, 0.6), 0.3, 0.02);
 }
 
 TEST(Features, FindPeaksRespectsThresholdAndSeparation) {
@@ -239,14 +224,6 @@ TEST(Keystroke, QuietSignalYieldsNothing) {
   EXPECT_TRUE(detector.detect(make_series(v, 150.0)).empty());
 }
 
-TEST(Keystroke, TypingRate) {
-  std::vector<KeystrokeEvent> events;
-  for (int i = 0; i < 6; ++i) {
-    events.push_back({.time_s = double(i) * 0.5, .magnitude = 1.0});
-  }
-  EXPECT_NEAR(KeystrokeDetector::typing_rate(events), 2.0, 1e-9);
-}
-
 TEST(Keystroke, MatchScoring) {
   std::vector<KeystrokeEvent> events{{.time_s = 1.0}, {.time_s = 5.0}};
   const auto score = match_keystrokes(events, {1.05, 2.0}, 0.15);
@@ -286,89 +263,6 @@ TEST(Vitals, OccupancyDetection) {
     busy[i] += 2.0 * std::sin(2.0 * M_PI * 1.5 * i / 100.0);
   }
   EXPECT_TRUE(detect_occupancy(make_series(busy)));
-}
-
-// --- DTW ---------------------------------------------------------------------------------
-
-TEST(Dtw, IdenticalSeriesZeroDistance) {
-  const std::vector<double> a{1, 2, 3, 2, 1};
-  EXPECT_DOUBLE_EQ(dtw_distance(a, a), 0.0);
-}
-
-TEST(Dtw, WarpingToleratesTimeStretch) {
-  const std::vector<double> a{0, 1, 2, 3, 2, 1, 0};
-  const std::vector<double> stretched{0, 0, 1, 1, 2, 2, 3, 3, 2, 2, 1, 1, 0, 0};
-  const std::vector<double> different{3, 3, 3, 3, 3, 3, 3};
-  EXPECT_LT(dtw_distance(a, stretched), dtw_distance(a, different));
-}
-
-TEST(Dtw, ClassifyPicksNearestTemplate) {
-  const std::vector<std::vector<double>> templates{
-      {0, 1, 0}, {1, 0, 1}, {2, 2, 2}};
-  EXPECT_EQ(dtw_classify({0.1, 0.9, 0.1}, templates), 0);
-  EXPECT_EQ(dtw_classify({1.9, 2.1, 2.0}, templates), 2);
-  EXPECT_EQ(dtw_classify({1, 2, 3}, {}), -1);
-}
-
-TEST(Dtw, EarlyAbandonMatchesNaiveBelowThreshold) {
-  // Exactness contract: any distance <= abandon_above must equal the
-  // unabandoned computation bit-for-bit, across bands and random series.
-  Rng rng(42);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<double> a, b;
-    const int na = 8 + rng.uniform_int(0, 40);
-    const int nb = 8 + rng.uniform_int(0, 40);
-    for (int i = 0; i < na; ++i) a.push_back(rng.gaussian());
-    for (int i = 0; i < nb; ++i) b.push_back(rng.gaussian());
-    const int band = trial % 3 == 0 ? 0 : 5 + trial % 7;
-    const double naive = dtw_distance(a, b, band);
-    // A threshold above the true distance must not change the result.
-    EXPECT_EQ(dtw_distance(a, b, band, naive + 1.0), naive) << trial;
-    EXPECT_EQ(dtw_distance(a, b, band, naive), naive) << trial;
-    // A threshold below it abandons: the sentinel is +inf, never a wrong
-    // finite value.
-    const double abandoned = dtw_distance(a, b, band, naive * 0.5);
-    EXPECT_TRUE(abandoned == naive ||
-                abandoned == std::numeric_limits<double>::infinity())
-        << trial;
-  }
-}
-
-TEST(Dtw, ClassifyUnchangedByPruning) {
-  // dtw_classify threads its best-so-far into dtw_distance; the argmin
-  // must match a naive full-scan classification.
-  Rng rng(7);
-  std::vector<std::vector<double>> templates;
-  for (int t = 0; t < 12; ++t) {
-    std::vector<double> s;
-    for (int i = 0; i < 32; ++i) {
-      s.push_back(std::sin(0.2 * i * (t + 1)) + 0.1 * rng.gaussian());
-    }
-    templates.push_back(std::move(s));
-  }
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<double> q;
-    const int shape = trial % 12;
-    for (int i = 0; i < 32; ++i) {
-      q.push_back(std::sin(0.2 * i * (shape + 1)) + 0.2 * rng.gaussian());
-    }
-    int naive_best = -1;
-    double naive_d = std::numeric_limits<double>::infinity();
-    for (std::size_t t = 0; t < templates.size(); ++t) {
-      const double d = dtw_distance(q, templates[t], 8);
-      if (d < naive_d) {
-        naive_d = d;
-        naive_best = int(t);
-      }
-    }
-    EXPECT_EQ(dtw_classify(q, templates, 8), naive_best) << trial;
-  }
-}
-
-TEST(Dtw, ZNormalize) {
-  const auto z = z_normalize({1, 2, 3, 4, 5});
-  EXPECT_NEAR(mean(z), 0.0, 1e-12);
-  EXPECT_NEAR(stddev(z), 1.0, 1e-12);
 }
 
 // --- Resampling -----------------------------------------------------------------------------
