@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <random>
 
 namespace politewifi {
@@ -47,6 +48,16 @@ class Rng {
   }
 
   bool bernoulli(double p) { return std::bernoulli_distribution(p)(engine_); }
+
+  /// The uniform in [0, 1) that bernoulli(p) compares p against, from the
+  /// same one engine output: bernoulli(p) == (canonical() < p), draw for
+  /// draw. Lets a caller draw first and decide u < p without computing p
+  /// when a bound on p already settles it.
+  double canonical() {
+    return std::generate_canonical<double,
+                                   std::numeric_limits<double>::digits>(
+        engine_);
+  }
 
   /// Derives an independent child stream; used to give each device its own
   /// RNG so adding a device does not perturb the others' randomness.

@@ -34,7 +34,8 @@ constexpr std::int64_t kWallNsEdges[] = {
 
 constexpr HistInfo kHistInfo[] = {
     {"phy.fer_ppm", "ppm",
-     "frame-error rate per draw, parts-per-million (1e6 = certain loss)",
+     "frame-error rate per PHY evaluation, parts-per-million (1e6 = "
+     "certain loss)",
      kFerPpmEdges, /*wall=*/false},
     {"mac.tx_octets", "octets", "MPDU sizes handed to the transmit pipeline",
      kTxOctetEdges, /*wall=*/false},

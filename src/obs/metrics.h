@@ -71,9 +71,11 @@ namespace politewifi::obs {
   X(kMediumLinkCacheEvictions, "sim.medium.link_cache_evictions", "lines",    \
     "valid link-cache lines overwritten by a colliding link (thrash)")        \
   X(kMediumFerCacheHits, "sim.medium.fer_cache_hits", "lookups",              \
-    "frame-error-rate memo hits")                                             \
+    "FER-bracket memo hits (one probe per frame-loss decision)")              \
   X(kMediumFerCacheMisses, "sim.medium.fer_cache_misses", "lookups",          \
-    "frame-error-rate memo misses (erfc/pow chain runs)")                     \
+    "FER-bracket memo misses (both cell ends evaluated)")                     \
+  X(kMediumFerExactFallbacks, "sim.medium.fer_exact_fallbacks", "decisions",  \
+    "frame-loss decisions the FER bracket could not settle (exact FER)")      \
   X(kMediumPpduBytesCopied, "sim.medium.ppdu_bytes_copied", "octets",         \
     "payload octets copied post-transmit (copy-on-corrupt only)")             \
   X(kMediumFadingAdvances, "sim.medium.fading_advances", "draws",             \
@@ -100,7 +102,7 @@ namespace politewifi::obs {
   X(kMacRetries, "mac.retries", "frames",                                     \
     "DCF retransmission attempts (retry bit set)")                            \
   X(kPhyFerDraws, "phy.fer_draws", "draws",                                   \
-    "frame-error-rate computations at the PHY")                               \
+    "frame-error-rate evaluations at the PHY")                                \
   X(kRuntimeSubseedsDerived, "runtime.subseeds_derived", "seeds",             \
     "sub-seeds derived from the run seed, one per label")           \
   X(kRuntimeSimsBuilt, "runtime.sims_built", "simulations",                   \
@@ -150,7 +152,7 @@ enum class Gauge : std::uint16_t {
 /// floating point). `wall` flags real-time-valued histograms, which the
 /// canonical metrics block excludes.
 enum class Hist : std::uint16_t {
-  kPhyFerPpm,             // FER per draw, parts-per-million
+  kPhyFerPpm,             // FER per PHY evaluation, parts-per-million
   kMacTxOctets,           // transmitted MPDU sizes
   kRuntimeExperimentWallNs,  // wall: one experiment run
   kCount,

@@ -25,8 +25,60 @@ constexpr std::uint64_t kEndpointSalt = 0x3c6ef372fe94f82bULL;
 
 /// Counter stride between successive intervals. Odd and avalanche-
 /// friendly (the splitmix golden-ratio increment), so n -> base + n *
-/// stride never collides with the paired counter k + 1 of another n.
+/// stride spreads the intervals of one link across counter space.
 constexpr std::uint64_t kCounterStride = 0x9e3779b97f4a7c15ULL;
+
+/// Salt of a node's ziggurat sub-stream: the words after a node's first
+/// (wedge uniforms, retries, tail uniforms) are splitmix(splitmix(k ^
+/// salt) + n), so they never land on another node's counter.
+constexpr std::uint64_t kZigguratSalt = 0xd1b54a32d192ed03ULL;
+
+/// The 128-layer Marsaglia–Tsang normal ziggurat for the unnormalised
+/// density f(x) = exp(-x^2 / 2): layer 0 is the base strip [0, x_0] x
+/// [0, f(R)] whose part beyond R stands for the tail, layer i >= 1 the
+/// box [0, x_i] x [f(x_i), f(x_(i+1))]. Every layer has area V.
+constexpr int kZigLayers = 128;
+constexpr double kZigR = 3.442619855899;
+constexpr double kZigV = 9.91256303526217e-3;
+
+struct Ziggurat {
+  /// Right edges x_i, from the closed forms x_0 = V / f(R), x_1 = R,
+  /// x_(i+1) = sqrt(-2 ln(V / x_i + f(x_i))), and x_128 = 0.
+  double x[kZigLayers + 1];
+  /// x_(i+1) / x_i: a signed uniform u with |u| below it puts u * x_i
+  /// under the curve, so the draw is accepted outright.
+  double ratio[kZigLayers];
+  /// f(x_i), with f(x_128) = 1; f[0] is unused (layer 0 has no wedge).
+  double f[kZigLayers + 1];
+
+  Ziggurat() {
+    const auto density = [](double v) { return std::exp(-0.5 * v * v); };
+    x[0] = kZigV / density(kZigR);
+    x[1] = kZigR;
+    for (int i = 1; i + 1 < kZigLayers; ++i) {
+      x[i + 1] = std::sqrt(-2.0 * std::log(kZigV / x[i] + density(x[i])));
+    }
+    x[kZigLayers] = 0.0;
+    for (int i = 0; i < kZigLayers; ++i) ratio[i] = x[i + 1] / x[i];
+    for (int i = 0; i < kZigLayers; ++i) f[i] = density(x[i]);
+    f[kZigLayers] = 1.0;
+  }
+};
+
+/// The tables, built on the first draw: a process that never fades
+/// (a campaign driver, an unfaded run) never evaluates them.
+const Ziggurat& ziggurat() {
+  static const Ziggurat tables;
+  return tables;
+}
+
+/// Uniform in [0, 1) from a word's top 53 bits.
+double unit_uniform(std::uint64_t w) { return double(w >> 11) * 0x1p-53; }
+
+/// Uniform in (0, 1) from a word's top 53 bits (safe under log).
+double open_uniform(std::uint64_t w) {
+  return (double(w >> 11) + 0.5) * 0x1p-53;
+}
 
 }  // namespace
 
@@ -88,9 +140,8 @@ double ChannelModel::shadowing_db(std::uint64_t id_a,
   if (params_.shadowing_sigma_db <= 0.0) return 0.0;
   // Box-Muller on two deterministic uniforms from the pair key.
   const std::uint64_t k = pair_key(id_a, id_b) ^ seed_;
-  const double u1 =
-      (double(splitmix(k) >> 11) + 0.5) / 9007199254740992.0;  // (0,1)
-  const double u2 = (double(splitmix(k + 1) >> 11) + 0.5) / 9007199254740992.0;
+  const double u1 = open_uniform(splitmix(k));
+  const double u2 = open_uniform(splitmix(k + 1));
   const double z = std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
   return z * params_.shadowing_sigma_db;
 }
@@ -105,23 +156,57 @@ double ChannelModel::static_gain_db(double frequency_hz, double distance_m,
   return -std::max(loss, 0.0) + shadowing_db(tx_id, rx_id);
 }
 
-double ChannelModel::gaussian(std::uint64_t k) {
-  const double u1 =
-      (double(splitmix(k) >> 11) + 0.5) / 9007199254740992.0;  // (0,1)
-  const double u2 = (double(splitmix(k + 1) >> 11) + 0.5) / 9007199254740992.0;
-  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
+double ChannelModel::gaussian(std::uint64_t k, std::uint64_t* attempts_out) {
+  const Ziggurat& z = ziggurat();
+  std::uint64_t sub = 0;  // the sub-stream key, derived on first use
+  std::uint64_t n = 0;
+  const auto next_word = [&] {
+    if (n == 0) sub = splitmix(k ^ kZigguratSalt);
+    return splitmix(sub + ++n);
+  };
+  // The first attempt reads one word: the low 7 bits pick the layer, the
+  // top 53 are a signed uniform in [-1, 1).
+  std::uint64_t w = splitmix(k);
+  for (std::uint64_t attempt = 1;; ++attempt) {
+    const auto accept = [&](double value) {
+      if (attempts_out != nullptr) *attempts_out += attempt;
+      return value;
+    };
+    const unsigned i = unsigned(w) & (kZigLayers - 1);
+    const double u = double(std::int64_t(w) >> 11) * 0x1p-52;
+    const double x = u * z.x[i];
+    if (std::abs(u) < z.ratio[i]) return accept(x);
+    if (i == 0) {
+      // The tail beyond R, by Marsaglia's exponential method.
+      double t;
+      double y;
+      do {
+        t = -std::log(open_uniform(next_word())) / kZigR;
+        y = -std::log(open_uniform(next_word()));
+      } while (y + y < t * t);
+      return accept(u < 0.0 ? -(kZigR + t) : kZigR + t);
+    }
+    // The wedge: a uniform height within the layer against the curve.
+    const double h =
+        z.f[i] + unit_uniform(next_word()) * (z.f[i + 1] - z.f[i]);
+    if (h < std::exp(-0.5 * x * x)) return accept(x);
+    w = next_word();  // rejected: retry with a fresh (layer, u) word
+  }
+}
+
+std::uint64_t ChannelModel::fading_counter(std::uint64_t link_key,
+                                           std::uint64_t interval) const {
+  return splitmix(link_key ^ seed_ ^ kFadingSalt) + interval * kCounterStride;
 }
 
 void ChannelModel::start_block(FadingState& state, std::uint64_t link_key,
                                std::uint64_t restart) const {
-  const std::uint64_t counter = restart * kCounterStride;
   const double x0 =
-      params_.fading.sigma_db *
-      gaussian(splitmix(link_key ^ seed_ ^ kFadingSalt) + counter);
+      params_.fading.sigma_db * gaussian(fading_counter(link_key, restart));
   const double end =
       endpoint_mean_ * x0 +
-      endpoint_scale_db_ *
-          gaussian(splitmix(link_key ^ seed_ ^ kEndpointSalt) + counter);
+      endpoint_scale_db_ * gaussian(splitmix(link_key ^ seed_ ^ kEndpointSalt) +
+                                    restart * kCounterStride);
   state.interval = restart;
   state.value_db = x0;
   state.spine_db[kBridgeLevels] = end;
@@ -165,7 +250,7 @@ std::uint64_t ChannelModel::walk_forward(FadingState& state,
   // Descend: draw each bracket's midpoint from its bridge conditional
   // until j is the midpoint. Every bracket's right end is j's spine
   // node at that level.
-  const std::uint64_t base = splitmix(link_key ^ seed_ ^ kFadingSalt);
+  const std::uint64_t base = fading_counter(link_key, 0);
   std::uint64_t draws = 0;
   for (;;) {
     state.spine_db[level] = right;

@@ -16,10 +16,11 @@
 //    virtual endpoint x_B are drawn first, then every interior node is
 //    drawn from its closed-form Gaussian conditional given the two
 //    nodes bracketing it. The standard normals come from counter-based
-//    RNG streams keyed by (link, seed, interval), so x_n is a *pure
-//    function* of (link key, interval): any evaluation order, shard
-//    count, or cache state replays the identical value bit for bit,
-//    and a cold evaluation draws at most 2 + log2(kBlockIntervals)
+//    RNG streams keyed by (link, seed, interval), each sampled by a
+//    128-layer ziggurat (the shadowing draw keeps Box–Muller), so x_n is
+//    a *pure function* of (link key, interval): any evaluation order,
+//    shard count, or cache state replays the identical value bit for
+//    bit, and a cold evaluation draws at most 2 + log2(kBlockIntervals)
 //    normals. Incremental state (FadingState) is only ever a cache of
 //    that function.
 //
@@ -163,6 +164,23 @@ class ChannelModel {
     return node_db(link_key, interval - j, j);
   }
 
+  /// The counter whose standard normal the node at `interval` of
+  /// `link_key`'s fading stream is drawn from: a block start is
+  /// sigma * gaussian(fading_counter(link_key, restart)).
+  std::uint64_t fading_counter(std::uint64_t link_key,
+                               std::uint64_t interval) const;
+
+  /// Standard-normal draw from counter `k` by the 128-layer
+  /// Marsaglia–Tsang ziggurat (R = 3.442619855899, V =
+  /// 9.91256303526217e-3). The first attempt reads the one word
+  /// splitmix(k); wedge tests, retries and the tail beyond R read the
+  /// salted sub-stream splitmix(splitmix(k ^ salt) + n), n = 1, 2, …, so
+  /// the draw is a pure function of k and no two counters share a word.
+  /// `attempts_out`, when non-null, is incremented by the (layer,
+  /// uniform) words tried: 1 unless a wedge test rejected.
+  static double gaussian(std::uint64_t k,
+                         std::uint64_t* attempts_out = nullptr);
+
   // --- Shared deterministic hashing ----------------------------------------
 
   static std::uint64_t splitmix(std::uint64_t x);
@@ -170,10 +188,6 @@ class ChannelModel {
   static std::uint64_t pair_key(std::uint64_t a, std::uint64_t b);
 
  private:
-  /// Standard-normal draw from counter `k`: Box–Muller on the uniforms
-  /// splitmix(k), splitmix(k + 1) — the exact pattern shadowing_db uses,
-  /// under a distinct key salt so the streams never alias.
-  static double gaussian(std::uint64_t k);
   /// Resets `state` to the block starting at `restart`: draws the block
   /// start x_0 and the virtual endpoint x_B (2 draws).
   void start_block(FadingState& state, std::uint64_t link_key,

@@ -82,9 +82,9 @@ double bit_error_rate(PhyRate rate, double snr_db) {
 double frame_error_rate(PhyRate rate, double snr_db, std::size_t mpdu_octets) {
   const double fer =
       fer_on_curve(curve_for(rate), snr_db, 8.0 * double(mpdu_octets));
-  // In a medium-driven run every call here is a FER-memo miss (the
-  // medium memoizes), so fer_draws == fer_cache_misses is an invariant
-  // the metrics block lets CI watch.
+  // In a medium-driven run every call here is one end of a FER-memo
+  // miss's bracket or an exact fallback, so fer_draws == 2 *
+  // fer_cache_misses + fer_exact_fallbacks.
   PW_COUNT(kPhyFerDraws);
   PW_HIST(kPhyFerPpm, std::llround(fer * 1e6));
   return fer;

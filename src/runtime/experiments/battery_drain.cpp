@@ -46,11 +46,13 @@ class BatteryDrainExperiment final : public Experiment {
             {.name = "fading_sigma_db",
              .description = "stationary fading spread in dB",
              .default_value = 2.0,
-             .min_value = 0.0},
+             .min_value = 0.0,
+             .max_value = 30.0},
             {.name = "fading_coherence_us",
              .description = "fading coherence interval in microseconds",
              .default_value = 1000.0,
-             .min_value = 1.0},
+             .min_value = 1.0,
+             .max_value = 1e9},
             {.name = "adaptive_rate",
              .description = "ARF rate adaptation on the sensor (the ladder "
                             "trajectory lands in results)",

@@ -57,6 +57,14 @@ std::uint64_t chan_key_of(const Radio& r) {
          static_cast<std::uint32_t>(r.config().channel);
 }
 
+/// The FER at SINR cell boundary `cell` / kFerCellsPerDb (exact: `cell`
+/// is an integer): what a FER memo miss fills each end of its bracket
+/// with, and what the coherence auditor re-derives the ends from.
+double fer_cell_end(const phy::PhyRate& rate, double cell,
+                    std::size_t octets) {
+  return phy::frame_error_rate(rate, cell / phy::kFerCellsPerDb, octets);  // pw-lint: allow(scalar-fer-in-fanout)
+}
+
 }  // namespace
 
 Medium::Medium(Scheduler& scheduler, MediumConfig config, std::uint64_t seed)
@@ -316,7 +324,7 @@ void Medium::maybe_grow_link_cache() {
     memo.lines.assign(want, LinkBudget{});  // key 0 = empty line
     memo.mask = want - 1;
     memo.mru.assign(want / 2, 0);  // one MRU bit per 2-line set
-    memo.fer_lines.assign(want, FerMemoEntry{});  // sinr_db NaN = empty
+    memo.fer_lines.assign(want, FerMemoEntry{});  // mbps NaN = empty
     memo.fer_mask = want - 1;
     if (channel_.fading_enabled()) {
       // Fading state is pair-keyed (reciprocal links share a line) and
@@ -337,38 +345,42 @@ void Medium::maybe_grow_link_cache() {
   PW_GAUGE_MAX(kMediumLinkCacheGeneration, stats_.link_cache_generation);
 }
 
-double Medium::cached_frame_error_rate(const phy::PhyRate& rate,
-                                       double sinr_db, std::size_t octets,
-                                       std::uint32_t shard) const {
-  const std::uint64_t sinr_bits = std::bit_cast<std::uint64_t>(sinr_db);
-  const std::uint32_t packed =
-      (std::uint32_t(octets) << 1) |
-      (rate.modulation == phy::Modulation::kDsss ? 1u : 0u);
-  const std::uint64_t h =
-      splitmix(sinr_bits ^ (std::uint64_t(packed) << 32) ^
-               std::bit_cast<std::uint64_t>(rate.mbps));
+bool Medium::frame_lost(const phy::PhyRate& rate, double sinr_db,
+                        std::size_t octets, std::uint32_t shard) const {
+  // The uniform std::bernoulli_distribution would compare the FER
+  // against: one engine output per decision, in delivery order.
+  const double u = rng_.canonical();
+  const double cell = std::floor(sinr_db * phy::kFerCellsPerDb);
   LinkMemo& memo = memos_[shard];
-  FerMemoEntry* e = nullptr;
-  if (!memo.fer_lines.empty()) {
-    e = &memo.fer_lines[h & memo.fer_mask];
-    if (std::bit_cast<std::uint64_t>(e->sinr_db) == sinr_bits &&
-        e->packed == packed && e->mbps == rate.mbps &&
-        e->ndbps == rate.bits_per_symbol) {
+  if (!memo.fer_lines.empty() && octets < (std::size_t{1} << 19) &&
+      std::uint32_t(rate.bits_per_symbol) < (1u << 12) &&
+      std::abs(cell) < 0x1p31) {
+    const std::int32_t index = static_cast<std::int32_t>(cell);
+    const std::uint32_t shape =
+        (std::uint32_t(octets) << 13) |
+        (std::uint32_t(rate.bits_per_symbol) << 1) |
+        (rate.modulation == phy::Modulation::kDsss ? 1u : 0u);
+    const std::uint64_t h =
+        splitmix(((std::uint64_t(shape) << 32) | std::uint32_t(index)) ^
+                 std::bit_cast<std::uint64_t>(rate.mbps));
+    FerMemoEntry& e = memo.fer_lines[h & memo.fer_mask];
+    if (e.cell == index && e.shape == shape && e.mbps == rate.mbps) {
       ++stats_.fer_cache_hits;
       PW_COUNT(kMediumFerCacheHits);
-      return e->fer;
+    } else {
+      ++stats_.fer_cache_misses;
+      PW_COUNT(kMediumFerCacheMisses);
+      e = FerMemoEntry{fer_cell_end(rate, cell, octets),
+                       fer_cell_end(rate, cell + 1.0, octets), rate.mbps,
+                       index, shape};
     }
+    if (u < e.fer_hi - phy::kFerBracketSlack) return true;
+    if (u >= e.fer_lo + phy::kFerBracketSlack) return false;
   }
-  ++stats_.fer_cache_misses;
-  PW_COUNT(kMediumFerCacheMisses);
-  // The memo's one sanctioned scalar call: the miss path of the
-  // interference and oracle routes, never a per-receiver loop.
-  const double fer =
-      phy::frame_error_rate(rate, sinr_db, octets);  // pw-lint: allow(scalar-fer-in-fanout)
-  if (e != nullptr) {
-    *e = FerMemoEntry{sinr_db, rate.mbps, fer, packed, rate.bits_per_symbol};
-  }
-  return fer;
+  ++stats_.fer_exact_fallbacks;
+  PW_COUNT(kMediumFerExactFallbacks);
+  // The exact fallback (and the oracle's every decision).
+  return u < phy::frame_error_rate(rate, sinr_db, octets);  // pw-lint: allow(scalar-fer-in-fanout)
 }
 
 double Medium::raw_link_gain_db(const Radio& tx_radio,
@@ -654,77 +666,6 @@ void Medium::release_record(std::size_t rec_idx) {
   free_records_.push_back(rec_idx);
 }
 
-void Medium::batched_frame_error_rates(const phy::PhyRate& rate,
-                                       std::size_t octets,
-                                       std::span<const double> sinr_db,
-                                       std::span<double> fer_out,
-                                       std::uint32_t shard) const {
-  const std::uint32_t packed =
-      (std::uint32_t(octets) << 1) |
-      (rate.modulation == phy::Modulation::kDsss ? 1u : 0u);
-  const std::uint64_t rate_bits = std::bit_cast<std::uint64_t>(rate.mbps);
-  LinkMemo& memo = memos_[shard];
-  const auto line_of = [&](double sinr) -> FerMemoEntry& {
-    const std::uint64_t h =
-        splitmix(std::bit_cast<std::uint64_t>(sinr) ^
-                 (std::uint64_t(packed) << 32) ^ rate_bits);
-    return memo.fer_lines[h & memo.fer_mask];
-  };
-  // Pass 1: probe the memo, gather the misses into dense miss lanes.
-  batch_miss_idx_scratch_.clear();
-  batch_miss_snr_scratch_.clear();
-  for (std::size_t i = 0; i < sinr_db.size(); ++i) {
-    const FerMemoEntry& e = line_of(sinr_db[i]);
-    if (std::bit_cast<std::uint64_t>(e.sinr_db) ==
-            std::bit_cast<std::uint64_t>(sinr_db[i]) &&
-        e.packed == packed && e.mbps == rate.mbps &&
-        e.ndbps == rate.bits_per_symbol) {
-      ++stats_.fer_cache_hits;
-      PW_COUNT(kMediumFerCacheHits);
-      fer_out[i] = e.fer;
-      continue;
-    }
-    ++stats_.fer_cache_misses;
-    PW_COUNT(kMediumFerCacheMisses);
-    batch_miss_idx_scratch_.push_back(static_cast<std::uint32_t>(i));
-    batch_miss_snr_scratch_.push_back(sinr_db[i]);
-  }
-  if (batch_miss_idx_scratch_.empty()) return;
-  // Pass 2: one batched PHY evaluation over the misses (element-for-
-  // element identical to scalar phy::frame_error_rate), scattered back
-  // and memoized in index order — the insertion sequence a scalar loop
-  // would have produced, so line-collision outcomes match too.
-  batch_miss_fer_scratch_.resize(batch_miss_idx_scratch_.size());
-  phy::frame_error_rate_batch(rate, batch_miss_snr_scratch_, octets,
-                              batch_miss_fer_scratch_);
-  for (std::size_t k = 0; k < batch_miss_idx_scratch_.size(); ++k) {
-    const std::size_t i = batch_miss_idx_scratch_[k];
-    const double fer = batch_miss_fer_scratch_[k];
-    fer_out[i] = fer;
-    line_of(sinr_db[i]) = FerMemoEntry{sinr_db[i], rate.mbps, fer, packed,
-                                       rate.bits_per_symbol};
-  }
-}
-
-void Medium::batch_fer_pass(TransmissionRecord& rec) const {
-  // One vectorizable subtract lane for the no-interference SINR of every
-  // queued delivery, then every FER through the memo + the batched PHY
-  // entry point. finalize_reception consumes the precomputed value only
-  // when its interference sum is zero — exactly when the SINR it would
-  // compute is the one evaluated here.
-  const std::size_t n = rec.deliveries.size();
-  batch_sinr_scratch_.resize(n);
-  batch_fer_scratch_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    batch_sinr_scratch_[i] = rec.deliveries[i].power_dbm - noise_floor_dbm_;
-  }
-  batched_frame_error_rates(rec.tx.rate, rec.ppdu.size(), batch_sinr_scratch_,
-                            batch_fer_scratch_, rec.sender->shard_);
-  for (std::size_t i = 0; i < n; ++i) {
-    rec.deliveries[i].fer = batch_fer_scratch_[i];
-  }
-}
-
 void Medium::schedule_batch(std::size_t rec_idx, const Radio& sender,
                             std::size_t lane_pushes) {
   TransmissionRecord& rec = *records_[rec_idx];
@@ -779,8 +720,7 @@ void Medium::run_batch(std::size_t rec_idx) {
     const PendingDelivery d = rec.deliveries[k];
     ++rec.next;
     finalize_reception(d.radio, d.reception_id, rec.ppdu, rec.tx, d.rx_start,
-                       d.rx_end, d.power_dbm, d.awake_at_start, rec.sender,
-                       d.fer);
+                       d.rx_end, d.power_dbm, d.awake_at_start, rec.sender);
   }
   if (rec.next == n) release_record(rec_idx);
 }
@@ -1013,7 +953,6 @@ PW_HOT void Medium::transmit(Radio& sender, frames::PpduRef ppdu,
     release_record(rec_idx);  // nobody in range; recycle immediately
     return;
   }
-  if (config_.model_frame_errors && !oracle_) batch_fer_pass(rec);
   schedule_batch(rec_idx, sender, lane_pushes);
 }
 
@@ -1056,8 +995,7 @@ void Medium::finalize_reception(Radio* receiver, std::uint64_t reception_id,
                                 const frames::PpduRef& ppdu,
                                 const phy::TxVector& tx, TimePoint start,
                                 TimePoint end, double power_dbm,
-                                bool awake_at_start, const Radio* sender,
-                                double batch_fer) {
+                                bool awake_at_start, const Radio* sender) {
   auto& list = receiver->rx_state_.list;
 
   // Settle RX energy state first.
@@ -1099,17 +1037,8 @@ void Medium::finalize_reception(Radio* receiver, std::uint64_t reception_id,
   } else if (sinr_db < phy::kPreambleDetectSnrDb) {
     return;  // not even detectable as a frame
   } else if (config_.model_frame_errors) {
-    // The SoA batch pass precomputed the no-interference FER at transmit
-    // time; it is this reception's FER exactly when the interference sum
-    // is zero (then sinr_db above equals the batch's input bit-for-bit).
-    // The Bernoulli draw stays HERE, in delivery order, so the medium
-    // RNG stream is identical with the batch pass on or off.
-    const double fer =
-        batch_fer >= 0.0 && interference_mw == 0.0
-            ? batch_fer
-            : cached_frame_error_rate(tx.rate, sinr_db, ppdu.size(),
-                                      sender != nullptr ? sender->shard_ : 0);
-    if (rng_.bernoulli(fer)) corrupted = true;
+    corrupted = frame_lost(tx.rate, sinr_db, ppdu.size(),
+                           sender != nullptr ? sender->shard_ : 0);
   }
 
   const Bytes* payload = &ppdu.octets();
@@ -1362,6 +1291,30 @@ void Medium::audit_coherence() const {
                  static_cast<unsigned long long>(line.key),
                  static_cast<unsigned long long>(line.state.interval));
       }
+    }
+  }
+
+  // FER lines hold the two ends of a SINR cell's bracket, which every
+  // decision they serve trusts without re-evaluating: both must be the
+  // exact doubles phy::frame_error_rate gives at the cell's ends.
+  for (const LinkMemo& memo : memos_) {
+    for (const FerMemoEntry& line : memo.fer_lines) {
+      if (std::isnan(line.mbps)) continue;
+      const phy::PhyRate rate{(line.shape & 1u) != 0u
+                                  ? phy::Modulation::kDsss
+                                  : phy::Modulation::kOfdm,
+                              line.mbps, int((line.shape >> 1) & 0xfffu)};
+      const std::size_t octets = line.shape >> 13;
+      const double lo = fer_cell_end(rate, line.cell, octets);
+      const double hi = fer_cell_end(rate, line.cell + 1.0, octets);
+      PW_CHECK(std::bit_cast<std::uint64_t>(line.fer_lo) ==
+                       std::bit_cast<std::uint64_t>(lo) &&
+                   std::bit_cast<std::uint64_t>(line.fer_hi) ==
+                       std::bit_cast<std::uint64_t>(hi),
+               "FER line [%.17g, %.17g] != recomputed [%.17g, %.17g] for %s, "
+               "%zu octets, cell %d",
+               line.fer_lo, line.fer_hi, lo, hi, rate.name().c_str(), octets,
+               line.cell);
     }
   }
 

@@ -19,11 +19,12 @@
 // budgets are memoized in a position-versioned 2-way set-associative
 // cache and, for a static transmitter, in per-transmitter contiguous
 // SoA lanes (received power, linear power, propagation delay, arrival
-// rank) that a repeated fan-out replays as pure loads; the link-budget
-// and FER math of a whole fan-out runs as one batched struct-of-arrays
-// pass at transmit time while the Bernoulli outcome draws stay at
-// finalize time in delivery order, so the medium RNG stream is
-// bit-identical to the oracle's scalar path. The PPDU is shared across all
+// rank) that a repeated fan-out replays as pure loads. Frame loss is
+// decided at finalize time, in delivery order, from one uniform per
+// reception and a memoized FER bracket of the reception's 1/64 dB SINR
+// cell: the erfc/pow chain runs only when the uniform lands inside the
+// bracket, and the decision is exactly the oracle's
+// bernoulli(frame_error_rate) draw for draw. The PPDU is shared across all
 // receivers of a transmission instead of copied per receiver, and the
 // per-receiver reception lists are pruned amortized (when they double)
 // instead of on every push.
@@ -261,8 +262,14 @@ class Medium {
     /// old contents, so a climbing generation under steady state would
     /// explain a hit-rate collapse.
     std::uint64_t link_cache_generation = 0;
+    /// FER-bracket memo probes (one per frame-loss decision that reaches
+    /// the memo); a miss evaluates both ends of the cell's bracket.
     std::uint64_t fer_cache_hits = 0;
     std::uint64_t fer_cache_misses = 0;
+    /// Frame-loss decisions the bracket could not settle (the uniform
+    /// landed inside it, or there is no memo: the oracle), decided by the
+    /// exact phy::frame_error_rate.
+    std::uint64_t fer_exact_fallbacks = 0;
     /// Payload octets copied after transmit() took ownership — only the
     /// copy-on-corrupt path ever adds to this; intact receivers share.
     std::uint64_t ppdu_bytes_copied = 0;
@@ -298,10 +305,11 @@ class Medium {
   double max_detect_range_m(double tx_power_dbm, double frequency_hz) const;
 
   /// Coherence auditor: re-derives by brute force everything the spatial
-  /// index, cached neighbor lists, and memoized link budgets claim, and
-  /// PW_CHECK-fails (fatal) on the first divergence — a stale grid cell,
-  /// a neighbor list that differs from the brute-force reception set, or
-  /// a link-cache line whose gain no longer matches a fresh recompute.
+  /// index, cached neighbor lists, and memoized link budgets, fades and
+  /// FER brackets claim, and PW_CHECK-fails (fatal) on the first
+  /// divergence — a stale grid cell, a neighbor list that differs from
+  /// the brute-force reception set, or a link, fading or FER line that
+  /// no longer matches a fresh recompute.
   /// Compiled into every build (tests corrupt state and assert it trips);
   /// audit builds additionally run the per-sender slice automatically
   /// every `kAuditPeriod` transmissions. O(radios^2) — test-scale only.
@@ -332,10 +340,6 @@ class Medium {
     TimePoint rx_start, rx_end;
     double power_dbm;
     bool awake_at_start;  // receiver was awake when the preamble arrived
-    /// No-interference FER precomputed by the SoA batch pass; < 0 when
-    /// not precomputed. finalize_reception may only use it when the
-    /// interference sum is zero (then its SINR equals the batch's).
-    double fer = -1.0;
   };
   /// One in-flight transmission's shared payload plus its delivery list,
   /// recycled through a free list so steady-state fan-out never touches
@@ -367,27 +371,11 @@ class Medium {
   /// Finalizes every pending delivery of `rec_idx` arriving now.
   void run_batch(std::size_t rec_idx);
 
-  /// SoA batch pass: for every queued delivery of `rec`, the
-  /// no-interference SINR (one vectorizable subtract lane) and its FER
-  /// through the memo + the batched PHY entry point, stored on the
-  /// delivery for finalize_reception's zero-interference fast path.
-  void batch_fer_pass(TransmissionRecord& rec) const;
-  /// FER memo probe for a whole batch: hits fill `fer_out` directly,
-  /// misses are gathered and computed through one
-  /// phy::frame_error_rate_batch call, then scattered back and
-  /// memoized. Element-for-element identical to calling
-  /// cached_frame_error_rate in index order.
-  void batched_frame_error_rates(const phy::PhyRate& rate,
-                                 std::size_t octets,
-                                 std::span<const double> sinr_db,
-                                 std::span<double> fer_out,
-                                 std::uint32_t shard) const;
-
   void finalize_reception(Radio* receiver, std::uint64_t reception_id,
                           const frames::PpduRef& ppdu,
                           const phy::TxVector& tx, TimePoint start,
                           TimePoint end, double power_dbm, bool awake_at_start,
-                          const Radio* sender, double batch_fer);
+                          const Radio* sender);
   void prune(std::vector<Reception>& list) const;
   /// Starts a reception at `rx_radio` and queues its delivery on the
   /// transmission's record. `rx_dbm` is the received power the caller
@@ -440,16 +428,15 @@ class Medium {
   /// eighth of that). Growing drops the old contents, which only happens
   /// during topology construction. The oracle never allocates them.
   void maybe_grow_link_cache();
-  /// phy::frame_error_rate memoized in a direct-mapped cache keyed by the
-  /// exact (rate, SINR bit pattern, size) triple. Static links see the
-  /// same SINR frame after frame, so the erfc/pow chain runs once per
-  /// distinct link instead of once per reception. Pure memoization: a hit
-  /// returns exactly the double a fresh computation would. `shard`
-  /// selects the transmitter's memo (always 0 when unsharded); an
-  /// unallocated memo (the oracle) computes every call.
-  double cached_frame_error_rate(const phy::PhyRate& rate, double sinr_db,
-                                 std::size_t octets,
-                                 std::uint32_t shard) const;
+  /// The frame-loss decision for one reception: draws the medium RNG's
+  /// next uniform u and returns u < phy::frame_error_rate(rate, sinr_db,
+  /// octets), which is rng_.bernoulli(fer) draw for draw. The FER is
+  /// evaluated only when the bracket of sinr_db's 1/64 dB cell, served
+  /// by `shard`'s memo (the transmitter's; 0 when unsharded), cannot
+  /// settle u; phy::kFerBracketSlack makes the bracket exact. Without a
+  /// memo (the oracle) every decision evaluates the FER.
+  bool frame_lost(const phy::PhyRate& rate, double sinr_db,
+                  std::size_t octets, std::uint32_t shard) const;
   /// Homes `radio` on the shard owning its RF anchor (attach and
   /// post-horizon moves); rebinds its scheduler.
   void maybe_migrate_shard(Radio& radio);
@@ -471,9 +458,10 @@ class Medium {
   /// Reference oracle, set only by MediumTestPeer before any radio
   /// attaches: fan-out scans every attached radio in attach order, no
   /// link/FER/fading memo is ever allocated (every lookup recomputes
-  /// from the pure functions) and the batch FER pass is skipped, and
-  /// radios serialize every frame instead of patching templates. The
-  /// equivalence suites require production to reproduce its bytes.
+  /// from the pure functions, and every frame-loss decision evaluates
+  /// the exact FER), and radios serialize every frame instead of
+  /// patching templates. The equivalence suites require production to
+  /// reproduce its bytes.
   bool oracle_ = false;
   /// Shard id -> scheduler; {&scheduler_} when unsharded. Shard lattice
   /// factorization shard = ix mod nx + nx * (iy mod ny).
@@ -502,15 +490,19 @@ class Medium {
   TraceSink trace_;
   CsiProvider csi_;
   mutable Stats stats_;
-  /// One line of the FER memo. sinr_db is initialized to NaN, which no
-  /// real SINR bit pattern matches (compares are on the raw bits).
+  /// One line of the FER memo (32 B): the FER bracket of one 1/64 dB
+  /// SINR cell for one (rate, length). `mbps` is NaN on an empty line,
+  /// which matches no rate. A frame of 2^19 octets or more, an NDBPS of
+  /// 2^12 or more, or a SINR outside the int32 cell range skips the memo
+  /// and is decided exactly.
   struct FerMemoEntry {
-    double sinr_db = std::numeric_limits<double>::quiet_NaN();
-    double mbps = 0.0;
-    double fer = 0.0;
-    std::uint32_t packed = 0;  // (octets << 1) | dsss bit
-    std::int32_t ndbps = 0;
+    double fer_lo = 0.0;  // phy::frame_error_rate at the cell's low end
+    double fer_hi = 0.0;  // ... and at its high end
+    double mbps = std::numeric_limits<double>::quiet_NaN();
+    std::int32_t cell = 0;     // floor(sinr_db * phy::kFerCellsPerDb)
+    std::uint32_t shape = 0;   // (octets << 13) | (ndbps << 1) | dsss bit
   };
+  static_assert(sizeof(FerMemoEntry) == 32, "one FER line per half cache line");
   /// One link's cached fading position and bridge spine (see
   /// phy::ChannelModel::FadingState, ~100 B). Keyed by the
   /// order-independent pair key; 0 = empty. Purely a cache of the pure
@@ -559,14 +551,6 @@ class Medium {
   /// cache growth drops the lines.
   mutable std::uint64_t fading_links_live_ = 0;
   mutable std::vector<Radio*> scratch_;  // fan-out candidate buffer (reused)
-  // SoA batch-pass scratch lanes, reused across transmissions (the pass
-  // runs synchronously inside transmit(), so there is no re-entrancy to
-  // guard against and steady state stays allocation-free).
-  mutable std::vector<double> batch_sinr_scratch_;
-  mutable std::vector<double> batch_fer_scratch_;
-  mutable std::vector<std::uint32_t> batch_miss_idx_scratch_;
-  mutable std::vector<double> batch_miss_snr_scratch_;
-  mutable std::vector<double> batch_miss_fer_scratch_;
 
   /// Declared before records_ so records release their payload references
   /// back into a still-live pool during destruction.

@@ -2,6 +2,11 @@
 // clock formatting, units and RNG.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+
 #include "common/byte_buffer.h"
 #include "common/clock.h"
 #include "common/crc32.h"
@@ -260,6 +265,47 @@ TEST(Rng, GaussianMoments) {
   }
   EXPECT_NEAR(sum / n, 0.0, 0.05);
   EXPECT_NEAR(sumsq / n, 1.0, 0.05);
+}
+
+// The medium decides frame loss as canonical() < fer instead of
+// bernoulli(fer), so the two must agree draw for draw and consume the
+// engine identically. p covers both degenerate ends, a tiny p, uniform
+// and small uniform p, and — where only the exact comparison agrees —
+// the very uniform about to be drawn and the double just above it,
+// read off a third engine in lockstep through the library's own
+// generate_canonical.
+TEST(Rng, CanonicalReproducesBernoulli) {
+  constexpr std::uint64_t kSeed = 20201104;
+  Rng by_bernoulli(kSeed);
+  Rng by_canonical(kSeed);
+  Rng peek(kSeed);
+  Rng probabilities(7);
+  constexpr int kDraws = 10'000'000;
+  int mismatches = 0;
+  int first_mismatch = -1;
+  for (int i = 0; i < kDraws; ++i) {
+    const double next =
+        std::generate_canonical<double, std::numeric_limits<double>::digits>(
+            peek.engine());
+    double p = 0.0;
+    switch (i % 7) {
+      case 0: p = 0.0; break;
+      case 1: p = 1.0; break;
+      case 2: p = 1e-300; break;
+      case 3: p = probabilities.uniform(); break;
+      case 4: p = probabilities.uniform() * 1e-6; break;
+      case 5: p = next; break;  // u < u: never a loss
+      default: p = std::nextafter(next, 2.0); break;  // always a loss
+    }
+    if (by_bernoulli.bernoulli(p) != (by_canonical.canonical() < p)) {
+      if (mismatches++ == 0) first_mismatch = i;
+    }
+  }
+  EXPECT_EQ(mismatches, 0) << "first at draw " << first_mismatch;
+  // Lockstep: every decision consumed exactly one engine output.
+  const std::uint64_t after = peek.engine()();
+  EXPECT_EQ(by_bernoulli.engine()(), after);
+  EXPECT_EQ(by_canonical.engine()(), after);
 }
 
 // --- Logging ---------------------------------------------------------------------------

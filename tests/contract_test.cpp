@@ -207,6 +207,13 @@ TEST(MediumAuditDeathTest, CorruptedLinkCacheLineTrips) {
                "link cache line .* != recomputed");
 }
 
+TEST(MediumAuditDeathTest, CorruptedFerLineTrips) {
+  AuditCity city;
+  city.warm_up();
+  ASSERT_TRUE(MediumTestPeer::corrupt_one_fer_line(city.medium));
+  EXPECT_DEATH(city.medium.audit_coherence(), "FER line .* != recomputed");
+}
+
 TEST(MediumAuditDeathTest, CorruptedNeighborGainTrips) {
   AuditCity city;
   city.warm_up();

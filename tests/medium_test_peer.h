@@ -5,6 +5,8 @@
 // `friend struct MediumTestPeer;` grants in medium.h and radio.h resolve.
 #pragma once
 
+#include <cmath>
+
 #include "common/check.h"
 #include "sim/medium.h"
 #include "sim/radio.h"
@@ -34,6 +36,19 @@ struct MediumTestPeer {
           continue;  // want a line that would be served as a hit
         }
         line.gain_db += 1.0;
+        return true;
+      }
+    }
+    return false;
+  }
+  /// Nudges one end of a live FER-bracket line by one ULP: every
+  /// decision that line serves would trust a bracket the FER does not
+  /// have.
+  static bool corrupt_one_fer_line(Medium& m) {
+    for (auto& memo : m.memos_) {
+      for (auto& line : memo.fer_lines) {
+        if (std::isnan(line.mbps)) continue;  // empty line
+        line.fer_lo = std::nextafter(line.fer_lo, 2.0);
         return true;
       }
     }

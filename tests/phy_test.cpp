@@ -2,6 +2,10 @@
 // propagation, error model and the multipath CSI model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <string>
 #include <vector>
 
 #include "phy/channel.h"
@@ -156,10 +160,66 @@ TEST(ErrorModel, RobustRatesBeatFastRates) {
             frame_error_rate(kOfdm54, snr, 500));
 }
 
+// The medium settles a frame-loss decision from the FER at the two ends
+// of its SINR's cell, which is exact only if the FER never rises across
+// a cell by more than kFerBracketSlack. Every rate, frame lengths from
+// an ACK to the largest MPDU, and every cell from the preamble-detect
+// floor to 70 dB: 16 interior points per cell plus the nextafter
+// neighbours of both ends.
+TEST(ErrorModel, FerIsMonotoneWithinEveryCell) {
+  const PhyRate rates[] = {kDsss1,  kDsss2,  kDsss11, kOfdm6,  kOfdm9,
+                           kOfdm12, kOfdm18, kOfdm24, kOfdm36, kOfdm48,
+                           kOfdm54};
+  const std::size_t lengths[] = {14, 20, 28, 34, 60, 104, 200, 500, 1500, 2304};
+  constexpr int kInterior = 16;
+  std::uint64_t samples = 0;
+  std::uint64_t violations = 0;
+  double worst = 0.0;  // largest rise of the FER within a cell
+  std::string worst_at = "none";
+  for (const PhyRate& rate : rates) {
+    for (const std::size_t octets : lengths) {
+      for (double cell = kPreambleDetectSnrDb * kFerCellsPerDb;
+           cell < 70.0 * kFerCellsPerDb; cell += 1.0) {
+        const double lo = cell / kFerCellsPerDb;
+        const double hi = (cell + 1.0) / kFerCellsPerDb;
+        const double fer_lo = frame_error_rate(rate, lo, octets);
+        const double fer_hi = frame_error_rate(rate, hi, octets);
+        const auto check = [&](double snr) {
+          const double fer = frame_error_rate(rate, snr, octets);
+          ++samples;
+          // The two comparisons Medium::frame_lost settles a decision by.
+          if (fer > fer_lo + kFerBracketSlack ||
+              fer < fer_hi - kFerBracketSlack) {
+            ++violations;
+          }
+          const double rise = std::max(fer - fer_lo, fer_hi - fer);
+          if (rise > worst) {
+            worst = rise;
+            worst_at = rate.name() + ", " + std::to_string(octets) +
+                       " octets, cell " + std::to_string(lo) + " dB";
+          }
+        };
+        for (int k = 1; k <= kInterior; ++k) {
+          check(lo + k / ((kInterior + 1) * kFerCellsPerDb));
+        }
+        check(std::nextafter(lo, hi));
+        check(std::nextafter(hi, lo));
+      }
+    }
+  }
+  EXPECT_GT(samples, 8'000'000u);
+  EXPECT_EQ(violations, 0u) << "worst rise " << worst << " (" << worst_at
+                            << ") against a slack of " << kFerBracketSlack
+                            << " over " << samples << " samples";
+  char rise[32];
+  std::snprintf(rise, sizeof rise, "%.3g", worst);
+  RecordProperty("worst_rise", rise);
+}
+
 TEST(ErrorModel, BatchMatchesScalarBitForBit) {
-  // The medium's batched FER pass substitutes frame_error_rate_batch for
-  // per-receiver scalar calls, so the two must agree to the last bit —
-  // EXPECT_EQ on doubles here, never near-equality. The grid spans the
+  // frame_error_rate_batch hoists the per-rate curve out of the loop; it
+  // must agree with the scalar path to the last bit — EXPECT_EQ on
+  // doubles here, never near-equality. The grid spans the
   // whole operating range: deep loss, the waterfall region, and SNRs
   // where FER underflows to 0.
   const PhyRate rates[] = {kDsss1,  kDsss2,  kDsss11, kOfdm6,  kOfdm9,

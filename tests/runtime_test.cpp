@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/flags.h"
@@ -332,6 +333,42 @@ TEST(ResolveRunTest, BareFlagOnlyValidForBools) {
   EXPECT_TRUE(std::get<bool>(out.params.at("verbose")));
   EXPECT_FALSE(runtime::resolve_run(resolver_spec(), {{"x", std::nullopt}},
                                     false, &out, &error));
+}
+
+// The fading knobs are bounded where the channel stays finite: a
+// coherence interval of 1e30 us overflowed the us -> ns conversion and
+// aborted the run, and a spread of 1e308 dB made NaN and infinite fades.
+// Each experiment that exposes them refuses such input with a range
+// error naming the flag, before anything runs; the maxima resolve.
+TEST(ResolveRunTest, FadingKnobsAreBoundedInEveryExperiment) {
+  runtime::register_builtin_experiments();
+  const std::pair<std::string, std::string> too_large[] = {
+      {"fading_coherence_us", "1e30"}, {"fading_sigma_db", "1e308"}};
+  const std::pair<std::string, std::string> maxima[] = {
+      {"fading_coherence_us", "1e9"}, {"fading_sigma_db", "30"}};
+  for (const std::string name : {"wardriving", "battery_drain", "defending"}) {
+    const auto experiment = ExperimentRegistry::instance().create(name);
+    ASSERT_NE(experiment, nullptr) << name;
+    for (const auto& [flag, value] : too_large) {
+      ResolvedRun resolved;
+      std::string error;
+      EXPECT_FALSE(runtime::resolve_run(experiment->spec(),
+                                        {{"fading_rho", "0.9"}, {flag, value}},
+                                        /*smoke=*/true, &resolved, &error))
+          << name << " --" << flag << "=" << value;
+      EXPECT_NE(error.find("--" + flag + ": " + value + " is out of range"),
+                std::string::npos)
+          << name << ": " << error;
+    }
+    for (const auto& [flag, value] : maxima) {
+      ResolvedRun resolved;
+      std::string error;
+      EXPECT_TRUE(runtime::resolve_run(experiment->spec(),
+                                       {{"fading_rho", "0.9"}, {flag, value}},
+                                       /*smoke=*/true, &resolved, &error))
+          << name << " --" << flag << "=" << value << ": " << error;
+    }
+  }
 }
 
 // ------------------------------------------------------- RunContext -----

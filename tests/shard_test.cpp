@@ -224,6 +224,7 @@ bool shard_dependent_metric(const std::string& name) {
          name == "sim.medium.link_cache_evictions" ||
          name == "sim.medium.fer_cache_hits" ||
          name == "sim.medium.fer_cache_misses" ||
+         name == "sim.medium.fer_exact_fallbacks" ||
          // Per-shard fading spine caches replay different spans of the
          // same pure fading function, so draw/hit accounting (and how
          // many links hold live state) is shard-layout-dependent; the
@@ -250,6 +251,9 @@ struct ShardFingerprint {
   /// Shard-dependent probe *totals* (hits + misses); must be conserved.
   std::int64_t link_probes = 0;
   std::int64_t fer_probes = 0;
+  /// Decisions the FER bracket could not settle: the bracket of a cell is
+  /// the same whichever shard's memo serves it, so this is conserved too.
+  std::int64_t fer_exact_fallbacks = 0;
 
   bool operator==(const ShardFingerprint&) const = default;
 };
@@ -319,6 +323,14 @@ ShardFingerprint run_shard_scenario(std::uint64_t scenario_seed, int shards,
     sim.run_for(milliseconds(25));
   }
   sim.run_for(milliseconds(200));
+  // Every PHY FER evaluation is one end of a memo miss's bracket or an
+  // exact fallback (read before the audit, which re-evaluates lines).
+  const sim::Medium::Stats& ms = sim.medium().stats();
+  if (obs::Registry::enabled()) {
+    EXPECT_EQ(obs::Registry::counter_value(obs::Counter::kPhyFerDraws),
+              std::int64_t(2 * ms.fer_cache_misses + ms.fer_exact_fallbacks))
+        << "shards=" << shards << " fading=" << fading << " oracle=" << oracle;
+  }
   sim.medium().audit_coherence();
 
   if (fading_samples != nullptr) {
@@ -342,6 +354,7 @@ ShardFingerprint run_shard_scenario(std::uint64_t scenario_seed, int shards,
                                 sim.medium().stats().link_cache_misses);
   fp.fer_probes = std::int64_t(sim.medium().stats().fer_cache_hits +
                                sim.medium().stats().fer_cache_misses);
+  fp.fer_exact_fallbacks = std::int64_t(ms.fer_exact_fallbacks);
   if (obs::Registry::enabled()) {
     for (std::size_t i = 0; i < obs::kNumCounters; ++i) {
       const auto c = static_cast<obs::Counter>(i);
@@ -396,6 +409,8 @@ void expect_shard_count_invariance(const ShardFingerprint& baseline,
     EXPECT_EQ(sharded.link_probes, baseline.link_probes)
         << "shards=" << shards;
     EXPECT_EQ(sharded.fer_probes, baseline.fer_probes)
+        << "shards=" << shards;
+    EXPECT_EQ(sharded.fer_exact_fallbacks, baseline.fer_exact_fallbacks)
         << "shards=" << shards;
     EXPECT_EQ(sharded, baseline) << "shards=" << shards;
   }

@@ -44,14 +44,18 @@ CI rather than by review vigilance:
                         compiles out with -DPW_METRICS=OFF. src/obs is
                         the one place allowed to read the clock.
   scalar-fer-in-fanout  a scalar phy::frame_error_rate call in
-                        src/sim/medium.cpp: the fan-out computes FER
-                        through the SoA batch pass + memo
-                        (batched_frame_error_rates); a stray per-receiver
-                        scalar call there is exactly the 3k-tx/s wall the
-                        batch pass removed. The memo's miss path
-                        (cached_frame_error_rate: interference receptions
-                        and the test-only reference oracle) carries the
-                        one sanctioned inline allow.
+                        src/sim/medium.cpp: a frame-loss decision is
+                        settled from the memoized FER bracket of its
+                        SINR's 1/64 dB cell (Medium::frame_lost), and
+                        the erfc/pow chain runs only to fill a memo line
+                        or when the uniform lands inside the bracket; a
+                        stray per-reception scalar call is exactly the
+                        per-receiver FER cost the bracket removed. The
+                        memo fill (fer_cell_end, which the coherence
+                        auditor reuses) and the exact fallback (which
+                        the test-only reference oracle takes for every
+                        decision) carry the only sanctioned inline
+                        allows.
 
 The unordered-iteration rule (range-for over an unordered container)
 used to live here as a regex; it moved to tools/pw_analyze.py, whose
@@ -232,10 +236,10 @@ class Linter:
                             "and compiles out with PW_METRICS=OFF", raw)
             if fanout and SCALAR_FER_RE.search(line):
                 self.report(path, lineno, "scalar-fer-in-fanout",
-                            "scalar phy::frame_error_rate on the medium "
-                            "fan-out; route through "
-                            "batched_frame_error_rates (the SoA pass + "
-                            "memo) instead", raw)
+                            "scalar phy::frame_error_rate in the medium; "
+                            "decide frame loss through Medium::frame_lost "
+                            "(the memoized FER-bracket decision) instead",
+                            raw)
             if experiment and RAW_SIM_RE.search(line):
                 self.report(path, lineno, "raw-sim-construction",
                             "experiments build simulations through "
