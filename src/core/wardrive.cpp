@@ -60,7 +60,7 @@ WardriveCampaign::WardriveCampaign(sim::Simulation& sim,
       *hub_, attacker_->radio(),
       std::vector<MacAddress>{kAttackerMac, config_.injector.spoofed_source});
   scanner_->set_on_discovery([this](const DiscoveredDevice& dev) {
-    target_queue_.push_back(TargetEntry{dev.mac});
+    targets_.add(dev.mac);
   });
   InjectorConfig inj = config_.injector;
   inj.rate = config_.inject_rate;
@@ -148,26 +148,21 @@ void WardriveCampaign::injection_tick() {
   // loud enough, and under the attempt cap.
   const auto& devices = scanner_->devices();
   const TimePoint now = sim_.now();
-  for (std::size_t scanned = 0;
-       scanned < target_queue_.size() && !target_queue_.empty(); ++scanned) {
-    next_target_ = (next_target_ + 1) % target_queue_.size();
-    TargetEntry& entry = target_queue_[next_target_];
-    if (entry.done) continue;
-    if (responded_.count(entry.mac) > 0 ||
-        entry.attempts >= config_.max_attempts_per_target) {
-      entry.done = true;  // permanently ineligible: skip by flag from now on
-      continue;
-    }
-    const auto it = devices.find(entry.mac);
-    if (it == devices.end()) continue;
-    if (it->second.last_rssi_dbm < config_.inject_min_rssi_dbm) continue;
-    if (now - it->second.last_seen > config_.inject_freshness) continue;
-
-    ++entry.attempts;
+  const std::optional<MacAddress> target = targets_.pick(
+      [this](const MacAddress& mac, int attempts) {
+        return responded_.count(mac) > 0 ||
+               attempts >= config_.max_attempts_per_target;
+      },
+      [&](const MacAddress& mac) {
+        const auto it = devices.find(mac);
+        return it != devices.end() &&
+               !(it->second.last_rssi_dbm < config_.inject_min_rssi_dbm) &&
+               !(now - it->second.last_seen > config_.inject_freshness);
+      });
+  if (target) {  // one injection per tick
     last_injection_at_ = now;
-    last_injection_target_ = entry.mac;
-    injector_->inject_one(entry.mac);
-    break;  // one injection per tick
+    last_injection_target_ = *target;
+    injector_->inject_one(*target);
   }
   sim_.scheduler().schedule_in(config_.injection_tick,
                                [this] { injection_tick(); });

@@ -10,7 +10,9 @@
 //   - verification tap  <- ACKs to the spoofed address (thread 3)
 #pragma once
 
+#include <optional>
 #include <set>
+#include <vector>
 
 #include "common/json.h"
 #include "core/ack_sniffer.h"
@@ -82,6 +84,63 @@ struct WardriveReport {
   common::Json to_json() const;
 };
 
+/// The survey's round-robin injection order over discovered targets.
+/// Each pick() visits the live targets once each, in discovery order,
+/// starting after the last one it injected at and wrapping round, and
+/// returns the first eligible one. A target that responded or used up its
+/// attempts is retired for good, and pick() drops it where it finds it (an
+/// order-preserving erase), so the 500 Hz injection tick scans only live
+/// targets instead of every device ever discovered. The injection
+/// sequence is exactly that of rescanning the whole discovery list and
+/// skipping retired entries — first round included, which starts at the
+/// second-discovered target.
+class TargetRotation {
+ public:
+  void add(const MacAddress& mac) { live_.push_back(Target{mac, 0}); }
+
+  /// `retired(mac, attempts)` says a target is finished (once true, it
+  /// must stay true); `eligible(mac)` says whether to inject at it now.
+  /// Returns the target picked, its attempt already counted.
+  template <typename Retired, typename Eligible>
+  std::optional<MacAddress> pick(Retired&& retired, Eligible&& eligible) {
+    std::size_t pos = next_;
+    for (std::size_t left = live_.size(); left > 0; --left) {
+      if (pos >= live_.size()) pos = 0;
+      Target& target = live_[pos];
+      if (retired(target.mac, target.attempts)) {
+        // Its successor slides into `pos`, so the cyclic order of the
+        // live targets is untouched; the cursor keeps its place.
+        live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(pos));
+        if (pos < next_) --next_;
+        continue;
+      }
+      ++pos;
+      if (!eligible(target.mac)) continue;
+      ++target.attempts;
+      next_ = pos;
+      return target.mac;
+    }
+    return std::nullopt;
+  }
+
+  /// Targets not yet retired (or not yet found retired by a pick).
+  std::size_t live() const { return live_.size(); }
+
+ private:
+  struct Target {
+    MacAddress mac;
+    int attempts;
+  };
+  std::vector<Target> live_;
+  /// The cursor: how many live targets precede the next one to visit,
+  /// i.e. were discovered no later than the rescan's last injection. A
+  /// pick visits positions next_ .. end, then 0 .. next_ - 1; when next_
+  /// equals live_.size(), targets discovered since are visited before
+  /// the wrap, as the rescan would. Starts at 1 because the rescan's
+  /// cursor starts on the first-discovered target.
+  std::size_t next_ = 1;
+};
+
 class WardriveCampaign {
  public:
   WardriveCampaign(sim::Simulation& sim, const scenario::CityPlan& plan,
@@ -120,21 +179,8 @@ class WardriveCampaign {
   std::unique_ptr<FakeFrameInjector> injector_;
   std::unique_ptr<sim::WaypointMover> mover_;
 
-  /// One round-robin slot per discovered device. `done` latches once the
-  /// target has responded or exhausted its attempts, so the 500 Hz
-  /// injection scan skips it with a flag test instead of re-running the
-  /// set/map lookups every tick. Entries are never removed — indices (and
-  /// therefore the round-robin injection order) stay identical to a
-  /// naive rescan.
-  struct TargetEntry {
-    MacAddress mac;
-    int attempts = 0;
-    bool done = false;
-  };
-
   std::vector<CityNode> nodes_;
-  std::vector<TargetEntry> target_queue_;  // discovered, pending verification
-  std::size_t next_target_ = 0;
+  TargetRotation targets_;  // discovered, pending verification
   std::set<MacAddress> responded_;
   // Attribution state for the verification tap.
   TimePoint last_injection_at_{};

@@ -5,11 +5,13 @@
 namespace politewifi::frames {
 
 std::size_t Frame::header_size() const {
-  if (fc.is_control()) {
-    // FC (2) + Duration (2) + RA (6) [+ TA (6)]
-    return has_addr2() ? 16 : 10;
-  }
-  std::size_t n = 2 + 2 + 6 + 6 + 6 + 2;  // FC, dur, addr1-3, seq ctl
+  // The serializer's field-presence rules, field by field, so a frame of
+  // the reserved type (neither control, management nor data: FC,
+  // Duration, RA, TA) is sized as it is encoded.
+  std::size_t n = 2 + 2 + 6;  // FC, Duration, addr1
+  if (has_addr2()) n += 6;
+  if (has_addr3()) n += 6;
+  if (has_sequence_control()) n += 2;
   if (has_addr4()) n += 6;
   if (has_qos_control()) n += 2;
   return n;

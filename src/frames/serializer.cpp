@@ -2,10 +2,14 @@
 
 #include "common/check.h"
 #include "common/crc32.h"
+#include "obs/metrics.h"
 
 namespace politewifi::frames {
 
 namespace {
+
+/// The shortest MPDU on air: an ACK/CTS header (10 octets) plus the FCS.
+constexpr std::size_t kMinMpduOctets = 10 + 4;
 
 #if PW_AUDIT_ENABLED
 /// Round-trip audit, re-entrancy guarded (the audit itself serializes).
@@ -18,7 +22,7 @@ void audit_round_trip(const Frame& frame, const Bytes& raw) {
   if (in_serialize_audit) return;
   in_serialize_audit = true;
   PW_CHECK_EQ(raw.size(), frame.size_bytes());
-  const DeserializeResult parsed = deserialize(raw);
+  const DeserializeResult parsed = audit_deserialize(raw);
   PW_CHECK(parsed.fcs_ok, "freshly serialized frame fails its own FCS");
   PW_CHECK(parsed.frame.has_value(),
            "freshly serialized frame is structurally unparseable");
@@ -38,6 +42,40 @@ MacAddress read_mac(ByteReader& r) {
   std::array<std::uint8_t, MacAddress::kSize> octets;
   std::copy(b.begin(), b.end(), octets.begin());
   return MacAddress{octets};
+}
+
+/// deserialize_into's parse, uncounted. Returns false, parsing nothing,
+/// for an octet string shorter than the shortest MPDU.
+bool parse_into(std::span<const std::uint8_t> raw, DeserializeResult& out) {
+  out.fcs_ok = fcs_valid(raw);
+  if (raw.size() < kMinMpduOctets) {
+    out.frame.reset();
+    return false;
+  }
+  // Parse into the frame `out` already holds: every field is reset to
+  // its default first (absent fields must read as a fresh Frame's), but
+  // the body keeps its capacity.
+  Frame& f = out.frame ? *out.frame : out.frame.emplace();
+  Bytes body = std::move(f.body);
+  f = Frame{};
+  try {
+    ByteReader r(raw.first(raw.size() - 4));
+    f.fc = FrameControl::unpack(r.u16le());
+    f.duration_id = r.u16le();
+    f.addr1 = read_mac(r);
+    if (f.has_addr2()) f.addr2 = read_mac(r);
+    if (f.has_addr3()) f.addr3 = read_mac(r);
+    if (f.has_sequence_control()) f.seq = SequenceControl::unpack(r.u16le());
+    if (f.has_addr4()) f.addr4 = read_mac(r);
+    if (f.has_qos_control()) f.qos_control = r.u16le();
+    auto rest = r.rest();
+    body.assign(rest.begin(), rest.end());
+    f.body = std::move(body);
+  } catch (const BufferUnderflow&) {
+    // Truncated header: structurally undecodable.
+    out.frame.reset();
+  }
+  return true;
 }
 
 }  // namespace
@@ -67,33 +105,27 @@ Bytes serialize(const Frame& frame) {
   return raw;
 }
 
+bool fcs_valid(std::span<const std::uint8_t> raw) {
+  if (raw.size() < kMinMpduOctets) return false;
+  // FCS check over everything but the trailing 4 octets.
+  ByteReader fcs_reader(raw.subspan(raw.size() - 4));
+  return crc32(raw.first(raw.size() - 4)) == fcs_reader.u32le();
+}
+
 DeserializeResult deserialize(std::span<const std::uint8_t> raw) {
   DeserializeResult result;
-  if (raw.size() < 10 + 4) return result;  // smaller than the shortest MPDU
+  deserialize_into(raw, result);
+  return result;
+}
 
-  // FCS check over everything but the trailing 4 octets.
-  const auto payload = raw.first(raw.size() - 4);
-  ByteReader fcs_reader(raw.subspan(raw.size() - 4));
-  const std::uint32_t received_fcs = fcs_reader.u32le();
-  result.fcs_ok = crc32(payload) == received_fcs;
+void deserialize_into(std::span<const std::uint8_t> raw,
+                      DeserializeResult& out) {
+  if (parse_into(raw, out)) PW_COUNT(kFramesDecodes);
+}
 
-  try {
-    ByteReader r(payload);
-    Frame f;
-    f.fc = FrameControl::unpack(r.u16le());
-    f.duration_id = r.u16le();
-    f.addr1 = read_mac(r);
-    if (f.has_addr2()) f.addr2 = read_mac(r);
-    if (f.has_addr3()) f.addr3 = read_mac(r);
-    if (f.has_sequence_control()) f.seq = SequenceControl::unpack(r.u16le());
-    if (f.has_addr4()) f.addr4 = read_mac(r);
-    if (f.has_qos_control()) f.qos_control = r.u16le();
-    auto rest = r.rest();
-    f.body.assign(rest.begin(), rest.end());
-    result.frame = std::move(f);
-  } catch (const BufferUnderflow&) {
-    // Truncated header: structurally undecodable. result.frame stays empty.
-  }
+DeserializeResult audit_deserialize(std::span<const std::uint8_t> raw) {
+  DeserializeResult result;
+  parse_into(raw, result);
   return result;
 }
 

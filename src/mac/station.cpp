@@ -30,24 +30,35 @@ void Station::set_dozing(bool dozing) {
 // Receive pipeline
 // ---------------------------------------------------------------------------
 
-void Station::on_ppdu_received(const Bytes& raw, const phy::RxVector& rx) {
+void Station::on_ppdu_received(std::span<const std::uint8_t> raw,
+                               const phy::RxVector& rx) {
+  if (dozing_) return;  // radio gated off; defensive double-check
+  // A bad FCS is all Stage 1 below needs to know, so only a monitor tap
+  // (which displays damaged frames) makes a failed frame worth parsing.
+  if (!sniffer_ && !frames::fcs_valid(raw)) {
+    ++stats_.fcs_failures;
+    return;
+  }
+  on_frame_received(frames::deserialize(raw), rx);
+}
+
+void Station::on_frame_received(const frames::DeserializeResult& decoded,
+                                const phy::RxVector& rx) {
   if (dozing_) return;  // radio gated off; defensive double-check
 
-  const auto result = frames::deserialize(raw);
-
   // Monitor tap sees everything that was decodable at all.
-  if (sniffer_ && result.frame) {
-    sniffer_(*result.frame, rx, result.fcs_ok);
+  if (sniffer_ && decoded.frame) {
+    sniffer_(*decoded.frame, rx, decoded.fcs_ok);
   }
 
   // Stage 1: FCS. Hardware drops bad frames silently — no ACK, no
   // software visibility. This is the *only* integrity check that gates
   // the ACK.
-  if (!result.fcs_ok || !result.frame) {
+  if (!decoded.fcs_ok || !decoded.frame) {
     ++stats_.fcs_failures;
     return;
   }
-  const Frame& frame = *result.frame;
+  const Frame& frame = *decoded.frame;
   ++stats_.frames_received;
 
   // NAV bookkeeping: frames not addressed to us reserve the medium via

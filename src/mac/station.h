@@ -8,6 +8,13 @@
 //   TX:  DIFS + binary-exponential backoff -> transmit -> ACK timeout
 //        -> retransmit (retry bit, CW doubling) up to the retry limit
 //
+// The RX pipeline has one body, on_frame_received, which takes a decode.
+// An intact PPDU arrives already decoded: the medium decodes each
+// transmission's shared octets once and hands every intact receiver the
+// same result. A damaged copy arrives as raw octets (on_ppdu_received),
+// whose FCS is checked before anything is parsed: without a monitor tap
+// a bad FCS costs one CRC and a counter, exactly what hardware spends.
+//
 // The auto-ACK step deliberately happens *before* any notion of
 // association, encryption or sender legitimacy — that ordering is the
 // entire subject of the paper. See ack_policy.h for the ablation switch.
@@ -127,9 +134,19 @@ class Station {
 
   // --- PHY -> MAC -----------------------------------------------------------
 
-  /// Called by the radio when a PPDU finished arriving. `raw` is the
-  /// on-air MPDU (with FCS); `rx` carries rate/RSSI/CSI metadata.
-  void on_ppdu_received(const Bytes& raw, const phy::RxVector& rx);
+  /// Called by the radio when a PPDU finished arriving intact: `decoded`
+  /// is the on-air MPDU's decode (frames::deserialize, FCS verdict
+  /// included), possibly shared with every other receiver of the same
+  /// transmission; `rx` carries rate/RSSI/CSI metadata.
+  void on_frame_received(const frames::DeserializeResult& decoded,
+                         const phy::RxVector& rx);
+
+  /// Raw-octet entry, for channel-damaged copies and hand-built octets:
+  /// checks the FCS first and parses only when it passes or a sniffer is
+  /// attached (a monitor tap shows damaged frames); otherwise the frame
+  /// is dropped as an FCS failure unparsed.
+  void on_ppdu_received(std::span<const std::uint8_t> raw,
+                        const phy::RxVector& rx);
 
   /// Called by the radio when the medium goes busy/idle (carrier sense
   /// edge) so a paused backoff can resume.

@@ -95,6 +95,8 @@ namespace politewifi::obs {
     "mirrored into a foreign shard's event stream)")                          \
   X(kShardSyncStalls, "sim.shard.sync_stalls", "switches",                    \
     "conservative-sync shard switches in the executor's merge loop")          \
+  X(kFramesDecodes, "frames.decodes", "frames",                               \
+    "octet strings parsed into a Frame (an FCS check alone is no decode)")    \
   X(kMacAcksSent, "mac.acks_sent", "frames",                                  \
     "ACKs elicited at SIFS (the paper's core effect)")                        \
   X(kMacDedupEvictions, "mac.dedup_evictions", "entries",                     \

@@ -663,7 +663,28 @@ void Medium::release_record(std::size_t rec_idx) {
   rec.order.clear();
   rec.next = 0;
   rec.live = false;
+  rec.decoded = false;  // rec.decode keeps its Frame storage
   free_records_.push_back(rec_idx);
+}
+
+const frames::DeserializeResult& Medium::intact_decode(
+    TransmissionRecord& rec) {
+  if (!rec.decoded) {
+    // The one parse the medium makes (pw_lint's per-receiver-decode).
+    frames::deserialize_into(rec.ppdu.octets(), rec.decode);  // pw-lint: allow(per-receiver-decode)
+    rec.decoded = true;
+    return rec.decode;
+  }
+#if PW_AUDIT_ENABLED
+  // Every delivery served from the cache must see exactly what decoding
+  // the shared octets afresh would give it.
+  const frames::DeserializeResult fresh =
+      frames::audit_deserialize(rec.ppdu.octets());  // pw-lint: allow(per-receiver-decode)
+  PW_CHECK(fresh == rec.decode,
+           "cached decode of a %zu-octet PPDU differs from a fresh decode",
+           rec.ppdu.size());
+#endif
+  return rec.decode;
 }
 
 void Medium::schedule_batch(std::size_t rec_idx, const Radio& sender,
@@ -719,8 +740,7 @@ void Medium::run_batch(std::size_t rec_idx) {
     if (rec.deliveries[k].rx_end != now) break;
     const PendingDelivery d = rec.deliveries[k];
     ++rec.next;
-    finalize_reception(d.radio, d.reception_id, rec.ppdu, rec.tx, d.rx_start,
-                       d.rx_end, d.power_dbm, d.awake_at_start, rec.sender);
+    finalize_reception(rec, d);
   }
   if (rec.next == n) release_record(rec_idx);
 }
@@ -991,11 +1011,16 @@ bool Medium::busy_for(const Radio& radio) const {
   return false;
 }
 
-void Medium::finalize_reception(Radio* receiver, std::uint64_t reception_id,
-                                const frames::PpduRef& ppdu,
-                                const phy::TxVector& tx, TimePoint start,
-                                TimePoint end, double power_dbm,
-                                bool awake_at_start, const Radio* sender) {
+void Medium::finalize_reception(TransmissionRecord& rec,
+                                const PendingDelivery& delivery) {
+  Radio* const receiver = delivery.radio;
+  const std::uint64_t reception_id = delivery.reception_id;
+  const frames::PpduRef& ppdu = rec.ppdu;
+  const phy::TxVector& tx = rec.tx;
+  const TimePoint start = delivery.rx_start;
+  const TimePoint end = delivery.rx_end;
+  const double power_dbm = delivery.power_dbm;
+  const Radio* const sender = rec.sender;
   auto& list = receiver->rx_state_.list;
 
   // Settle RX energy state first.
@@ -1011,7 +1036,7 @@ void Medium::finalize_reception(Radio* receiver, std::uint64_t reception_id,
   // Half-duplex and sleep gating. `awake_at_start` rode along with the
   // delivery record instead of being fished out of the reception list —
   // same value, no O(list) lookup.
-  if (!awake_at_start || receiver->sleeping()) return;
+  if (!delivery.awake_at_start || receiver->sleeping()) return;
   if (receiver->transmitting_during(start, end)) return;
 
   // Interference: sum other receptions overlapping [start, end]. The
@@ -1041,7 +1066,6 @@ void Medium::finalize_reception(Radio* receiver, std::uint64_t reception_id,
                            sender != nullptr ? sender->shard_ : 0);
   }
 
-  const Bytes* payload = &ppdu.octets();
   frames::PpduRef damaged_ref;
   if (corrupted) {
     // Channel damage: flip bits so the FCS fails at the MAC. The shared
@@ -1054,7 +1078,6 @@ void Medium::finalize_reception(Radio* receiver, std::uint64_t reception_id,
     stats_.ppdu_bytes_copied += damaged.size();
     PW_COUNT_N(kMediumPpduBytesCopied, damaged.size());
     frames::corrupt(damaged, 3, splitmix(reception_id));
-    payload = &damaged;
   }
 
   phy::RxVector rx;
@@ -1080,7 +1103,19 @@ void Medium::finalize_reception(Radio* receiver, std::uint64_t reception_id,
     }
   }
 
-  receiver->deliver(*payload, rx);
+  // Hand-off to the MAC. A damaged copy goes as its own octets; an intact
+  // PPDU as the transmission's one shared decode, made only once some
+  // receiver's MAC listens. The reference oracle hands every receiver
+  // octets, so each decodes its own.
+  if (!receiver->mac_listening()) return;
+  if (oracle_) {
+    const Bytes& octets = corrupted ? damaged_ref.octets() : ppdu.octets();
+    receiver->deliver(std::span<const std::uint8_t>(octets), rx);
+  } else if (corrupted) {
+    receiver->deliver(damaged_ref.octets(), rx);
+  } else {
+    receiver->deliver(intact_decode(rec), rx);
+  }
 }
 
 void Medium::audit_radio(const Radio& radio) const {

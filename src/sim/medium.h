@@ -25,7 +25,11 @@
 // cell: the erfc/pow chain runs only when the uniform lands inside the
 // bracket, and the decision is exactly the oracle's
 // bernoulli(frame_error_rate) draw for draw. The PPDU is shared across all
-// receivers of a transmission instead of copied per receiver, and the
+// receivers of a transmission instead of copied per receiver, and so is
+// its decode: the first intact delivery that reaches a listening MAC
+// decodes the shared octets into the transmission's record, and every
+// later intact receiver gets that one result (a channel-damaged copy goes
+// to the station as octets, which checks the FCS before parsing). The
 // per-receiver reception lists are pruned amortized (when they double)
 // instead of on every push.
 //
@@ -39,9 +43,9 @@
 //
 // Every fast path above has exactly one production spelling. What they
 // are proven against is a test-only reference oracle (see `oracle_`): a
-// brute-force scan over every attached radio with no memos and a full
-// serialization per frame. The *Equivalence suites hold production to
-// the oracle's bytes.
+// brute-force scan over every attached radio with no memos, a full
+// serialization per frame and a decode per receiver. The *Equivalence
+// suites hold production to the oracle's bytes.
 #pragma once
 
 #include <functional>
@@ -56,6 +60,7 @@
 #include "common/rng.h"
 #include "common/units.h"
 #include "frames/ppdu.h"
+#include "frames/serializer.h"
 #include "phy/channel_model.h"
 #include "phy/csi.h"
 #include "phy/error_model.h"
@@ -355,6 +360,12 @@ class Medium {
     std::vector<std::uint32_t> order;
     std::size_t next = 0;  // cursor into `order`
     bool live = false;
+    /// The decode of `ppdu`, shared by every intact delivery (see
+    /// intact_decode). Valid while `decoded`; release clears the flag but
+    /// keeps the Frame's storage, so a recycled record decodes without
+    /// allocating.
+    frames::DeserializeResult decode;
+    bool decoded = false;
   };
 
   std::size_t acquire_record();
@@ -371,11 +382,16 @@ class Medium {
   /// Finalizes every pending delivery of `rec_idx` arriving now.
   void run_batch(std::size_t rec_idx);
 
-  void finalize_reception(Radio* receiver, std::uint64_t reception_id,
-                          const frames::PpduRef& ppdu,
-                          const phy::TxVector& tx, TimePoint start,
-                          TimePoint end, double power_dbm, bool awake_at_start,
-                          const Radio* sender);
+  /// Settles one delivery of `rec`: energy, interference, the
+  /// collision/frame-loss decision, CSI, and the hand-off to the
+  /// receiving MAC.
+  void finalize_reception(TransmissionRecord& rec,
+                          const PendingDelivery& delivery);
+  /// The transmission's decode for an intact delivery: filled on the
+  /// first call (the first intact delivery that reaches a MAC), served
+  /// from the record afterwards. Audit builds re-decode on every hit and
+  /// check the cached result is exactly the fresh one.
+  const frames::DeserializeResult& intact_decode(TransmissionRecord& rec);
   void prune(std::vector<Reception>& list) const;
   /// Starts a reception at `rx_radio` and queues its delivery on the
   /// transmission's record. `rx_dbm` is the received power the caller
@@ -459,9 +475,10 @@ class Medium {
   /// attaches: fan-out scans every attached radio in attach order, no
   /// link/FER/fading memo is ever allocated (every lookup recomputes
   /// from the pure functions, and every frame-loss decision evaluates
-  /// the exact FER), and radios serialize every frame instead of
-  /// patching templates. The equivalence suites require production to
-  /// reproduce its bytes.
+  /// the exact FER), radios serialize every frame instead of patching
+  /// templates, and every receiver gets octets to decode itself instead
+  /// of the record's shared decode. The equivalence suites require
+  /// production to reproduce its bytes.
   bool oracle_ = false;
   /// Shard id -> scheduler; {&scheduler_} when unsharded. Shard lattice
   /// factorization shard = ix mod nx + nx * (iy mod ny).

@@ -57,12 +57,6 @@ void Radio::transmit(const frames::Frame& frame, const phy::TxVector& tx) {
                    tx);
 }
 
-void Radio::deliver(const Bytes& ppdu, const phy::RxVector& rx) {
-  if (station_ != nullptr && !sleeping_) {
-    station_->on_ppdu_received(ppdu, rx);
-  }
-}
-
 void Radio::set_sleeping(bool sleeping) {
   if (sleeping_ == sleeping) return;
   sleeping_ = sleeping;

@@ -62,9 +62,22 @@ class Radio final : public mac::MacEnvironment {
 
   // --- Medium-facing ----------------------------------------------------------
 
-  /// Called by the medium when a PPDU addressed through the ether has
-  /// finished arriving intact enough to hand to the MAC.
-  void deliver(const Bytes& ppdu, const phy::RxVector& rx);
+  /// A station is attached and the radio is awake: what deliver() hands
+  /// over reaches a MAC. The medium delivers (and decodes) only then.
+  bool mac_listening() const { return station_ != nullptr && !sleeping_; }
+
+  /// Called by the medium when a PPDU finished arriving at a listening
+  /// radio: an intact PPDU as its transmission's shared decode, a
+  /// channel-damaged copy as its own octets (the station checks their
+  /// FCS before parsing anything).
+  void deliver(const frames::DeserializeResult& intact,
+               const phy::RxVector& rx) {
+    station_->on_frame_received(intact, rx);
+  }
+  void deliver(std::span<const std::uint8_t> damaged,
+               const phy::RxVector& rx) {
+    station_->on_ppdu_received(damaged, rx);
+  }
 
   bool transmitting_during(TimePoint start, TimePoint end) const {
     return tx_since_ < end && tx_until_ > start;

@@ -32,7 +32,9 @@ void TraceRecorder::record(const TransmissionEvent& event) {
   if (resolver_ && event.sender != nullptr) {
     entry.sender_name = resolver_(*event.sender);
   }
-  const auto parsed = frames::deserialize(entry.raw);
+  // The packet view decodes once per transmission, at transmit time —
+  // not once per receiver.
+  const auto parsed = frames::deserialize(entry.raw);  // pw-lint: allow(per-receiver-decode)
   if (parsed.frame) {
     entry.frame = *parsed.frame;
     entry.parsed = true;

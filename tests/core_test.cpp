@@ -1,13 +1,18 @@
 // Unit tests for the core attack toolkit: injector, monitor hub, scanner,
-// ACK sniffer attribution, vendor statistics, and stream scheduling.
+// ACK sniffer attribution, vendor statistics, stream scheduling, and the
+// survey's injection round-robin.
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <set>
 #include <sstream>
+#include <vector>
 
 #include "core/ack_sniffer.h"
 #include "core/injector.h"
 #include "core/scanner.h"
 #include "core/vendor_stats.h"
+#include "core/wardrive.h"
 #include "sim/network.h"
 
 namespace politewifi::core {
@@ -321,6 +326,141 @@ TEST(Injector, RtsStreamElicitsCtsStream) {
   injector.stop_all();
   EXPECT_GT(rig.victim->station().stats().cts_sent, 80u);
   EXPECT_EQ(rig.victim->station().stats().acks_sent, 0u);
+}
+
+// --- Injection round-robin ------------------------------------------------------
+
+/// The survey's original injection order, kept as the reference model:
+/// every discovered target stays in the list for good, a `done` flag
+/// latches retirement, and each tick rescans the whole list from the
+/// slot after the cursor.
+class RescanModel {
+ public:
+  void add(const MacAddress& mac) { queue_.push_back(Entry{mac}); }
+
+  template <typename Retired, typename Eligible>
+  std::optional<MacAddress> pick(Retired&& retired, Eligible&& eligible) {
+    for (std::size_t scanned = 0;
+         scanned < queue_.size() && !queue_.empty(); ++scanned) {
+      next_ = (next_ + 1) % queue_.size();
+      Entry& entry = queue_[next_];
+      if (entry.done) continue;
+      if (retired(entry.mac, entry.attempts)) {
+        entry.done = true;
+        continue;
+      }
+      if (!eligible(entry.mac)) continue;
+      ++entry.attempts;
+      return entry.mac;
+    }
+    return std::nullopt;
+  }
+
+ private:
+  struct Entry {
+    MacAddress mac;
+    int attempts = 0;
+    bool done = false;
+  };
+  std::vector<Entry> queue_;
+  std::size_t next_ = 0;
+};
+
+MacAddress target_mac(std::uint32_t id) {
+  return MacAddress{0x02, 0x7a, 0x00, static_cast<std::uint8_t>(id >> 16),
+                    static_cast<std::uint8_t>(id >> 8),
+                    static_cast<std::uint8_t>(id)};
+}
+
+/// Drives TargetRotation and the rescan model through one random script
+/// of discoveries (in bursts), responses and ticks under a small attempt
+/// cap, asserting the same pick at every tick. Returns how many ticks
+/// found every earlier target retired and two or more new ones waiting —
+/// the case where a cursor reset picks the wrong newcomer first.
+int expect_same_injections(std::uint64_t seed) {
+  Rng rng(seed);
+  const int cap = static_cast<int>(rng.uniform_int(1, 4));
+  TargetRotation rotation;
+  RescanModel model;
+  std::set<MacAddress> responded;
+  std::uint32_t discovered = 0;
+  int all_retired_then_burst = 0;
+  for (int tick = 0; tick < 600; ++tick) {
+    const bool all_retired = rotation.live() == 0 && discovered > 0;
+    const int burst =
+        rng.bernoulli(0.25) ? static_cast<int>(rng.uniform_int(1, 3)) : 0;
+    for (int i = 0; i < burst; ++i) {
+      rotation.add(target_mac(discovered));
+      model.add(target_mac(discovered));
+      ++discovered;
+    }
+    if (all_retired && burst >= 2) ++all_retired_then_burst;
+    if (discovered > 0 && rng.bernoulli(0.15)) {
+      responded.insert(target_mac(
+          static_cast<std::uint32_t>(rng.uniform_int(0, discovered - 1))));
+    }
+    const auto retired = [&](const MacAddress& mac, int attempts) {
+      return responded.count(mac) > 0 || attempts >= cap;
+    };
+    // Eligibility is a pure function of (tick, target): fresh and loud
+    // enough about two times in three.
+    const auto eligible = [tick](const MacAddress& mac) {
+      return (mac.octets()[5] * 7u + mac.octets()[4] * 13u +
+              static_cast<unsigned>(tick) * 5u) % 3u != 0u;
+    };
+    const std::optional<MacAddress> want = model.pick(retired, eligible);
+    const std::optional<MacAddress> got = rotation.pick(retired, eligible);
+    EXPECT_EQ(got, want) << "seed " << seed << " tick " << tick;
+    if (got != want) break;
+  }
+  return all_retired_then_burst;
+}
+
+TEST(TargetRotation, InjectsInTheSameOrderAsTheRescan) {
+  int all_retired_then_burst = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    all_retired_then_burst += expect_same_injections(seed);
+  }
+  EXPECT_GT(all_retired_then_burst, 20)
+      << "no script retired every target and then discovered a burst";
+}
+
+TEST(TargetRotation, AllRetiredThenABurstStartsAtTheFirstNewcomer) {
+  // Seed 102's survey hit this: every target retired, then two devices
+  // discovered before the next tick. The rescan visits the newcomers in
+  // discovery order from wherever its cursor stood.
+  TargetRotation rotation;
+  RescanModel model;
+  const auto retired = [](const MacAddress& mac, int) {
+    return mac == target_mac(0) || mac == target_mac(1) ||
+           mac == target_mac(2);
+  };
+  const auto eligible = [](const MacAddress&) { return true; };
+  for (std::uint32_t id = 0; id < 3; ++id) {
+    rotation.add(target_mac(id));
+    model.add(target_mac(id));
+  }
+  EXPECT_FALSE(rotation.pick(retired, eligible).has_value());
+  EXPECT_FALSE(model.pick(retired, eligible).has_value());
+  EXPECT_EQ(rotation.live(), 0u);
+  for (std::uint32_t id = 3; id < 5; ++id) {
+    rotation.add(target_mac(id));
+    model.add(target_mac(id));
+  }
+  EXPECT_EQ(model.pick(retired, eligible), target_mac(3));
+  EXPECT_EQ(rotation.pick(retired, eligible), target_mac(3));
+  EXPECT_EQ(model.pick(retired, eligible), target_mac(4));
+  EXPECT_EQ(rotation.pick(retired, eligible), target_mac(4));
+}
+
+TEST(TargetRotation, FirstRoundStartsAtTheSecondDiscoveredTarget) {
+  TargetRotation rotation;
+  for (std::uint32_t id = 0; id < 3; ++id) rotation.add(target_mac(id));
+  const auto never = [](const MacAddress&, int) { return false; };
+  const auto always = [](const MacAddress&) { return true; };
+  EXPECT_EQ(rotation.pick(never, always), target_mac(1));
+  EXPECT_EQ(rotation.pick(never, always), target_mac(2));
+  EXPECT_EQ(rotation.pick(never, always), target_mac(0));
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "core/injector.h"
 #include "frames/frame_builder.h"
 #include "medium_test_peer.h"
+#include "obs/metrics.h"
 #include "phy/rates.h"
 #include "scheduler_test_peer.h"
 #include "sim/event_queue.h"
@@ -344,9 +345,18 @@ struct Fingerprint {
   std::uint64_t events_executed = 0;
   std::uint64_t receptions = 0;
   std::vector<std::tuple<TimePoint, std::string, Bytes>> trace;
+  /// What the tapped stations' monitor taps saw: (station, time, fcs_ok,
+  /// the frame re-serialized). Production hands intact receivers one
+  /// shared decode and parses a damaged copy only for a tapped station;
+  /// the oracle decodes per receiver, so a wrong cache line shows here.
+  std::vector<std::tuple<std::size_t, TimePoint, bool, Bytes>> taps;
 
   bool operator==(const Fingerprint&) const = default;
 };
+
+/// run_scenario taps every odd-numbered target, so damaged copies reach
+/// tapped and untapped stations alike.
+bool tapped_target(std::size_t i) { return i % 2 == 1; }
 
 /// The Fingerprint of a finished run.
 Fingerprint fingerprint_of(sim::Simulation& sim,
@@ -376,8 +386,14 @@ Fingerprint fingerprint_of(sim::Simulation& sim,
 /// shadowing left ON (the index must honour the shadowing bound).
 /// `template_hits`, when given, receives the radios' summed frame-template
 /// hits — the witness that production really rendered through templates.
+/// `decodes`, when given, receives the run's frames.decodes count.
 Fingerprint run_scenario(std::uint64_t scenario_seed, bool oracle,
-                         std::uint64_t* template_hits = nullptr) {
+                         std::uint64_t* template_hits = nullptr,
+                         std::int64_t* decodes = nullptr) {
+  if (decodes != nullptr) {
+    obs::Registry::reset();
+    obs::Registry::set_enabled(true);
+  }
   sim::Simulation sim({.seed = 7000 + scenario_seed});
   if (oracle) sim::MediumTestPeer::use_reference_oracle(sim.medium());
   sim::TraceRecorder recorder;
@@ -397,6 +413,16 @@ Fingerprint run_scenario(std::uint64_t scenario_seed, bool oracle,
                                rc);
     if (layout.bernoulli(0.25)) dev.radio().set_sleeping(true);
     targets.push_back(&dev);
+  }
+
+  std::vector<std::tuple<std::size_t, TimePoint, bool, Bytes>> taps;
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    if (!tapped_target(i)) continue;
+    targets[i]->station().set_sniffer(
+        [&taps, &sim, i](const frames::Frame& f, const phy::RxVector&,
+                         bool fcs_ok) {
+          taps.emplace_back(i, sim.now(), fcs_ok, frames::serialize(f));
+        });
   }
 
   sim::RadioConfig rig;
@@ -420,7 +446,13 @@ Fingerprint run_scenario(std::uint64_t scenario_seed, bool oracle,
     sim.run_for(milliseconds(5));
   }
   sim.run_for(milliseconds(50));
-  return fingerprint_of(sim, recorder, template_hits);
+  if (decodes != nullptr) {
+    *decodes = obs::Registry::counter_value(obs::Counter::kFramesDecodes);
+    obs::Registry::set_enabled(false);
+  }
+  Fingerprint fp = fingerprint_of(sim, recorder, template_hits);
+  fp.taps = std::move(taps);
+  return fp;
 }
 
 /// A data-exchange scenario for the scheduler: stations unicast to each
@@ -513,10 +545,12 @@ class PipelineEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(PipelineEquivalence, ZeroCopyPipelineIsObservablyIdenticalToLegacy) {
   std::uint64_t production_hits = 0;
   std::uint64_t oracle_hits = 0;
-  const Fingerprint zero_copy =
-      run_scenario(GetParam(), /*oracle=*/false, &production_hits);
+  std::int64_t production_decodes = 0;
+  std::int64_t oracle_decodes = 0;
+  const Fingerprint zero_copy = run_scenario(
+      GetParam(), /*oracle=*/false, &production_hits, &production_decodes);
   const Fingerprint oracle =
-      run_scenario(GetParam(), /*oracle=*/true, &oracle_hits);
+      run_scenario(GetParam(), /*oracle=*/true, &oracle_hits, &oracle_decodes);
   EXPECT_GT(production_hits, 0u) << "production never patched a template";
   EXPECT_EQ(oracle_hits, 0u) << "the oracle must serialize every frame";
   ASSERT_EQ(zero_copy.station.size(), oracle.station.size());
@@ -528,7 +562,33 @@ TEST_P(PipelineEquivalence, ZeroCopyPipelineIsObservablyIdenticalToLegacy) {
   for (std::size_t i = 0; i < zero_copy.trace.size(); ++i) {
     EXPECT_EQ(zero_copy.trace[i], oracle.trace[i]) << "trace entry " << i;
   }
+  ASSERT_EQ(zero_copy.taps.size(), oracle.taps.size());
+  for (std::size_t i = 0; i < zero_copy.taps.size(); ++i) {
+    EXPECT_EQ(zero_copy.taps[i], oracle.taps[i]) << "tap entry " << i;
+  }
   EXPECT_EQ(zero_copy, oracle);
+
+  // Non-vacuity of the shared decode. The oracle decodes once per intact
+  // receiver, production once per transmission, and both make the same
+  // trace and tap parses, so the oracle's surplus counts the deliveries
+  // production served from a record's cached decode. (Audit re-parses
+  // are uncounted, so this holds in PW_AUDIT builds too.) Damaged copies
+  // must reach both a tapped station (which parses them) and an untapped
+  // one (which drops them on the FCS alone).
+#if PW_OBS_ON
+  EXPECT_GT(oracle_decodes, production_decodes)
+      << "no transmission had two intact receivers";
+#endif
+  bool untapped_fcs_failure = false;
+  for (std::size_t i = 0; i < zero_copy.station.size(); ++i) {
+    untapped_fcs_failure |=
+        !tapped_target(i) && std::get<3>(zero_copy.station[i]) > 0;
+  }
+  EXPECT_TRUE(untapped_fcs_failure)
+      << "no damaged copy reached an untapped station";
+  EXPECT_TRUE(std::any_of(zero_copy.taps.begin(), zero_copy.taps.end(),
+                          [](const auto& t) { return !std::get<2>(t); }))
+      << "no damaged copy reached a tapped station";
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTopologies, PipelineEquivalence,

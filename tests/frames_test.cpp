@@ -93,6 +93,21 @@ TEST(FrameSizes, QosDataAddsTwoOctets) {
   EXPECT_EQ(f.size_bytes(), 26u + 3u + 4u);
 }
 
+TEST(FrameSizes, SizeMatchesTheEncodingForEveryFrameControl) {
+  // Every 16-bit Frame Control word, reserved type and subtypes included:
+  // a received frame of any shape re-serializes to exactly size_bytes().
+  int mismatches = 0;
+  for (std::uint32_t word = 0; word <= 0xFFFF; ++word) {
+    Frame f;
+    f.fc = FrameControl::unpack(static_cast<std::uint16_t>(word));
+    f.body = Bytes{1, 2, 3};
+    if (serialize(f).size() != f.size_bytes()) {
+      if (++mismatches <= 5) ADD_FAILURE() << "FC word " << word;
+    }
+  }
+  EXPECT_EQ(mismatches, 0);
+}
+
 // --- Address semantics -----------------------------------------------------------
 
 TEST(AddressRules, ToDsDataFrame) {
@@ -171,6 +186,29 @@ TEST(Serializer, RejectsTruncatedInput) {
   const auto result = deserialize(tiny);
   EXPECT_FALSE(result.frame.has_value());
   EXPECT_FALSE(result.fcs_ok);
+}
+
+TEST(Serializer, DecodeIntoARecycledResultEqualsAFreshDecode) {
+  // One result recycled across frames of every shape (4-address QoS data
+  // down to an ACK, a damaged FCS, a truncated header): absent fields
+  // must read as a fresh decode's, and fcs_valid must agree with it.
+  Frame wds = make_qos_data_to_ds(kA, kB, kC, Bytes(40, 7), 3, 2);
+  wds.fc.from_ds = true;
+  wds.addr4 = kB;
+  Bytes damaged = serialize(make_null_function(kA, kB, 5));
+  damaged[damaged.size() - 1] ^= 0x01;
+  Bytes truncated = serialize(make_null_function(kA, kB, 6));
+  truncated.resize(20);  // long enough to try, too short for addr3
+  const std::vector<Bytes> inputs = {
+      serialize(wds), serialize(make_ack(kC)), damaged,
+      serialize(make_null_function(kC, kA, 9)), truncated, Bytes{1, 2, 3},
+      serialize(wds)};
+  DeserializeResult recycled;
+  for (std::size_t i = 0; i < inputs.size(); ++i) {
+    deserialize_into(inputs[i], recycled);
+    EXPECT_EQ(recycled, deserialize(inputs[i])) << "input " << i;
+    EXPECT_EQ(fcs_valid(inputs[i]), recycled.fcs_ok) << "input " << i;
+  }
 }
 
 TEST(Serializer, BadFcsFrameStillParsesForSniffers) {

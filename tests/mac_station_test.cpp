@@ -10,12 +10,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
+#include "common/crc32.h"
 #include "crypto/wpa2.h"
 #include "frames/data.h"
 #include "frames/frame_builder.h"
 #include "frames/management.h"
 #include "frames/serializer.h"
+#include "mac/ap_role.h"
+#include "mac/client_role.h"
+#include "mac/eapol.h"
 #include "mac/station.h"
 
 namespace politewifi::mac {
@@ -600,6 +606,209 @@ TEST(StationRx, SifsJitterDelaysButNeverUndershoots) {
     EXPECT_GE(acks.back().at - rx_end, phy::sifs(phy::Band::k2_4GHz));
     EXPECT_LT(acks.back().at - rx_end,
               phy::sifs(phy::Band::k2_4GHz) + microseconds(2));
+  }
+}
+
+// --- Hostile FCS-valid frames ---------------------------------------------------
+//
+// A Polite WiFi attacker sends frames that pass the FCS, so every parser
+// behind the receive entry sees hostile bodies: information elements,
+// EAPOL-key messages, CCMP headers. A seeded mutator damages valid frames
+// of every kind the roles handle, recomputes the FCS, and feeds them to an
+// AP, an associated client and a validating MAC. Nothing may abort or
+// throw, and the polite stations must ACK every mutated frame that still
+// decodes as data or management addressed to them — whatever it holds.
+
+const MacAddress kHostileAp{0x02, 0xa0, 0x00, 0x00, 0x00, 0x01};
+const MacAddress kHostileSta{0x02, 0x5a, 0x00, 0x00, 0x00, 0x02};
+const MacAddress kHostileValidator{0x02, 0x7f, 0x00, 0x00, 0x00, 0x03};
+
+/// One valid frame of each kind, addressed to `self` from `peer` (the
+/// receiver's AP or client), as the roles would see them on air.
+std::vector<std::pair<std::string, Frame>> hostile_bases(
+    const MacAddress& self, const MacAddress& peer, const crypto::Ptk& ptk) {
+  frames::Beacon beacon;
+  beacon.elements.set_ssid("PrivateNet");
+  beacon.elements.set_supported_rates({0x82, 0x84, 0x8b, 0x96});
+  beacon.elements.set_channel(6);
+  beacon.elements.set_tim({.dtim_count = 0, .dtim_period = 1,
+                           .buffered_aids = {1, 9}});
+  beacon.elements.set_rsn_wpa2_psk();
+  frames::ProbeRequest probe;
+  probe.elements.set_ssid("PrivateNet");
+  frames::AssociationRequest assoc_req;
+  assoc_req.capability.privacy = true;
+  assoc_req.elements.set_ssid("PrivateNet");
+  frames::AssociationResponse assoc_resp;
+  assoc_resp.aid = 1;
+  assoc_resp.elements.set_supported_rates({0x82, 0x84});
+  EapolKey eapol;
+  eapol.message_number = 2;
+  eapol.nonce.fill(0x5a);
+
+  std::vector<std::pair<std::string, Frame>> bases;
+  Frame f = frames::make_beacon(peer, beacon, 1);
+  f.addr1 = self;
+  bases.emplace_back("beacon", f);
+  f = frames::make_probe_request(peer, probe, 2);
+  f.addr1 = self;
+  bases.emplace_back("probe request", f);
+  bases.emplace_back("probe response",
+                     frames::make_probe_response(self, peer, beacon, 3));
+  bases.emplace_back(
+      "authentication",
+      frames::make_authentication(self, peer, self,
+                                  {.algorithm = 0, .sequence = 1}, 4));
+  bases.emplace_back("association request",
+                     frames::make_assoc_request(self, peer, assoc_req, 5));
+  bases.emplace_back("association response",
+                     frames::make_assoc_response(self, peer, assoc_resp, 6));
+  bases.emplace_back("EAPOL-key", frames::make_data_from_ds(
+                                      peer, peer, self, eapol.serialize(), 7));
+  f = frames::make_data_from_ds(peer, peer, self, Bytes(48, 0x11), 8);
+  crypto::Wpa2Session(ptk).protect(f);
+  bases.emplace_back("CCMP data", f);
+  bases.emplace_back("null", frames::make_null_function(self, peer, 9));
+  bases.emplace_back("RTS", frames::make_rts(self, peer, 120));
+  bases.emplace_back("PS-Poll", frames::make_ps_poll(self, peer, 1));
+  return bases;
+}
+
+/// Damages `frame`'s octets (header and body; FCS excluded) with one to
+/// four random edits, then appends a freshly computed FCS.
+Bytes mutate(const Frame& frame, Rng& rng) {
+  Bytes mpdu = frames::serialize(frame);
+  mpdu.resize(mpdu.size() - 4);  // the FCS is recomputed below
+  const std::size_t header = frame.header_size();
+  const int edits = static_cast<int>(rng.uniform_int(1, 4));
+  for (int e = 0; e < edits; ++e) {
+    const auto pick = [&](std::size_t lo) {
+      return lo + static_cast<std::size_t>(
+                      rng.uniform_int(0, std::int64_t(mpdu.size() - lo) - 1));
+    };
+    switch (rng.uniform_int(0, 5)) {
+      case 0:  // a bit anywhere
+        if (!mpdu.empty()) {
+          mpdu[pick(0)] ^= std::uint8_t(1u << rng.uniform_int(0, 7));
+        }
+        break;
+      case 1:  // a random body octet (element lengths, EAPOL fields, PN)
+      case 2:
+        if (mpdu.size() > header) {
+          mpdu[pick(header)] = std::uint8_t(rng.uniform_int(0, 255));
+        }
+        break;
+      case 3:  // an extreme body octet: 0x00 or 0xff
+        if (mpdu.size() > header) {
+          mpdu[pick(header)] = rng.bernoulli(0.5) ? 0x00 : 0xff;
+        }
+        break;
+      case 4:  // truncate anywhere, header included
+        mpdu.resize(static_cast<std::size_t>(
+            rng.uniform_int(0, std::int64_t(mpdu.size()))));
+        break;
+      case 5:  // append random octets
+        for (auto n = rng.uniform_int(1, 40); n > 0; --n) {
+          mpdu.push_back(std::uint8_t(rng.uniform_int(0, 255)));
+        }
+        break;
+    }
+  }
+  const std::uint32_t fcs = crc32(mpdu);
+  for (int i = 0; i < 4; ++i) mpdu.push_back(std::uint8_t(fcs >> (8 * i)));
+  return mpdu;
+}
+
+/// One receiving MAC under attack, with its own mock environment.
+struct HostileTarget {
+  std::string name;
+  MockEnv env;
+  std::unique_ptr<Station> station;
+  std::unique_ptr<ApRole> ap;
+  std::unique_ptr<ClientRole> client;
+  std::unique_ptr<crypto::Wpa2Session> validation;
+  bool polite = true;
+  MacAddress peer;
+  std::uint64_t addressed = 0;  // FCS-clean data/management for us
+
+  HostileTarget(std::string n, const MacAddress& self, AckPolicyMode mode)
+      : name(std::move(n)) {
+    MacConfig cfg;
+    cfg.address = self;
+    cfg.ack_policy = mode;
+    polite = mode == AckPolicyMode::kPoliteHardware;
+    station = std::make_unique<Station>(cfg, env, Rng(7));
+  }
+  RoleContext context() { return {.station = station.get(), .env = &env}; }
+};
+
+TEST(HostileFrames, ParsersSurviveAndPoliteStationsAckWhateverTheBody) {
+  const crypto::Ptk ptk = crypto::derive_fast_ptk(kHostileAp, kHostileSta);
+  std::vector<std::unique_ptr<HostileTarget>> targets;
+
+  auto ap = std::make_unique<HostileTarget>("AP role", kHostileAp,
+                                            AckPolicyMode::kPoliteHardware);
+  ap->ap = std::make_unique<ApRole>(
+      ApConfig{.send_beacons = false, .fast_keys = true}, ap->context());
+  ap->ap->start();
+  ap->ap->install_established_client(kHostileSta, ptk);
+  ap->peer = kHostileSta;
+  targets.push_back(std::move(ap));
+
+  auto client = std::make_unique<HostileTarget>(
+      "client role", kHostileSta, AckPolicyMode::kPoliteHardware);
+  client->client = std::make_unique<ClientRole>(
+      ClientConfig{.fast_keys = true}, client->context());
+  client->client->start();
+  client->client->install_established(kHostileAp, 1, ptk);
+  client->peer = kHostileAp;
+  targets.push_back(std::move(client));
+
+  auto validator = std::make_unique<HostileTarget>(
+      "validating MAC", kHostileValidator, AckPolicyMode::kValidatingMac);
+  validator->validation = std::make_unique<crypto::Wpa2Session>(ptk);
+  validator->station->set_validation_session(validator->validation.get());
+  validator->peer = kHostileAp;
+  targets.push_back(std::move(validator));
+
+  constexpr int kMutationsPerKind = 2000;
+  Rng rng(20201104);
+  phy::RxVector rx;
+  rx.rate = phy::kOfdm24;
+  rx.rssi_dbm = -50;
+  rx.snr_db = 40;
+  for (auto& t : targets) {
+    const MacAddress self = t->station->address();
+    for (const auto& [kind, base] : hostile_bases(self, t->peer, ptk)) {
+      for (int i = 0; i < kMutationsPerKind; ++i) {
+        const Bytes raw = mutate(base, rng);
+        const frames::DeserializeResult decoded = frames::deserialize(raw);
+        const bool addressed = decoded.fcs_ok && decoded.frame &&
+                               !decoded.frame->fc.is_control() &&
+                               decoded.frame->addr1 == self;
+        const std::size_t sent_before = t->env.sent_.size();
+        ASSERT_NO_THROW({
+          t->station->on_ppdu_received(raw, rx);
+          t->env.advance(microseconds(12));  // past SIFS: the ACK is out
+        }) << t->name << ", " << kind << " mutation " << i;
+        const auto acks = std::count_if(
+            t->env.sent_.begin() + std::ptrdiff_t(sent_before),
+            t->env.sent_.end(),
+            [](const MockEnv::Sent& s) { return s.frame.fc.is_ack(); });
+        if (t->polite && addressed) {
+          ++t->addressed;
+          ASSERT_EQ(acks, 1) << t->name << " did not ACK exactly once: "
+                             << kind << " mutation " << i << ", "
+                             << decoded.frame->summary();
+        }
+        ASSERT_LE(acks, 1) << t->name << ", " << kind << " mutation " << i;
+      }
+    }
+  }
+  // Non-vacuity: most mutations keep the frame addressed and decodable.
+  for (const auto& t : targets) {
+    if (!t->polite) continue;
+    EXPECT_GT(t->addressed, 8000u) << t->name;
   }
 }
 

@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "common/clock.h"
+#include "frames/frame.h"
+#include "frames/serializer.h"
 #include "obs/metrics.h"
 #include "obs/timeline.h"
 #include "runtime/experiments/all.h"
@@ -129,6 +131,26 @@ TEST(ObsRegistry, CatalogIsFullyNamed) {
       EXPECT_LT(info.edges[i - 1], info.edges[i]) << info.name;
     }
   }
+}
+
+TEST(ObsRegistry, FramesDecodesCountsOnlyTheProgramsParses) {
+  // One decode per parse the program makes. An FCS check, a string too
+  // short to parse and an audit's re-parse (which PW_AUDIT builds also
+  // make inside every serialize) count nothing, so the counter reads the
+  // same in every build.
+  PW_REQUIRE_OBS_ON();
+  MetricsWindow window;
+  const MacAddress a{0x02, 0, 0, 0, 0, 1};
+  const MacAddress b{0x02, 0, 0, 0, 0, 2};
+  const Bytes raw = frames::serialize(frames::make_null_function(a, b, 7));
+  EXPECT_TRUE(frames::fcs_valid(raw));
+  EXPECT_TRUE(frames::audit_deserialize(raw).frame.has_value());
+  EXPECT_FALSE(frames::deserialize(Bytes{1, 2, 3}).frame.has_value());
+  EXPECT_EQ(Registry::counter_value(Counter::kFramesDecodes), 0);
+  frames::DeserializeResult recycled;
+  frames::deserialize_into(raw, recycled);
+  EXPECT_TRUE(frames::deserialize(raw).fcs_ok);
+  EXPECT_EQ(Registry::counter_value(Counter::kFramesDecodes), 2);
 }
 
 // ----------------------------------------------------- Canonical block --

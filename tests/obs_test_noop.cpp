@@ -37,7 +37,7 @@ TEST(ObsNoop, MacroArgumentsAreNotEvaluated) {
   obs::Registry::reset();
   obs::Registry::set_enabled(true);
   int evaluations = 0;
-  const auto bump = [&evaluations] { return ++evaluations; };
+  [[maybe_unused]] const auto bump = [&evaluations] { return ++evaluations; };
   PW_COUNT_N(kMacAcksSent, bump());
   PW_GAUGE_MAX(kMediumRadiosPeak, bump());
   PW_HIST(kMacTxOctets, bump());

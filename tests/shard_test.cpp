@@ -5,6 +5,7 @@
 // to the reference oracle).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -386,6 +387,15 @@ class ShardEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 void expect_shard_count_invariance(const ShardFingerprint& baseline,
                                    std::uint64_t seed, bool fading) {
   ASSERT_FALSE(baseline.trace.empty());
+#if PW_OBS_ON
+  // frames.decodes rides in `metrics`, so it is held equal at every
+  // shard count below; here it must also be live.
+  const auto decodes = std::find_if(
+      baseline.metrics.begin(), baseline.metrics.end(),
+      [](const auto& m) { return m.first == "frames.decodes"; });
+  ASSERT_NE(decodes, baseline.metrics.end());
+  EXPECT_GT(decodes->second, 0) << "nothing was ever decoded";
+#endif
   for (const int shards : {2, 4, 9}) {
     const ShardFingerprint sharded = run_shard_scenario(seed, shards, fading);
     ASSERT_EQ(sharded.station.size(), baseline.station.size());

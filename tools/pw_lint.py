@@ -56,6 +56,18 @@ CI rather than by review vigilance:
                         the test-only reference oracle takes for every
                         decision) carry the only sanctioned inline
                         allows.
+  per-receiver-decode   a frames::deserialize / deserialize_into /
+                        audit_deserialize call in src/sim/: the medium
+                        decodes a transmission's shared intact octets
+                        once and hands every intact receiver that one
+                        result, and a damaged copy goes to the station as
+                        octets, whose FCS is checked before any parse. A
+                        parse on the delivery path brings back the
+                        per-receiver CRC + parse + body copy the shared
+                        decode removed. The record's decode and its audit
+                        re-decode (both in Medium::intact_decode) and the
+                        trace recorder's once-per-transmission packet
+                        view carry the only sanctioned inline allows.
 
 The unordered-iteration rule (range-for over an unordered container)
 used to live here as a regex; it moved to tools/pw_analyze.py, whose
@@ -102,6 +114,10 @@ INSTRUMENTED_DIRS = ("src/sim", "src/mac", "src/phy", "src/runtime")
 # the historical throughput wall (the SoA batch pass exists to kill them).
 FANOUT_FILES = ("src/sim/medium.cpp",)
 
+# The simulator layer, where a frame parse per reception is the decode
+# cost the shared per-transmission decode removed.
+DECODE_DIRS = ("src/sim",)
+
 # Linted roots for a no-argument run.
 LINT_ROOTS = ("src",)
 
@@ -128,6 +144,9 @@ DIRECT_TIMING_RE = re.compile(r"\bsteady_clock\b")
 # The scalar FER entry point exactly — `frame_error_rate_batch(` has a
 # different next character and deliberately does not match.
 SCALAR_FER_RE = re.compile(r"\bphy::frame_error_rate\s*\(")
+# Every spelling of the MPDU parser, the audit's uncounted one included;
+# the FCS check alone (fcs_valid) is not a parse.
+DECODE_RE = re.compile(r"\b(?:audit_)?deserialize(?:_into)?\s*\(")
 # A by-value octet-buffer parameter: `Bytes name` (no &/&&) directly after
 # an opening paren or comma, or starting a continuation line of a wrapped
 # signature. Matches parameters, not declarations (`Bytes x;`) or
@@ -198,6 +217,7 @@ class Linter:
         experiment = rel.startswith(EXPERIMENT_DIRS)
         instrumented = rel.startswith(INSTRUMENTED_DIRS)
         fanout = rel in FANOUT_FILES
+        decode_scope = rel.startswith(DECODE_DIRS)
 
         # Track "inside a derived class" with a brace-depth heuristic good
         # enough for this codebase's one-class-per-header style.
@@ -240,6 +260,12 @@ class Linter:
                             "decide frame loss through Medium::frame_lost "
                             "(the memoized FER-bracket decision) instead",
                             raw)
+            if decode_scope and DECODE_RE.search(line):
+                self.report(path, lineno, "per-receiver-decode",
+                            "frame parse in the simulator; an intact "
+                            "delivery takes its transmission's shared "
+                            "decode (Medium::intact_decode), a damaged "
+                            "copy goes to the station as octets", raw)
             if experiment and RAW_SIM_RE.search(line):
                 self.report(path, lineno, "raw-sim-construction",
                             "experiments build simulations through "
