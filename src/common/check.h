@@ -70,7 +70,25 @@ template <typename A, typename B>
        stringify(b).c_str());
 }
 
+inline thread_local int audit_depth = 0;
+
 }  // namespace detail
+
+/// Marks the enclosing scope as an auditor's work. Audits may allocate
+/// and re-parse freely; a test that counts the program's own work (the
+/// steady-state allocation test) asks in_audit() and leaves them out,
+/// so it reads the same in audit builds.
+class AuditScope {
+ public:
+  AuditScope() { ++detail::audit_depth; }
+  ~AuditScope() { --detail::audit_depth; }
+  AuditScope(const AuditScope&) = delete;
+  AuditScope& operator=(const AuditScope&) = delete;
+};
+
+/// True while the calling thread is inside an AuditScope.
+inline bool in_audit() { return detail::audit_depth > 0; }
+
 }  // namespace politewifi::contract
 
 // Audit mode: Debug builds get it implicitly; any build can force it with

@@ -5,9 +5,8 @@ namespace politewifi::core {
 AckSniffer::AckSniffer(MonitorHub& hub, const mac::MacEnvironment& env,
                        MacAddress ra_filter)
     : env_(env), ra_filter_(ra_filter) {
-  hub.add_tap([this](const frames::Frame& f, const phy::RxVector& rx,
-                     bool fcs_ok) {
-    if (fcs_ok) on_frame(f, rx);
+  hub.add_tap([this](const frames::Frame& f, const phy::RxVector& rx) {
+    on_frame(f, rx);
   });
 }
 

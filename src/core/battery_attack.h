@@ -22,7 +22,7 @@ struct BatteryAttackResult {
   /// frames served by the attacker radio's template cache (vs full
   /// serializations) and fresh PPDU buffers the medium had to allocate.
   /// In steady state the hit rate approaches 1 and the allocation delta
-  /// approaches 0 — the bench regression gate watches the same counters.
+  /// approaches 0 — the flood_ack metrics golden holds the same counters.
   std::uint64_t template_hits = 0;
   std::uint64_t template_misses = 0;
   std::uint64_t pool_allocations = 0;

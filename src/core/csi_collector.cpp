@@ -11,9 +11,7 @@ CsiCollector::CsiCollector(sim::Device& attacker, MacAddress target,
       sniffer_(hub_, attacker.radio(), config.spoofed_source) {
   // With a single fixed victim every matching ACK is attributable, so the
   // collector records straight off the monitor tap.
-  hub_.add_tap([this](const frames::Frame& f, const phy::RxVector& rx,
-                      bool fcs_ok) {
-    if (!fcs_ok) return;
+  hub_.add_tap([this](const frames::Frame& f, const phy::RxVector& rx) {
     if (!(f.fc.is_ack() || f.fc.is_cts())) return;
     if (f.addr1 != injector_.config().spoofed_source) return;
     if (!rx.csi) return;

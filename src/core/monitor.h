@@ -17,14 +17,13 @@ namespace politewifi::core {
 
 class MonitorHub {
  public:
-  using Tap = std::function<void(const frames::Frame&, const phy::RxVector&,
-                                 bool fcs_ok)>;
+  using Tap = std::function<void(const frames::Frame&, const phy::RxVector&)>;
 
   explicit MonitorHub(mac::Station& station) {
-    station.set_sniffer([this](const frames::Frame& f, const phy::RxVector& rx,
-                               bool fcs_ok) {
-      for (const auto& [id, tap] : taps_) tap(f, rx, fcs_ok);
-    });
+    station.set_sniffer(
+        [this](const frames::Frame& f, const phy::RxVector& rx) {
+          for (const auto& [id, tap] : taps_) tap(f, rx);
+        });
   }
 
   std::uint64_t add_tap(Tap tap) {

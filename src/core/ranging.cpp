@@ -14,9 +14,8 @@ RttRanger::RttRanger(sim::Simulation& sim, sim::Device& attacker,
       config_(config),
       hub_(attacker.station()),
       injector_(attacker, config.injector) {
-  hub_.add_tap([this](const frames::Frame& f, const phy::RxVector&,
-                      bool fcs_ok) {
-    if (!fcs_ok || !f.fc.is_ack()) return;
+  hub_.add_tap([this](const frames::Frame& f, const phy::RxVector&) {
+    if (!f.fc.is_ack()) return;
     if (f.addr1 != injector_.config().spoofed_source) return;
     // The tap runs when the PPDU finished arriving: this IS the RX-end
     // timestamp a real chip would record.

@@ -7,9 +7,8 @@ namespace politewifi::core {
 DeviceScanner::DeviceScanner(MonitorHub& hub, const mac::MacEnvironment& env,
                              std::vector<MacAddress> ignore)
     : env_(env), ignore_(std::move(ignore)) {
-  hub.add_tap([this](const frames::Frame& f, const phy::RxVector& rx,
-                     bool fcs_ok) {
-    if (fcs_ok) on_frame(f, rx);
+  hub.add_tap([this](const frames::Frame& f, const phy::RxVector& rx) {
+    on_frame(f, rx);
   });
 }
 

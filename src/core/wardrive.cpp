@@ -65,10 +65,8 @@ WardriveCampaign::WardriveCampaign(sim::Simulation& sim,
   InjectorConfig inj = config_.injector;
   inj.rate = config_.inject_rate;
   injector_ = std::make_unique<FakeFrameInjector>(*attacker_, inj);
-  hub_->add_tap([this](const frames::Frame& f, const phy::RxVector&,
-                       bool fcs_ok) {
-    if (fcs_ok) on_ack(f);
-  });
+  hub_->add_tap(
+      [this](const frames::Frame& f, const phy::RxVector&) { on_ack(f); });
 
   mover_ = std::make_unique<sim::WaypointMover>(
       attacker_->radio(), sim_.scheduler(),

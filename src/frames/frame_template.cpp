@@ -136,8 +136,11 @@ PpduRef FrameTemplateCache::render(const Frame& frame, PpduPool& pool) {
   raw[raw.size() - 1] = static_cast<std::uint8_t>(crc >> 24);
 
 #if PW_AUDIT_ENABLED
-  PW_CHECK(raw == serialize(frame),
-           "patched template diverges from a fresh serialization");
+  {
+    const contract::AuditScope audit;
+    PW_CHECK(raw == serialize(frame),
+             "patched template diverges from a fresh serialization");
+  }
 #endif
   return e.rendered;
 }

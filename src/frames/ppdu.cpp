@@ -70,8 +70,8 @@ PW_HOT PpduRef PpduPool::acquire() {
   ++stats_.allocations;
   PW_COUNT(kPpduPoolAllocations);
   // pw-analyze: allow(hot-new): pool growth on a cold miss only; steady
-  // state recycles via free_, witnessed by sim.ppdu_pool.allocations and
-  // the bench-regression allocation gate.
+  // state recycles via free_, witnessed by sim.ppdu_pool.allocations in
+  // the metrics goldens and by the steady-state allocation test.
   auto* buf = new PpduRef::Buffer;
   buf->pool = this;
   all_.push_back(buf);

@@ -20,6 +20,7 @@ thread_local bool in_serialize_audit = false;
 
 void audit_round_trip(const Frame& frame, const Bytes& raw) {
   if (in_serialize_audit) return;
+  const contract::AuditScope audit;
   in_serialize_audit = true;
   PW_CHECK_EQ(raw.size(), frame.size_bytes());
   const DeserializeResult parsed = audit_deserialize(raw);

@@ -33,9 +33,9 @@ void Station::set_dozing(bool dozing) {
 void Station::on_ppdu_received(std::span<const std::uint8_t> raw,
                                const phy::RxVector& rx) {
   if (dozing_) return;  // radio gated off; defensive double-check
-  // A bad FCS is all Stage 1 below needs to know, so only a monitor tap
-  // (which displays damaged frames) makes a failed frame worth parsing.
-  if (!sniffer_ && !frames::fcs_valid(raw)) {
+  // A bad FCS is all Stage 1 below needs to know, so a damaged copy is
+  // never parsed.
+  if (!frames::fcs_valid(raw)) {
     ++stats_.fcs_failures;
     return;
   }
@@ -46,19 +46,15 @@ void Station::on_frame_received(const frames::DeserializeResult& decoded,
                                 const phy::RxVector& rx) {
   if (dozing_) return;  // radio gated off; defensive double-check
 
-  // Monitor tap sees everything that was decodable at all.
-  if (sniffer_ && decoded.frame) {
-    sniffer_(*decoded.frame, rx, decoded.fcs_ok);
-  }
-
   // Stage 1: FCS. Hardware drops bad frames silently — no ACK, no
-  // software visibility. This is the *only* integrity check that gates
-  // the ACK.
+  // software visibility, not even to a monitor tap. This is the *only*
+  // integrity check that gates the ACK.
   if (!decoded.fcs_ok || !decoded.frame) {
     ++stats_.fcs_failures;
     return;
   }
   const Frame& frame = *decoded.frame;
+  if (sniffer_) sniffer_(frame, rx);
   ++stats_.frames_received;
 
   // NAV bookkeeping: frames not addressed to us reserve the medium via

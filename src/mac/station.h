@@ -101,8 +101,8 @@ class Station {
  public:
   using UpperHandler =
       std::function<void(const Frame&, const phy::RxVector&)>;
-  using SnifferHandler = std::function<void(const Frame&, const phy::RxVector&,
-                                            bool fcs_ok)>;
+  using SnifferHandler =
+      std::function<void(const Frame&, const phy::RxVector&)>;
   using SendCallback = std::function<void(const TxResult&)>;
 
   Station(MacConfig config, MacEnvironment& env, Rng rng);
@@ -115,9 +115,9 @@ class Station {
   /// broadcast/multicast), deduplicated. Decryption is the caller's job.
   void set_upper_handler(UpperHandler handler) { upper_ = std::move(handler); }
 
-  /// Monitor-mode tap: sees every decodable frame on the channel,
-  /// including FCS failures and frames for other stations. This is what
-  /// the attacker's sniffer thread uses.
+  /// Monitor-mode tap: sees every FCS-valid frame on the channel,
+  /// including frames for other stations. This is what the attacker's
+  /// sniffer thread uses.
   void set_sniffer(SnifferHandler handler) { sniffer_ = std::move(handler); }
 
   /// Installs the WPA2 session used by the *validating* ablation to test

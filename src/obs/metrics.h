@@ -21,7 +21,7 @@
 // Cost model: with PW_METRICS=OFF (CMake option) the PW_* macros expand
 // to `((void)0)` — the instrumented layers compile exactly as before.
 // With the default ON build, every macro first tests a relaxed atomic
-// bool (set only by `pw_run --metrics`, benches, and tests), so runs
+// bool (set only by `pw_run --metrics`, the benchmark, and tests), so runs
 // that never ask for metrics pay one predictable branch per site.
 #pragma once
 
@@ -209,7 +209,7 @@ class Registry {
   static bool enabled() {
     return enabled_.load(std::memory_order_relaxed);
   }
-  /// Turns collection on/off. Callers (the runtime, benches, tests)
+  /// Turns collection on/off. Callers (the runtime, the benchmark, tests)
   /// normally reset() first so the window is well-defined.
   static void set_enabled(bool on) {
     enabled_.store(on, std::memory_order_relaxed);

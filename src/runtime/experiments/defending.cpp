@@ -148,8 +148,7 @@ class DefendingExperiment final : public Experiment {
       detector.mark_trusted(victim.address());
       TimePoint attack_start{};
       auto& alerts = results["round2_alerts"];
-      hub.add_tap([&](const frames::Frame& f, const phy::RxVector&, bool ok) {
-        if (!ok) return;
+      hub.add_tap([&](const frames::Frame& f, const phy::RxVector&) {
         for (const auto& alert : detector.observe(f, sim.now())) {
           std::printf("  ALERT %-13s attacker=%s victim=%s rate=%.0f/s "
                       "(%.2f s after attack start)\n",

@@ -51,7 +51,8 @@ class KeystrokeDetector {
   KeystrokeDetectorConfig config_;
 };
 
-/// Scoring helpers used by benches/tests against ground truth.
+/// Scoring helpers used by the keystroke experiment and tests against
+/// ground truth.
 struct KeystrokeMatchScore {
   std::size_t true_positives = 0;
   std::size_t false_positives = 0;

@@ -10,6 +10,7 @@
 namespace politewifi::sim {
 
 void Scheduler::audit() const {
+  const contract::AuditScope audit;
   // Heap order: every parent at or before (time, seq) of its children.
   for (std::size_t i = 1; i < heap_.size(); ++i) {
     const HeapEntry& parent = heap_[(i - 1) / 2];

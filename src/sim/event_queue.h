@@ -108,7 +108,7 @@ class Scheduler {
   std::size_t pending() const { return heap_.size() - tombstones_; }
   std::uint64_t events_executed() const { return executed_; }
 
-  // --- engine introspection (tests and the event-engine bench) -------------
+  // --- engine introspection (tests and the benchmark) ----------------------
 
   /// Pool slots ever allocated: the scheduler's high-water mark of
   /// simultaneously pending events. Stays flat under schedule/cancel churn.

@@ -186,19 +186,15 @@ void Medium::refresh_shard_horizon(Radio& radio, double speed_mps) const {
     return;
   }
   // Conservative cell-exit horizon: the radio cannot cross a super-cell
-  // edge before covering the distance to the nearest one. Called right
-  // after a move (anchor == true position there), so the gap is exact up
-  // to the position quantum, which only delays a check — never skips a
-  // crossing, because on_radio_moved re-checks once the horizon passes.
+  // edge before covering the distance to the nearest one, and
+  // on_radio_moved re-checks once the horizon passes.
   const auto edge_gap = [this](double v) {
     const double cell = config_.shard_cell_m;
     const double frac = v - std::floor(v / cell) * cell;
     return std::min(frac, cell - frac);
   };
-  const double gap = std::max(
-      std::min(edge_gap(radio.rf_position().x), edge_gap(radio.rf_position().y)) -
-          config_.position_quantum_m,
-      0.0);
+  const double gap =
+      std::min(edge_gap(radio.position().x), edge_gap(radio.position().y));
   radio.shard_check_after_ =
       now + nanoseconds(static_cast<std::int64_t>(gap / speed_mps * 1e9));
 }
@@ -206,7 +202,7 @@ void Medium::refresh_shard_horizon(Radio& radio, double speed_mps) const {
 void Medium::maybe_migrate_shard(Radio& radio) {
   if (config_.shards <= 1) return;
   if (scheduler_.now() < radio.shard_check_after_) return;
-  const std::uint32_t shard = shard_of(radio.rf_position());
+  const std::uint32_t shard = shard_of(radio.position());
   if (shard == radio.shard_) return;
   radio.shard_ = shard;
   radio.scheduler_ = shard_schedulers_[shard];
@@ -220,7 +216,7 @@ Scheduler& Medium::scheduler_for(const Radio& radio) const {
 
 void Medium::index_insert(Radio* radio) {
   radio->grid_chan_ = chan_key_of(*radio);
-  radio->grid_cell_ = cell_key_for(radio->rf_position());
+  radio->grid_cell_ = cell_key_for(radio->position());
   auto& cell = grid_[radio->grid_chan_][radio->grid_cell_];
   // Cells stay sorted by attach order, so fan-out can merge them instead
   // of sorting per transmission. Fresh attachments always land at the
@@ -261,7 +257,7 @@ void Medium::attach(Radio* radio) {
     PW_CHECK(shard_schedulers_.size() ==
                  static_cast<std::size_t>(config_.shards),
              "attach before set_shard_schedulers on a sharded medium");
-    radio->shard_ = shard_of(radio->rf_position());
+    radio->shard_ = shard_of(radio->position());
     radio->scheduler_ = shard_schedulers_[radio->shard_];
   }
   radios_.push_back(radio);
@@ -295,7 +291,7 @@ void Medium::on_radio_moved(Radio& radio) {
   mark_volatile(radio);
   maybe_migrate_shard(radio);
   if (!radio.grid_indexed_) return;
-  const std::uint64_t cell = cell_key_for(radio.rf_position());
+  const std::uint64_t cell = cell_key_for(radio.position());
   if (cell == radio.grid_cell_) return;
   index_remove(&radio);
   index_insert(&radio);
@@ -393,7 +389,7 @@ double Medium::raw_link_gain_db(const Radio& tx_radio,
   // depend on that.
   return channel_.static_gain_db(
       tx_radio.frequency_hz(),
-      distance(tx_radio.rf_position(), rx_radio.rf_position()),
+      distance(tx_radio.position(), rx_radio.position()),
       tx_radio.id(), rx_radio.id());
 }
 
@@ -496,7 +492,7 @@ void Medium::collect_candidates(const Radio& sender, double tx_power_dbm,
   if (git == grid_.end()) return;
   const double r = max_detect_range_m(tx_power_dbm, sender.frequency_hz());
   if (r <= 0.0) return;
-  const Position c = sender.rf_position();
+  const Position c = sender.position();
   const double r2 = r * r;
   const std::int32_t cx0 = cell_coord(c.x - r);
   const std::int32_t cx1 = cell_coord(c.x + r);
@@ -622,7 +618,7 @@ void Medium::build_neighbor_list(Radio& sender, double tx_power_dbm) {
     std::int64_t prop_ns = 0;
     if (config_.model_propagation_delay) {
       const double d =
-          distance(sender.rf_position(), e.radio->rf_position());
+          distance(sender.position(), e.radio->position());
       prop_ns = static_cast<std::int64_t>(d / kSpeedOfLight * 1e9);
     }
     sender.nb_prop_ns_[i] = prop_ns;
@@ -650,7 +646,7 @@ std::size_t Medium::acquire_record() {
   }
   // pw-analyze: allow(hot-new): record-pool growth on a cold miss only;
   // steady state recycles through free_records_, witnessed by the
-  // bench-regression allocation gate.
+  // steady-state allocation test.
   records_.push_back(std::make_unique<TransmissionRecord>());
   return records_.size() - 1;
 }
@@ -678,6 +674,7 @@ const frames::DeserializeResult& Medium::intact_decode(
 #if PW_AUDIT_ENABLED
   // Every delivery served from the cache must see exactly what decoding
   // the shared octets afresh would give it.
+  const contract::AuditScope audit;
   const frames::DeserializeResult fresh =
       frames::audit_deserialize(rec.ppdu.octets());  // pw-lint: allow(per-receiver-decode)
   PW_CHECK(fresh == rec.decode,
@@ -757,7 +754,7 @@ void Medium::begin_reception(const Radio& sender, Radio* rx_radio,
   if (config_.model_propagation_delay) {
     if (prop_ns < 0) {
       const double d =
-          distance(sender.rf_position(), rx_radio->rf_position());
+          distance(sender.position(), rx_radio->position());
       prop_ns = static_cast<std::int64_t>(d / kSpeedOfLight * 1e9);
     }
     prop = nanoseconds(prop_ns);
@@ -1093,7 +1090,7 @@ void Medium::finalize_reception(TransmissionRecord& rec,
       if (it == static_paths_.end()) {
         Rng path_rng(key ^ seed_);
         const double d =
-            distance(sender->rf_position(), receiver->rf_position());
+            distance(sender->position(), receiver->position());
         it = static_paths_.emplace(key, phy::make_static_paths(d, 4, path_rng))
                  .first;
       }
@@ -1119,6 +1116,7 @@ void Medium::finalize_reception(TransmissionRecord& rec,
 }
 
 void Medium::audit_radio(const Radio& radio) const {
+  const contract::AuditScope audit;
   // Grid residency: the recorded (channel, cell) keys must match what the
   // radio's current tuning and position imply, and the radio must sit in
   // exactly that cell. A position mutated without Medium::on_radio_moved
@@ -1127,7 +1125,7 @@ void Medium::audit_radio(const Radio& radio) const {
     PW_CHECK(radio.grid_chan_ == chan_key_of(radio),
              "radio %llu indexed under stale channel key",
              static_cast<unsigned long long>(radio.id()));
-    PW_CHECK(radio.grid_cell_ == cell_key_for(radio.rf_position()),
+    PW_CHECK(radio.grid_cell_ == cell_key_for(radio.position()),
              "radio %llu indexed under stale grid cell (moved without "
              "on_radio_moved?)",
              static_cast<unsigned long long>(radio.id()));
@@ -1198,7 +1196,7 @@ void Medium::audit_radio(const Radio& radio) const {
     std::int64_t prop_ns = 0;
     if (config_.model_propagation_delay) {
       const double d =
-          distance(radio.rf_position(), e.radio->rf_position());
+          distance(radio.position(), e.radio->position());
       prop_ns = static_cast<std::int64_t>(d / kSpeedOfLight * 1e9);
     }
     PW_CHECK(radio.nb_prop_ns_[k] == prop_ns,
@@ -1222,6 +1220,7 @@ void Medium::audit_radio(const Radio& radio) const {
 }
 
 void Medium::audit_coherence() const {
+  const contract::AuditScope audit;
   // Per-radio slices: grid residency + cached fan-outs.
   for (const Radio* r : radios_) audit_radio(*r);
 
@@ -1371,7 +1370,7 @@ void Medium::audit_coherence() const {
     const double r = max_detect_range_m(probe_dbm, sender->frequency_hz());
     for (Radio* rx : radios_) {
       if (chan_key_of(*rx) != chan_key_of(*sender)) continue;
-      if (distance(sender->rf_position(), rx->rf_position()) > r) continue;
+      if (distance(sender->position(), rx->position()) > r) continue;
       PW_CHECK(std::count(candidates.begin(), candidates.end(), rx) == 1,
                "grid query missed in-range radio %llu for sender %llu",
                static_cast<unsigned long long>(rx->id()),

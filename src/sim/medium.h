@@ -113,13 +113,6 @@ struct MediumConfig {
   int shards = 1;
   /// Edge length (metres) of one shard super-cell.
   double shard_cell_m = 256.0;
-  /// Mover position epsilon: set_position only refreshes the RF anchor
-  /// (and so invalidates cached link budgets) once the radio has
-  /// drifted more than this many metres from it. 0 = off, the exact
-  /// reference path; > 0 trades sub-quantum positional accuracy for
-  /// link-cache stability under mobility (the wardrive rig's 1.1 m
-  /// ticks stop thrashing whole cache generations).
-  double position_quantum_m = 0.0;
 };
 
 /// Record of one on-air PPDU (what a perfect sniffer would log). The
@@ -181,7 +174,7 @@ class Medium {
   void transmit(Radio& sender, frames::PpduRef ppdu, const phy::TxVector& tx);
 
   /// Convenience overload copying `ppdu` into a pooled buffer — for tests
-  /// and benches that hand-roll octets. Hot paths build a PpduRef
+  /// and the benchmark, which hand-roll octets. Hot paths build a PpduRef
   /// directly (Radio::transmit's template cache does).
   void transmit(Radio& sender, std::span<const std::uint8_t> ppdu,
                 const phy::TxVector& tx);
@@ -249,7 +242,7 @@ class Medium {
   /// obs/timeline.h). Process-unique, allocated at construction.
   std::int64_t timeline_group() const { return timeline_group_; }
 
-  // --- Engine introspection (tests and the event-engine bench) -------------
+  // --- Engine introspection (tests and the benchmark) ----------------------
 
   struct Stats {
     std::uint64_t transmissions = 0;       // PPDUs put on the air
@@ -453,7 +446,7 @@ class Medium {
   /// memo (the oracle) every decision evaluates the FER.
   bool frame_lost(const phy::PhyRate& rate, double sinr_db,
                   std::size_t octets, std::uint32_t shard) const;
-  /// Homes `radio` on the shard owning its RF anchor (attach and
+  /// Homes `radio` on the shard owning its position (attach and
   /// post-horizon moves); rebinds its scheduler.
   void maybe_migrate_shard(Radio& radio);
   /// The scheduler homing `radio`'s shard (== scheduler_ unsharded).

@@ -7,7 +7,6 @@ Radio::Radio(Medium& medium, Scheduler& scheduler, RadioConfig config)
       scheduler_(&scheduler),
       config_(config),
       position_(config.position),
-      rf_position_(config.position),
       energy_(config.power, scheduler.now()),
       id_(medium.allocate_radio_id()) {
   energy_.set_timeline_ids(medium.timeline_group(),
@@ -21,11 +20,6 @@ Radio::~Radio() { medium_.detach(this); }
 void Radio::set_position(const Position& p) {
   if (position_ == p) return;
   position_ = p;
-  // Sub-quantum drift keeps the RF anchor (and with it every cached link
-  // budget involving this radio) valid; quantum 0 is the exact path.
-  const double quantum = medium_.config().position_quantum_m;
-  if (quantum > 0.0 && distance(p, rf_position_) <= quantum) return;
-  rf_position_ = p;
   ++geometry_version_;
   medium_.on_radio_moved(*this);
 }

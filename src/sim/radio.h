@@ -95,14 +95,6 @@ class Radio final : public mac::MacEnvironment {
   const RadioConfig& config() const { return config_; }
   const Position& position() const { return position_; }
 
-  /// The quantized RF anchor all physics sees (path loss, propagation
-  /// delay, spatial index, shard homing). Tracks position() exactly when
-  /// MediumConfig::position_quantum_m is 0; otherwise it snaps to the
-  /// true position only once the radio has drifted more than the quantum
-  /// away, so a mover's sub-quantum steps stop invalidating cached link
-  /// budgets (see MediumConfig::position_quantum_m).
-  const Position& rf_position() const { return rf_position_; }
-
   /// Moves the radio. Updates the medium's spatial index and invalidates
   /// the cached link budgets involving this radio.
   void set_position(const Position& p);
@@ -133,7 +125,7 @@ class Radio final : public mac::MacEnvironment {
   std::uint64_t id() const { return id_; }
 
   /// This radio's outgoing frame-template cache (introspection: the
-  /// pipeline bench and tests read its hit/patch counters).
+  /// benchmark and tests read its hit/patch counters).
   const frames::FrameTemplateCache& tx_template_cache() const {
     return tx_templates_;
   }
@@ -151,7 +143,6 @@ class Radio final : public mac::MacEnvironment {
   Scheduler* scheduler_;
   RadioConfig config_;
   Position position_;
-  Position rf_position_;  // quantized anchor; see rf_position()
   mac::Station* station_ = nullptr;
   EnergyMeter energy_;
   /// Serialize-once/patch-seq cache for this radio's outgoing frames

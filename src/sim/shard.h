@@ -36,7 +36,7 @@ class ShardExecutor {
   /// Convenience mirror of Scheduler::run_for on the shared clock.
   void run_for(Duration duration) { run_until(now() + duration); }
 
-  /// Runs until every shard's queue drains (benches; beaconing never
+  /// Runs until every shard's queue drains (tests; beaconing never
   /// drains in real scenarios).
   void run_all();
 

@@ -61,36 +61,6 @@ void TraceRecorder::dump(std::ostream& os, std::size_t max_rows) const {
   }
 }
 
-bool TraceRecorder::write_pcap(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-
-  auto w32 = [f](std::uint32_t v) { std::fwrite(&v, 4, 1, f); };
-  auto w16 = [f](std::uint16_t v) { std::fwrite(&v, 2, 1, f); };
-
-  // pcap global header, microsecond timestamps, LINKTYPE_IEEE802_11.
-  w32(0xa1b2c3d4);
-  w16(2);
-  w16(4);
-  w32(0);        // thiszone
-  w32(0);        // sigfigs
-  w32(65535);    // snaplen
-  w32(105);      // linktype
-
-  for (const auto& e : entries_) {
-    const double t = to_seconds(e.time.time_since_epoch());
-    const auto sec = static_cast<std::uint32_t>(t);
-    const auto usec = static_cast<std::uint32_t>((t - sec) * 1e6);
-    w32(sec);
-    w32(usec);
-    w32(static_cast<std::uint32_t>(e.raw.size()));
-    w32(static_cast<std::uint32_t>(e.raw.size()));
-    std::fwrite(e.raw.data(), 1, e.raw.size(), f);
-  }
-  std::fclose(f);
-  return true;
-}
-
 std::size_t TraceRecorder::count(
     const std::function<bool(const TraceEntry&)>& pred) const {
   std::size_t n = 0;

@@ -2,9 +2,7 @@
 //
 // A TraceRecorder hooks the medium's trace sink and records every PPDU
 // with its parsed frame. It renders the same packet-list view the paper
-// screenshots in Figures 2 and 3 (source / destination / info), and can
-// export a real pcap file (LINKTYPE_IEEE802_11) readable by actual
-// Wireshark.
+// screenshots in Figures 2 and 3 (source / destination / info).
 #pragma once
 
 #include <functional>
@@ -48,10 +46,6 @@ class TraceRecorder {
   /// Wireshark-style packet list:
   ///   No. Time      Source            Destination       Info
   void dump(std::ostream& os, std::size_t max_rows = 0) const;
-
-  /// Writes a classic pcap file with LINKTYPE_IEEE802_11 (105); open it
-  /// in Wireshark to see the same exchange the paper shows.
-  bool write_pcap(const std::string& path) const;
 
   /// Count of entries whose frame matches a predicate.
   std::size_t count(

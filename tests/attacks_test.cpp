@@ -319,7 +319,7 @@ TEST(Wardrive, MiniCityFullResponseRate) {
   EXPECT_GT(report.discovered_clients, 0u);
   // The paper's headline: every discovered device responds. We allow a
   // whisker of slack for devices first heard at the extreme edge of
-  // radio range as the drive ends (the full-scale bench reports ~100%).
+  // radio range as the drive ends (the full-scale survey reports ~100%).
   EXPECT_GE(report.response_rate(), 0.98);
   EXPECT_GT(report.acks_observed, 0u);
   // Vendor attribution flows back through the OUI database.

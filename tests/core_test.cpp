@@ -132,9 +132,9 @@ TEST(Monitor, FanOutToMultipleTapsAndRemoval) {
   Rig rig;
   MonitorHub hub(rig.attacker->station());
   int a = 0, b = 0;
-  hub.add_tap([&a](const frames::Frame&, const phy::RxVector&, bool) { ++a; });
+  hub.add_tap([&a](const frames::Frame&, const phy::RxVector&) { ++a; });
   const auto id =
-      hub.add_tap([&b](const frames::Frame&, const phy::RxVector&, bool) { ++b; });
+      hub.add_tap([&b](const frames::Frame&, const phy::RxVector&) { ++b; });
 
   rig.victim->station().transmit_now(
       frames::make_null_function(kAttackerMac, kVictimMac, 1), phy::kOfdm24);

@@ -1,18 +1,22 @@
 // Event-engine tests: the pooled scheduler (against a sorted reference
-// model), the SmallFn callable, concurrent independent simulations, and
-// the medium's production-vs-reference-oracle equivalence properties.
+// model), the SmallFn callable, concurrent independent simulations, the
+// medium's production-vs-reference-oracle equivalence properties, and
+// the allocation-free steady state of the PPDU pipeline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <new>
 #include <thread>
 #include <tuple>
 #include <utility>
 #include <vector>
 
+#include "common/check.h"
 #include "common/small_fn.h"
 #include "core/injector.h"
 #include "frames/frame_builder.h"
@@ -299,9 +303,8 @@ TEST(SchedulerPool, OrderingIsStableAcrossPooling) {
 // --- Concurrent simulations -------------------------------------------------
 
 TEST(ConcurrentSimulations, MatchSequentialRuns) {
-  // Independent simulations on concurrent threads (bench_table2_wardrive's
-  // parallel districts) must not observe each other: per-medium radio ids
-  // and thread-confined PPDU pools.
+  // Independent simulations on concurrent threads must not observe each
+  // other: per-medium radio ids and thread-confined PPDU pools.
   auto job = [](std::size_t i) {
     sim::Simulation sim({.medium = {.shadowing_sigma_db = 0.0},
                          .seed = 300 + i});
@@ -345,17 +348,17 @@ struct Fingerprint {
   std::uint64_t events_executed = 0;
   std::uint64_t receptions = 0;
   std::vector<std::tuple<TimePoint, std::string, Bytes>> trace;
-  /// What the tapped stations' monitor taps saw: (station, time, fcs_ok,
-  /// the frame re-serialized). Production hands intact receivers one
-  /// shared decode and parses a damaged copy only for a tapped station;
-  /// the oracle decodes per receiver, so a wrong cache line shows here.
-  std::vector<std::tuple<std::size_t, TimePoint, bool, Bytes>> taps;
+  /// What the tapped stations' monitor taps saw: (station, time, the
+  /// frame re-serialized). Production hands intact receivers one shared
+  /// decode; the oracle decodes per receiver, so a wrong cache line
+  /// shows here.
+  std::vector<std::tuple<std::size_t, TimePoint, Bytes>> taps;
 
   bool operator==(const Fingerprint&) const = default;
 };
 
 /// run_scenario taps every odd-numbered target, so damaged copies reach
-/// tapped and untapped stations alike.
+/// tapped and untapped stations alike, and a tap must see none of them.
 bool tapped_target(std::size_t i) { return i % 2 == 1; }
 
 /// The Fingerprint of a finished run.
@@ -415,13 +418,12 @@ Fingerprint run_scenario(std::uint64_t scenario_seed, bool oracle,
     targets.push_back(&dev);
   }
 
-  std::vector<std::tuple<std::size_t, TimePoint, bool, Bytes>> taps;
+  std::vector<std::tuple<std::size_t, TimePoint, Bytes>> taps;
   for (std::size_t i = 0; i < targets.size(); ++i) {
     if (!tapped_target(i)) continue;
     targets[i]->station().set_sniffer(
-        [&taps, &sim, i](const frames::Frame& f, const phy::RxVector&,
-                         bool fcs_ok) {
-          taps.emplace_back(i, sim.now(), fcs_ok, frames::serialize(f));
+        [&taps, &sim, i](const frames::Frame& f, const phy::RxVector&) {
+          taps.emplace_back(i, sim.now(), frames::serialize(f));
         });
   }
 
@@ -573,22 +575,30 @@ TEST_P(PipelineEquivalence, ZeroCopyPipelineIsObservablyIdenticalToLegacy) {
   // trace and tap parses, so the oracle's surplus counts the deliveries
   // production served from a record's cached decode. (Audit re-parses
   // are uncounted, so this holds in PW_AUDIT builds too.) Damaged copies
-  // must reach both a tapped station (which parses them) and an untapped
-  // one (which drops them on the FCS alone).
+  // must reach both a tapped and an untapped station and count in their
+  // fcs_failures. A tap sees exactly the frames that passed the FCS, so
+  // the tapped stations' frames_received add up to the tap count.
 #if PW_OBS_ON
   EXPECT_GT(oracle_decodes, production_decodes)
       << "no transmission had two intact receivers";
 #endif
+  bool tapped_fcs_failure = false;
   bool untapped_fcs_failure = false;
+  std::size_t tapped_received = 0;
   for (std::size_t i = 0; i < zero_copy.station.size(); ++i) {
-    untapped_fcs_failure |=
-        !tapped_target(i) && std::get<3>(zero_copy.station[i]) > 0;
+    const std::uint64_t received = std::get<0>(zero_copy.station[i]);
+    const std::uint64_t fcs_failures = std::get<3>(zero_copy.station[i]);
+    (tapped_target(i) ? tapped_fcs_failure : untapped_fcs_failure) |=
+        fcs_failures > 0;
+    if (tapped_target(i)) tapped_received += received;
   }
+  EXPECT_TRUE(tapped_fcs_failure)
+      << "no damaged copy reached a tapped station";
   EXPECT_TRUE(untapped_fcs_failure)
       << "no damaged copy reached an untapped station";
-  EXPECT_TRUE(std::any_of(zero_copy.taps.begin(), zero_copy.taps.end(),
-                          [](const auto& t) { return !std::get<2>(t); }))
-      << "no damaged copy reached a tapped station";
+  EXPECT_GT(tapped_received, 0u) << "no tapped station received a frame";
+  EXPECT_EQ(zero_copy.taps.size(), tapped_received)
+      << "a tap saw a frame that failed its FCS";
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTopologies, PipelineEquivalence,
@@ -730,4 +740,172 @@ TEST(LinkCache, ThrashingCacheServesTheOracleGains) {
   EXPECT_GT(cached.stats().link_cache_evictions, 0u);
   EXPECT_GT(cached.stats().link_cache_hits, 0u);
   EXPECT_EQ(oracle.stats().link_cache_hits, 0u);
+}
+
+// --- Spatial index work ------------------------------------------------------
+
+// The index hands fan-out only the radios in grid cells that intersect
+// the sender's detection disc. On a field much wider than the disc, a
+// moving sender (which fans out through the index on every transmission)
+// visits no radio farther than the disc radius plus one cell diagonal.
+// An index that scanned every radio would still deliver the same frames;
+// only this count shows the lost pruning.
+TEST(SpatialIndex, MovingSenderVisitsOnlyRadiosNearItsDetectionDisc) {
+  sim::Scheduler scheduler;
+  sim::MediumConfig mc;
+  mc.shadowing_sigma_db = 0.0;
+  sim::Medium medium(scheduler, mc, /*seed=*/7);
+  constexpr double kField = 20000.0;
+  Rng layout(1234);
+  std::vector<std::unique_ptr<sim::Radio>> radios;
+  for (int i = 0; i < 2000; ++i) {
+    sim::RadioConfig rc;
+    rc.position = {layout.uniform(0.0, kField), layout.uniform(0.0, kField)};
+    radios.push_back(std::make_unique<sim::Radio>(medium, scheduler, rc));
+  }
+  sim::Radio mover(medium, scheduler, {.position = {0.0, 0.0}});
+  const phy::TxVector tx;
+  const double reach =
+      medium.max_detect_range_m(tx.power_dbm, mover.frequency_hz()) +
+      medium.cell_size_m() * std::sqrt(2.0);
+  const Bytes ppdu(64, 0xAA);
+  std::uint64_t within_reach = 0;
+  for (int step = 0; step < 50; ++step) {
+    mover.set_position(
+        {layout.uniform(0.0, kField), layout.uniform(0.0, kField)});
+    for (const auto& radio : radios) {
+      within_reach += distance(mover.position(), radio->position()) <= reach;
+    }
+    medium.transmit(mover, ppdu, tx);
+    scheduler.run_all();
+  }
+  const std::uint64_t visited = medium.stats().candidates_scanned;
+  EXPECT_GT(medium.stats().receptions, 0u);
+  EXPECT_LE(visited, within_reach)
+      << "fan-out visited radios beyond the detection disc's cells";
+  EXPECT_LT(within_reach, 50u * 2000u / 4u)
+      << "the field is not much wider than the disc; vacuous";
+}
+
+// --- Steady-state allocations ------------------------------------------------
+
+// Replaceable global operator new/delete: every heap allocation in this
+// test binary outside an auditor (contract::AuditScope) bumps one
+// counter, so a test can assert that a phase made none instead of
+// guessing from throughput. Every variant is replaced, nothrow and
+// aligned included, so no allocation reaches the runtime's own operator
+// new (a sanitizer's, say) and then our free().
+namespace {
+std::atomic<std::uint64_t> heap_allocations{0};
+
+void* counted_alloc(std::size_t n, std::size_t align = 0) noexcept {
+  if (!contract::in_audit()) {
+    heap_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (n == 0) n = 1;
+  return align == 0
+             ? std::malloc(n)
+             : std::aligned_alloc(align, (n + align - 1) / align * align);
+}
+
+void* counted_alloc_or_throw(std::size_t n, std::size_t align = 0) {
+  if (void* p = counted_alloc(n, align)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t n) { return counted_alloc_or_throw(n); }
+void* operator new[](std::size_t n) { return counted_alloc_or_throw(n); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  return counted_alloc_or_throw(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return counted_alloc_or_throw(n, static_cast<std::size_t>(a));
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n);
+}
+void* operator new(std::size_t n, std::align_val_t a,
+                   const std::nothrow_t&) noexcept {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void* operator new[](std::size_t n, std::align_val_t a,
+                     const std::nothrow_t&) noexcept {
+  return counted_alloc(n, static_cast<std::size_t>(a));
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, std::align_val_t,
+                     const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::align_val_t,
+                       const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+
+// One attacker streaming fake null-function frames at 50 in-range
+// receivers: the inject -> transmit -> deliver path the battery attack
+// lives on (pooled shared payloads, the frame-template cache, batched
+// delivery records). Once a warm-up has filled the PPDU pool, the
+// template cache and the record free-list, a frame costs no heap
+// allocation and copies no payload octet.
+TEST(SteadyState, PpduPipelineAllocatesNothingAndCopiesNoPayload) {
+  sim::Scheduler scheduler;
+  sim::MediumConfig mc;
+  mc.shadowing_sigma_db = 0.0;
+  mc.model_frame_errors = false;
+  // Without propagation delay every receiver shares one arrival time, so
+  // a transmission is one delivery event.
+  mc.model_propagation_delay = false;
+  sim::Medium medium(scheduler, mc, /*seed=*/7);
+
+  sim::RadioConfig arc;
+  arc.position = {50.0, 50.0};
+  sim::Radio attacker(medium, scheduler, arc);
+  Rng layout(1234);
+  std::vector<std::unique_ptr<sim::Radio>> receivers;
+  for (int i = 0; i < 50; ++i) {
+    sim::RadioConfig rc;
+    rc.position = {layout.uniform(0.0, 100.0), layout.uniform(0.0, 100.0)};
+    receivers.push_back(std::make_unique<sim::Radio>(medium, scheduler, rc));
+  }
+
+  frames::Frame fake = frames::make_null_function(
+      MacAddress::broadcast(), MacAddress::paper_fake_address(), 0);
+  const phy::TxVector tx;
+  std::uint16_t seq = 0;
+  const auto send = [&](int frames) {
+    for (int i = 0; i < frames; ++i) {
+      fake.seq.sequence = seq++ & 0x0FFF;
+      attacker.transmit(fake, tx);
+      scheduler.run_all();
+    }
+  };
+
+  send(256);
+  const std::uint64_t before = heap_allocations.load();
+  send(2000);
+  EXPECT_EQ(heap_allocations.load() - before, 0u)
+      << "heap allocations in 2,000 steady-state frames";
+  EXPECT_EQ(medium.stats().ppdu_bytes_copied, 0u);
+  EXPECT_EQ(medium.stats().receptions, 2256u * 50u)
+      << "every receiver must hear every frame, or the test is vacuous";
 }

@@ -398,20 +398,18 @@ TEST(StationRx, RtsResponseCanBeDisabled) {
   EXPECT_TRUE(h.env.sent_.empty());
 }
 
-TEST(StationRx, SnifferSeesEverythingIncludingBadFcs) {
+TEST(StationRx, SnifferSeesOnlyFcsValidFrames) {
   Harness h;
-  std::size_t seen = 0, bad = 0;
-  h.station->set_sniffer(
-      [&](const Frame&, const phy::RxVector&, bool fcs_ok) {
-        ++seen;
-        bad += fcs_ok ? 0 : 1;
-      });
+  std::size_t seen = 0;
+  h.station->set_sniffer([&](const Frame&, const phy::RxVector&) { ++seen; });
   h.deliver(frames::make_null_function(kPeer, kFake, 1));  // not for us
   Bytes raw = frames::serialize(frames::make_null_function(kSelf, kFake, 2));
   raw[raw.size() - 1] ^= 0x01;  // FCS damage
   h.station->on_ppdu_received(raw, phy::RxVector{});
-  EXPECT_EQ(seen, 2u);
-  EXPECT_EQ(bad, 1u);
+  // The damaged copy is counted and dropped before any tap sees it.
+  EXPECT_EQ(seen, 1u);
+  EXPECT_EQ(h.station->stats().fcs_failures, 1u);
+  EXPECT_TRUE(h.acks().empty());
 }
 
 TEST(StationRx, DozingStationReceivesNothing) {

@@ -27,7 +27,6 @@ struct MediumTestPeer {
   /// the geometry version and reindex the grid).
   static void stale_position(Radio& r, const Position& p) {
     r.position_ = p;
-    r.rf_position_ = p;  // physics anchor moves too, caches stay stale
   }
   static bool corrupt_one_current_link_cache_line(Medium& m) {
     for (auto& memo : m.memos_) {

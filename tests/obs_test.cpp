@@ -1,7 +1,7 @@
 // Tests for the observability layer: registry determinism, histogram
 // bucket semantics, the canonical metrics block (shape, wall exclusion,
 // thread-count independence), the timeline profiler, the golden metrics
-// document, and the OBSERVABILITY.md catalogue contract (the doc lists
+// documents, and the OBSERVABILITY.md catalogue contract (the doc lists
 // every registered metric and names nothing the registry doesn't have).
 #include <gtest/gtest.h>
 
@@ -225,21 +225,70 @@ TEST(ObsBlock, ThreadCountIndependentOnSyntheticSweep) {
 
 // --------------------------------------------------------- Experiments --
 
-TEST(ObsExperiment, QuickstartMetricsDocumentMatchesGolden) {
+/// One exact work-count golden: a `pw_run ... --metrics --json` document
+/// compared byte for byte against tests/goldens/metrics/<name>.json.
+/// Every count in the metrics block (candidates and receptions per
+/// transmission, fading draws, FER evaluations, cache hits, bytes
+/// copied, pool allocations, decodes) is a pure function of the
+/// experiment, its flags and its seed, so a change that does more work
+/// fails here, on every host, without timing anything.
+struct MetricsGolden {
+  const char* name;
+  const char* experiment;
+  std::vector<common::Flag> flags;
+  bool smoke;
+};
+
+void PrintTo(const MetricsGolden& c, std::ostream* os) { *os << c.name; }
+
+// The benchmark's workloads at their conformance sizes (benchmark/run.py's
+// `quick` parameters), the quickstart, and one district of the city on
+// the sharded medium.
+const MetricsGolden kMetricsGoldens[] = {
+    {"quickstart", "quickstart", {}, true},
+    {"survey_static", "wardriving", {{"seed", "99"}, {"scale", "0.01"}},
+     false},
+    {"survey_fading",
+     "wardriving",
+     {{"seed", "99"},
+      {"scale", "0.01"},
+      {"fading_rho", "0.9"},
+      {"fading_sigma_db", "2"},
+      {"fading_coherence_us", "1000"}},
+     false},
+    {"flood_ack", "battery_drain", {{"seed", "62"}, {"measure_s", "5"}},
+     false},
+    {"city_sharded", "city", {{"district", "0"}, {"shards", "4"}}, true},
+};
+
+class ObsMetricsGolden : public ::testing::TestWithParam<MetricsGolden> {};
+
+TEST_P(ObsMetricsGolden, DocumentMatchesGolden) {
   PW_REQUIRE_OBS_ON();
+  const MetricsGolden& c = GetParam();
   runtime::register_builtin_experiments();
   runtime::RunOptions options;
   options.metrics = true;
   const auto result =
-      runtime::run_experiment("quickstart", {}, /*smoke=*/true, options);
-  ASSERT_EQ(result.exit_code, 0);
-  const std::string golden =
-      read_repo_file("tests/goldens/metrics/quickstart.json");
-  EXPECT_EQ(result.json, golden)
-      << "regenerate with: build/src/runtime/pw_run quickstart --smoke "
-         "--metrics --json=tests/goldens/metrics (then delete the "
-         "side-car .metrics.json/.trace.json)";
+      runtime::run_experiment(c.experiment, c.flags, c.smoke, options);
+  ASSERT_EQ(result.exit_code, 0) << result.error;
+  const std::string path = std::string("tests/goldens/metrics/") + c.name +
+                           ".json";
+  std::string command = std::string("build/src/runtime/pw_run ") +
+                        c.experiment + (c.smoke ? " --smoke" : "");
+  for (const auto& flag : c.flags) {
+    command += " --" + flag.name + "=" + flag.value.value_or("");
+  }
+  EXPECT_EQ(result.json, read_repo_file(path))
+      << "regenerate with: " << command << " --metrics --json=" << path
+      << " (then delete the side-car .metrics.json/.trace.json)";
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Workloads, ObsMetricsGolden, ::testing::ValuesIn(kMetricsGoldens),
+    [](const ::testing::TestParamInfo<MetricsGolden>& info) {
+      return std::string(info.param.name);
+    });
 
 TEST(ObsExperiment, RunWithoutMetricsLeavesDocumentClean) {
   runtime::register_builtin_experiments();

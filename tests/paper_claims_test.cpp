@@ -241,6 +241,38 @@ bool flag(const common::Json& doc, std::string_view pointer) {
   return node->as_bool();
 }
 
+/// The string at `pointer`; empty (and a test failure) when missing.
+std::string text(const common::Json& doc, std::string_view pointer) {
+  const common::Json* node = find_path(doc, pointer);
+  if (node == nullptr || node->kind() != common::Json::Kind::kString) {
+    ADD_FAILURE() << pointer << ": missing or not a string";
+    return {};
+  }
+  return node->as_string();
+}
+
+// Fig 2: the victim ACKs the stranger's fake frame one SIFS after it
+// ends, addressed to the spoofed source. The gap is measured from the
+// fake frame's end at the stranger to the ACK's start at the victim, so
+// it is the 2.4 GHz OFDM SIFS of 10 us plus one propagation delay; the
+// scene's 5.7 m takes 19 ns, and the bound allows up to 30 m.
+TEST(PaperClaims, QuickstartAckFollowsOneSifsToTheSpoofedSource) {
+  const common::Json doc = smoke_document("quickstart");
+  EXPECT_TRUE(flag(doc, "/results/stranger_acked"));
+  const double gap_us = number(doc, "/results/ack_gap_us");
+  EXPECT_GE(gap_us, 10.0) << "an ACK before SIFS has elapsed";
+  EXPECT_LE(gap_us, 10.1) << "more than SIFS plus 30 m of propagation";
+  EXPECT_EQ(text(doc, "/results/ack_receiver_address"), "aa:bb:bb:bb:bb:bb");
+}
+
+// Table 2: every surveyed device answers the fake frames (the paper's
+// 5,328 of 5,328). The smoke survey must keep at least 97%.
+TEST(PaperClaims, WardrivingDevicesRespondToFakes) {
+  const common::Json doc = smoke_document("wardriving");
+  EXPECT_GT(number(doc, "/results/discovered"), 0.0);
+  EXPECT_GE(number(doc, "/results/response_rate"), 0.97);
+}
+
 // Fig 5 / §4.1: keystrokes recovered from the CSI of elicited ACKs.
 TEST(PaperClaims, KeystrokeInferenceRecoversTyping) {
   const common::Json doc = smoke_document("keystroke_inference");

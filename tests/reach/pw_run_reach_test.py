@@ -32,10 +32,6 @@ ALLOWLIST = {
         "phy/timing.cpp: nav_for_ack, pinned by the PHY tests",
     ("libpw_common.a", "byte_buffer.cpp.o"):
         "common/byte_buffer.cpp: hex_dump, a debugging aid",
-    ("libpw_common.a", "rng.cpp.o"):
-        "common/rng.cpp: empty, rng.h is header-only",
-    ("libpw_common.a", "units.cpp.o"):
-        "common/units.cpp: empty, units.h is header-only",
 }
 
 SECTION = "Archive member included to satisfy reference by file (symbol)"

@@ -35,12 +35,11 @@ RUNNER = REPO / "src" / "runtime" / "runner.cpp"
 EXPERIMENTS_DIR = REPO / "src" / "runtime" / "experiments"
 DOCS = ["README.md", "EXPERIMENTS.md", "OBSERVABILITY.md", "CAMPAIGNS.md"]
 
-# Documented flags owned by the Python tools (tools/pw_campaign.py,
-# tools/bench_compare.py ...) or by external tools the docs quote
+# Documented flags owned by the Python tools (tools/pw_campaign.py ...)
+# or by external tools the docs quote
 # (cmake, ctest). Keep sorted; every entry must be mentioned by a doc.
 TOOL_FLAGS = {
     "build",              # cmake, quoted in build instructions
-    "floor",              # bench_compare.py
     "preset",             # cmake, quoted in build instructions
     "seed",               # reserved per-experiment flag / pw_campaign.py init
     "suite-version",      # pw_campaign.py init
