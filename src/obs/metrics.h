@@ -88,13 +88,6 @@ namespace politewifi::obs {
     "PPDU buffers heap-allocated (pool cold or pooling off)")                 \
   X(kRadioStateTransitions, "sim.radio.state_transitions", "transitions",     \
     "radio power-state changes metered by EnergyMeter")                       \
-  X(kShardHandoffs, "sim.shard.handoffs", "migrations",                       \
-    "mobile radios migrated to another shard at a cell-exit horizon")         \
-  X(kShardMirroredTx, "sim.shard.mirrored_tx", "ppdus",                       \
-    "transmissions whose fan-out crossed a shard border (deliveries "         \
-    "mirrored into a foreign shard's event stream)")                          \
-  X(kShardSyncStalls, "sim.shard.sync_stalls", "switches",                    \
-    "conservative-sync shard switches in the executor's merge loop")          \
   X(kFramesDecodes, "frames.decodes", "frames",                               \
     "octet strings parsed into a Frame (an FCS check alone is no decode)")    \
   X(kMacAcksSent, "mac.acks_sent", "frames",                                  \
@@ -129,9 +122,7 @@ namespace politewifi::obs {
     "generations",                                                            \
     "link/FER cache (re)allocations — growth drops the old contents")         \
   X(kMediumFadingLinksPeak, "sim.medium.fading_links_peak", "links",          \
-    "peak links holding live fading state across all shards")                 \
-  X(kShardSkewNs, "sim.shard.skew_ns", "ns",                                  \
-    "peak spread between shard head-event times at an executor switch")       \
+    "peak links holding live fading state")                                   \
   X(kCampaignQueueDepthPeak, "runtime.campaign.queue_depth_peak", "jobs",     \
     "peak queued-but-undispatched jobs in one campaign invocation")
 

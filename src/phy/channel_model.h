@@ -5,8 +5,8 @@
 //  * a **static geometry term** — log-distance path loss plus a
 //    deterministic per-link lognormal shadowing draw. A pure function of
 //    (frequency, distance, link identity), so every cache layer above
-//    (the medium's link cache, its SoA fan-out lanes, the per-shard
-//    memos) may memoize it for as long as the geometry holds.
+//    (the medium's link cache and its SoA fan-out lanes) may memoize it
+//    for as long as the geometry holds.
 //
 //  * a **dynamic fading term** — a stationary AR(1) process in dB,
 //    Cov(x_i, x_j) = sigma^2 * rho^|i - j|, one value per coherence
@@ -18,11 +18,11 @@
 //    nodes bracketing it. The standard normals come from counter-based
 //    RNG streams keyed by (link, seed, interval), each sampled by a
 //    128-layer ziggurat (the shadowing draw keeps Box–Muller), so x_n is
-//    a *pure function* of (link key, interval): any evaluation order,
-//    shard count, or cache state replays the identical value bit for
-//    bit, and a cold evaluation draws at most 2 + log2(kBlockIntervals)
-//    normals. Incremental state (FadingState) is only ever a cache of
-//    that function.
+//    a *pure function* of (link key, interval): any evaluation order
+//    or cache state replays the identical value bit for bit, and a cold
+//    evaluation draws at most 2 + log2(kBlockIntervals) normals.
+//    Incremental state (FadingState) is only ever a cache of that
+//    function.
 //
 // `fading.rho = 0` disables the dynamic term entirely; the model then
 // degenerates to today's memoryless channel and every byte downstream
@@ -79,7 +79,7 @@ class ChannelModel {
   /// so a forward move draws only the nodes below the smallest cached
   /// bracket. Purely a cache — every node it holds is the exact double
   /// a cold evaluation draws — so state may be discarded (cache
-  /// collision, shard migration) at any time without changing any
+  /// collision, cache growth) at any time without changing any
   /// returned value.
   struct FadingState {
     std::uint64_t interval = 0;

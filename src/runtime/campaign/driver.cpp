@@ -441,10 +441,9 @@ int run_campaign_driver(const CampaignManifest& manifest,
       }
       argv.push_back("--json=" + doc_path);
       if (options.metrics_arg.has_value()) {
-        // Child obs artifacts stay in scratch/ (removed on completion);
-        // the child document's embedded metrics block is what reduces.
+        // The child's metrics file stays in scratch/ (removed on
+        // completion); its document's embedded block is what reduces.
         argv.push_back("--metrics=" + doc_path + ".metrics.json");
-        argv.push_back("--timeline=" + doc_path + ".trace.json");
       }
 
       int wait_status = 0;
@@ -500,7 +499,6 @@ int run_campaign_driver(const CampaignManifest& manifest,
           std::error_code cleanup;
           fs::remove(doc_path, cleanup);
           fs::remove(doc_path + ".metrics.json", cleanup);
-          fs::remove(doc_path + ".trace.json", cleanup);
         }
       } else if (progress.attempts >= manifest.policy.max_attempts) {
         // Failed attempt with the budget spent: quarantine.

@@ -1,7 +1,7 @@
-// City-scale survey: the §3 wardrive sharded into independent
-// districts, each its own city + simulation, reduced into one survey.
+// City-scale survey: the §3 wardrive split into independent districts,
+// each its own city + simulation, reduced into one survey.
 //
-// Districts are the unit of multi-process scale-out: `--district=K`
+// Districts are the one unit of scale-out: `--district=K`
 // runs exactly one district (what the `district-KK` jobs of a `pw_run
 // --city` campaign run, all on the run's seed), the default
 // `--district=-1` runs all of them in-process. Both produce the same
@@ -53,12 +53,6 @@ class CitySurveyExperiment final : public Experiment {
              .min_value = 0.0,
              .max_value = 4.0,
              .min_exclusive = true},
-            {.name = "shards",
-             .description = "spatial shards per district medium "
-                            "(1 = the unsharded reference path)",
-             .default_value = std::int64_t{1},
-             .min_value = 1.0,
-             .max_value = 256.0},
         },
     };
     return kSpec;
@@ -68,7 +62,6 @@ class CitySurveyExperiment final : public Experiment {
     const std::int64_t districts = ctx.param_int("districts");
     const std::int64_t district = ctx.param_int("district");
     const double scale = ctx.param_double("scale");
-    const std::int64_t shards = ctx.param_int("shards");
     if (district >= districts) {
       std::printf("city: --district=%lld out of range (districts=%lld)\n",
                   static_cast<long long>(district),
@@ -77,17 +70,15 @@ class CitySurveyExperiment final : public Experiment {
       return;
     }
 
-    std::printf("City survey: %lld district%s, scale %.3f, %lld shard%s "
-                "per medium\n\n",
+    std::printf("City survey: %lld district%s, scale %.3f\n\n",
                 static_cast<long long>(districts), districts == 1 ? "" : "s",
-                scale, static_cast<long long>(shards),
-                shards == 1 ? "" : "s");
+                scale);
 
     common::Json list = common::Json::array();
     const std::int64_t first = district < 0 ? 0 : district;
     const std::int64_t last = district < 0 ? districts - 1 : district;
     for (std::int64_t k = first; k <= last; ++k) {
-      list.push_back(run_district(ctx, k, scale, shards));
+      list.push_back(run_district(ctx, k, scale));
     }
 
     const common::Json survey = aggregate_city_survey(list);
@@ -105,17 +96,15 @@ class CitySurveyExperiment final : public Experiment {
 
  private:
   static common::Json run_district(RunContext& ctx, std::int64_t k,
-                                   double scale, std::int64_t shards) {
+                                   double scale) {
     scenario::CityConfig city_cfg;
     city_cfg.scale = scale;
     city_cfg.seed = ctx.derive_seed("district" + std::to_string(k));
     const scenario::CityPlan plan(
         scenario::CityPlan::grid_route(scale >= 0.5 ? 6 : 2, 500), city_cfg);
 
-    sim::MediumConfig medium;
-    medium.shards = static_cast<int>(shards);
-    const auto sim_holder =
-        ctx.make_sim(medium, /*seed_offset=*/static_cast<std::uint64_t>(k));
+    const auto sim_holder = ctx.make_sim(
+        sim::MediumConfig{}, /*seed_offset=*/static_cast<std::uint64_t>(k));
     core::WardriveCampaign campaign(*sim_holder, plan);
     const auto report = campaign.run();
 

@@ -78,9 +78,10 @@ void print_pw_run_usage() {
       "--metrics collects the obs/ registry over the run: the canonical\n"
       "metrics block is appended to the JSON document and written alone to\n"
       "PATH (default <experiment>.metrics.json); byte-identical from run\n"
-      "to run. --metrics implies --timeline, which writes a Chrome\n"
-      "trace (chrome://tracing / Perfetto) to PATH (default\n"
-      "<experiment>.trace.json). See OBSERVABILITY.md.\n");
+      "to run. --timeline records a Chrome trace (chrome://tracing /\n"
+      "Perfetto) over the run and writes it to PATH (default\n"
+      "<experiment>.trace.json); each flag writes only its own file.\n"
+      "See OBSERVABILITY.md.\n");
 }
 
 }  // namespace
@@ -150,9 +151,9 @@ bool write_obs_outputs(const std::string& name,
     ok &= write_output("metrics", name + ".metrics.json", result.metrics_json,
                        *metrics_arg, force_dir);
   }
-  if (metrics_arg.has_value() || timeline_arg.has_value()) {
+  if (timeline_arg.has_value()) {
     ok &= write_output("timeline", name + ".trace.json", result.timeline_json,
-                       timeline_arg.value_or(""), force_dir);
+                       *timeline_arg, force_dir);
   }
   return ok;
 }
@@ -324,7 +325,7 @@ int pw_run_main(int argc, char** argv) {
   }
   RunOptions options;
   options.metrics = metrics_arg.has_value();
-  options.timeline = options.metrics || timeline_arg.has_value();
+  options.timeline = timeline_arg.has_value();
 
   std::vector<common::Flag> forwarded;
   for (const auto& flag : parsed->flags) {

@@ -22,7 +22,8 @@ struct RunOptions {
   bool metrics = false;
   /// Record a Chrome-tracing timeline over the run (radio power-state
   /// dwells in sim time + PW_TIMEIT wall spans); the trace comes back
-  /// in `timeline_json`. --metrics implies a timeline at the CLI.
+  /// in `timeline_json`. Independent of `metrics`: at the CLI only
+  /// --timeline turns it on.
   bool timeline = false;
 };
 

@@ -86,36 +86,9 @@ PW_HOT Scheduler::EventId Scheduler::schedule_at(TimePoint at, Callback fn) {
   Slot& slot = pool_[index];
   slot.fn = std::move(fn);
   slot.armed = true;
-  heap_.push_back(HeapEntry{std::max(at, *now_p_), (*seq_p_)++, index});
+  heap_.push_back(HeapEntry{std::max(at, now_), next_seq_++, index});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   return make_id(index, slot.generation);
-}
-
-void Scheduler::adopt_timebase(Scheduler& primary) {
-  PW_CHECK(heap_.empty() && next_seq_ == 0,
-           "adopt_timebase after events were scheduled");
-  PW_CHECK(&primary != this, "scheduler cannot adopt its own timebase");
-  now_p_ = primary.now_p_;
-  seq_p_ = primary.seq_p_;
-}
-
-bool Scheduler::peek_next(TimePoint* at, std::uint64_t* seq) {
-  // Reclaim tombstones parked at the front so the reported key is a
-  // live event; bounded by the number of tombstones, amortized O(1).
-  while (!heap_.empty()) {
-    const HeapEntry& top = heap_.front();
-    if (!pool_[top.slot].cancelled) {
-      *at = top.at;
-      *seq = top.seq;
-      return true;
-    }
-    const std::uint32_t slot = top.slot;
-    std::pop_heap(heap_.begin(), heap_.end(), Later{});
-    heap_.pop_back();
-    --tombstones_;
-    release_slot(slot);
-  }
-  return false;
 }
 
 PW_HOT void Scheduler::cancel(EventId id) {
@@ -172,7 +145,7 @@ PW_HOT bool Scheduler::pop_one(bool bounded, TimePoint limit) {
     // cancel itself (a no-op once the generation is bumped).
     Callback fn = std::move(slot.fn);
     release_slot(top.slot);
-    *now_p_ = top.at;
+    now_ = top.at;
     ++executed_;
     PW_COUNT(kSchedulerEventsExecuted);
 #if PW_AUDIT_ENABLED
@@ -189,7 +162,7 @@ PW_HOT bool Scheduler::pop_one(bool bounded, TimePoint limit) {
 void Scheduler::run_until(TimePoint until) {
   while (pop_one(/*bounded=*/true, until)) {
   }
-  advance_clock(until);
+  now_ = std::max(now_, until);
 }
 
 void Scheduler::run_all() {

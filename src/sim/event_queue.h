@@ -18,14 +18,6 @@
 //    of cancels — the old unordered_set of cancelled ids, which leaked
 //    one entry for every cancel that raced an already-fired event, is
 //    gone.
-//  - Sharded medium support: several Schedulers can share one logical
-//    timebase (clock + FIFO sequence counter) via adopt_timebase(). The
-//    union of their heaps ordered by the shared (time, seq) key is then
-//    exactly the single heap partitioned, which is what makes the
-//    sharded medium byte-identical to the unsharded one (DESIGN.md,
-//    "Sharded medium & conservative sync"). A lone scheduler points the
-//    indirection at its own members, so the common case pays one
-//    pointer hop and nothing else.
 #pragma once
 
 #include <cstdint>
@@ -43,12 +35,12 @@ class Scheduler {
 
   Scheduler() = default;
 
-  // now_p_/seq_p_ may point into this object — copying or moving would
-  // leave the twin aliasing the original's timebase.
+  // The medium, its radios and their movers hold references to their
+  // scheduler; a copy or move would strand them.
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
 
-  TimePoint now() const { return *now_p_; }
+  TimePoint now() const { return now_; }
 
   /// Schedules `fn` at absolute time `at` (>= now). Events scheduled for
   /// the same instant fire in scheduling order (FIFO).
@@ -77,32 +69,6 @@ class Scheduler {
 
   /// Executes the single earliest event, if any. Returns false when empty.
   bool run_one();
-
-  // --- shared timebase (sharded medium) ------------------------------------
-
-  /// Redirects this scheduler's clock and FIFO sequence counter to
-  /// `primary`'s, so events scheduled on either queue share one global
-  /// (time, seq) order. Must be called before any event is scheduled
-  /// here; `primary` must outlive this scheduler. Irreversible by design
-  /// (a shard never leaves its timebase mid-run).
-  void adopt_timebase(Scheduler& primary);
-
-  /// Reports the (time, seq) key of the earliest live event without
-  /// running it, lazily reclaiming any tombstones sitting at the front.
-  /// Returns false when no live event is queued.
-  bool peek_next(TimePoint* at, std::uint64_t* seq);
-
-  /// Runs the single earliest live event with time <= `limit` without
-  /// advancing the clock past it. Returns false if none qualifies.
-  /// The ShardExecutor's merge loop: peek every shard, run the global
-  /// minimum here.
-  bool run_one_bounded(TimePoint limit) {
-    return pop_one(/*bounded=*/true, limit);
-  }
-
-  /// Advances the (possibly shared) clock to `t` if it lags. The
-  /// executor calls this once per window, after the merge loop drains.
-  void advance_clock(TimePoint t) { *now_p_ = std::max(*now_p_, t); }
 
   /// Live (non-cancelled) events still queued.
   std::size_t pending() const { return heap_.size() - tombstones_; }
@@ -168,11 +134,6 @@ class Scheduler {
 
   TimePoint now_ = kSimStart;
   std::uint64_t next_seq_ = 0;
-  // Timebase indirection: a standalone scheduler owns its clock and
-  // sequence counter; a shard adopted into a shared timebase reads and
-  // writes the primary's instead (see adopt_timebase()).
-  TimePoint* now_p_ = &now_;
-  std::uint64_t* seq_p_ = &next_seq_;
   std::uint64_t executed_ = 0;
   std::size_t tombstones_ = 0;
   std::vector<HeapEntry> heap_;

@@ -81,19 +81,6 @@ Medium::Medium(Scheduler& scheduler, MediumConfig config, std::uint64_t seed)
                          .coherence_ns = static_cast<std::int64_t>(
                              config.fading_coherence_us * 1000.0)}},
           seed) {
-  PW_CHECK(config_.shards >= 1 && config_.shards <= 256,
-           "MediumConfig::shards out of range");
-  PW_CHECK(config_.shard_cell_m > 0.0, "shard_cell_m must be positive");
-  // Shard lattice factorization: the most-square nx x ny with
-  // nx * ny == shards (2 -> 1x2, 4 -> 2x2, 9 -> 3x3). Until the owner
-  // wires per-shard schedulers, everything homes on the primary.
-  std::uint32_t nx =
-      static_cast<std::uint32_t>(std::sqrt(double(config_.shards)));
-  while (config_.shards % nx != 0) --nx;
-  shard_nx_ = nx;
-  shard_ny_ = static_cast<std::uint32_t>(config_.shards) / nx;
-  shard_schedulers_.assign(1, &scheduler_);
-  memos_.resize(static_cast<std::size_t>(config_.shards));
   timeline_group_ = obs::allocate_timeline_group();
   // Cell edge = detection range at the EIRP ceiling on 2.4 GHz (the band
   // with the smaller reference loss, i.e. the longer reach), so one ring
@@ -151,69 +138,6 @@ std::uint64_t Medium::cell_key_for(const Position& p) const {
          static_cast<std::uint32_t>(cell_coord(p.y));
 }
 
-void Medium::set_shard_schedulers(std::vector<Scheduler*> schedulers) {
-  PW_CHECK(schedulers.size() == static_cast<std::size_t>(config_.shards),
-           "need exactly one scheduler per shard");
-  PW_CHECK(!schedulers.empty() && schedulers.front() == &scheduler_,
-           "shard 0 must be the medium's primary scheduler");
-  PW_CHECK(radios_.empty(), "set_shard_schedulers after radios attached");
-  shard_schedulers_ = std::move(schedulers);
-}
-
-Scheduler& Medium::shard_scheduler(std::uint64_t shard) const {
-  PW_CHECK(shard < shard_schedulers_.size(),
-           "shard %llu out of range (did an event id lose its tag?)",
-           static_cast<unsigned long long>(shard));
-  return *shard_schedulers_[shard];
-}
-
-std::uint32_t Medium::shard_of(const Position& p) const {
-  if (config_.shards <= 1) return 0;
-  const auto lattice = [this](double v, std::uint32_t n) {
-    const auto cell =
-        static_cast<std::int64_t>(std::floor(v / config_.shard_cell_m));
-    // floor-mod: negative coordinates wrap into [0, n).
-    const std::int64_t m = cell % static_cast<std::int64_t>(n);
-    return static_cast<std::uint32_t>(m < 0 ? m + n : m);
-  };
-  return lattice(p.x, shard_nx_) + shard_nx_ * lattice(p.y, shard_ny_);
-}
-
-void Medium::refresh_shard_horizon(Radio& radio, double speed_mps) const {
-  const TimePoint now = scheduler_.now();
-  if (config_.shards <= 1 || speed_mps <= 0.0) {
-    radio.shard_check_after_ = now;
-    return;
-  }
-  // Conservative cell-exit horizon: the radio cannot cross a super-cell
-  // edge before covering the distance to the nearest one, and
-  // on_radio_moved re-checks once the horizon passes.
-  const auto edge_gap = [this](double v) {
-    const double cell = config_.shard_cell_m;
-    const double frac = v - std::floor(v / cell) * cell;
-    return std::min(frac, cell - frac);
-  };
-  const double gap =
-      std::min(edge_gap(radio.position().x), edge_gap(radio.position().y));
-  radio.shard_check_after_ =
-      now + nanoseconds(static_cast<std::int64_t>(gap / speed_mps * 1e9));
-}
-
-void Medium::maybe_migrate_shard(Radio& radio) {
-  if (config_.shards <= 1) return;
-  if (scheduler_.now() < radio.shard_check_after_) return;
-  const std::uint32_t shard = shard_of(radio.position());
-  if (shard == radio.shard_) return;
-  radio.shard_ = shard;
-  radio.scheduler_ = shard_schedulers_[shard];
-  ++stats_.shard_handoffs;
-  PW_COUNT(kShardHandoffs);
-}
-
-Scheduler& Medium::scheduler_for(const Radio& radio) const {
-  return *radio.scheduler_;
-}
-
 void Medium::index_insert(Radio* radio) {
   radio->grid_chan_ = chan_key_of(*radio);
   radio->grid_cell_ = cell_key_for(radio->position());
@@ -253,13 +177,6 @@ void Medium::index_remove(Radio* radio) {
 
 void Medium::attach(Radio* radio) {
   radio->attach_order_ = next_attach_order_++;
-  if (config_.shards > 1) {
-    PW_CHECK(shard_schedulers_.size() ==
-                 static_cast<std::size_t>(config_.shards),
-             "attach before set_shard_schedulers on a sharded medium");
-    radio->shard_ = shard_of(radio->position());
-    radio->scheduler_ = shard_schedulers_[radio->shard_];
-  }
   radios_.push_back(radio);
   PW_GAUGE_MAX(kMediumRadiosPeak, radios_.size());
   index_insert(radio);
@@ -289,7 +206,6 @@ void Medium::mark_volatile(Radio& radio) {
 
 void Medium::on_radio_moved(Radio& radio) {
   mark_volatile(radio);
-  maybe_migrate_shard(radio);
   if (!radio.grid_indexed_) return;
   const std::uint64_t cell = cell_key_for(radio.position());
   if (cell == radio.grid_cell_) return;
@@ -309,27 +225,22 @@ double Medium::link_shadowing_db(const Radio& a, const Radio& b) const {
 
 void Medium::maybe_grow_link_cache() {
   if (oracle_) return;  // the oracle recomputes every lookup
-  // Each shard's memo gets the full population-scaled capacity: the
-  // growth trigger (and so the generation count) is identical across
-  // shard counts, and a shard only ever probes its own lines.
   const std::size_t want = std::clamp(
       std::bit_ceil(radios_.size() * kLinkCacheLinesPerRadio),
       kLinkCacheMinLines, kLinkCacheMaxLines);
-  if (want <= memos_.front().lines.size()) return;
-  for (LinkMemo& memo : memos_) {
-    memo.lines.assign(want, LinkBudget{});  // key 0 = empty line
-    memo.mask = want - 1;
-    memo.mru.assign(want / 2, 0);  // one MRU bit per 2-line set
-    memo.fer_lines.assign(want, FerMemoEntry{});  // mbps NaN = empty
-    memo.fer_mask = want - 1;
-    if (channel_.fading_enabled()) {
-      // Fading state is pair-keyed (reciprocal links share a line) and
-      // a line holds a whole bridge spine (~100 B); an eighth of the
-      // link-cache line count still covers the live fading links (the
-      // scale-0.05 survey peaks at ~8k links in 16k lines).
-      memo.fading_lines.assign(want / 8, FadingLine{});
-      memo.fading_mask = want / 8 - 1;
-    }
+  if (want <= memo_.lines.size()) return;
+  memo_.lines.assign(want, LinkBudget{});  // key 0 = empty line
+  memo_.mask = want - 1;
+  memo_.mru.assign(want / 2, 0);  // one MRU bit per 2-line set
+  memo_.fer_lines.assign(want, FerMemoEntry{});  // mbps NaN = empty
+  memo_.fer_mask = want - 1;
+  if (channel_.fading_enabled()) {
+    // Fading state is pair-keyed (reciprocal links share a line) and a
+    // line holds a whole bridge spine (~100 B); an eighth of the
+    // link-cache line count still covers the live fading links (the
+    // scale-0.05 survey peaks at ~8k links in 16k lines).
+    memo_.fading_lines.assign(want / 8, FadingLine{});
+    memo_.fading_mask = want / 8 - 1;
   }
   // Growth drops every link's cached fading spine (the values are pure
   // functions, so nothing observable changes — the next evaluation just
@@ -342,13 +253,12 @@ void Medium::maybe_grow_link_cache() {
 }
 
 bool Medium::frame_lost(const phy::PhyRate& rate, double sinr_db,
-                        std::size_t octets, std::uint32_t shard) const {
+                        std::size_t octets) const {
   // The uniform std::bernoulli_distribution would compare the FER
   // against: one engine output per decision, in delivery order.
   const double u = rng_.canonical();
   const double cell = std::floor(sinr_db * phy::kFerCellsPerDb);
-  LinkMemo& memo = memos_[shard];
-  if (!memo.fer_lines.empty() && octets < (std::size_t{1} << 19) &&
+  if (!memo_.fer_lines.empty() && octets < (std::size_t{1} << 19) &&
       std::uint32_t(rate.bits_per_symbol) < (1u << 12) &&
       std::abs(cell) < 0x1p31) {
     const std::int32_t index = static_cast<std::int32_t>(cell);
@@ -359,7 +269,7 @@ bool Medium::frame_lost(const phy::PhyRate& rate, double sinr_db,
     const std::uint64_t h =
         splitmix(((std::uint64_t(shape) << 32) | std::uint32_t(index)) ^
                  std::bit_cast<std::uint64_t>(rate.mbps));
-    FerMemoEntry& e = memo.fer_lines[h & memo.fer_mask];
+    FerMemoEntry& e = memo_.fer_lines[h & memo_.fer_mask];
     if (e.cell == index && e.shape == shape && e.mbps == rate.mbps) {
       ++stats_.fer_cache_hits;
       PW_COUNT(kMediumFerCacheHits);
@@ -394,15 +304,13 @@ double Medium::raw_link_gain_db(const Radio& tx_radio,
 }
 
 double Medium::link_fading_db(const Radio& a, const Radio& b,
-                              std::uint64_t interval,
-                              std::uint32_t shard) const {
+                              std::uint64_t interval) const {
   const std::uint64_t key = pair_key(a.id(), b.id());
-  LinkMemo& memo = memos_[shard];
   phy::ChannelModel::FadingState scratch;
   phy::ChannelModel::FadingState* state = &scratch;
-  if (!memo.fading_lines.empty()) {
+  if (!memo_.fading_lines.empty()) {
     // Direct-mapped probe (the pair key is already a splitmix output).
-    FadingLine& line = memo.fading_lines[key & memo.fading_mask];
+    FadingLine& line = memo_.fading_lines[key & memo_.fading_mask];
     if (line.key != key) {
       if (line.key == 0) {
         // Cold fill, not a collision: one more link holds live state.
@@ -435,8 +343,7 @@ double Medium::link_gain_db(const Radio& tx_radio,
   // (a->b) and (b->a) are distinct entries when the radios are tuned
   // differently. Ids are per-medium and sequential, so they fit 32 bits
   // for any simulation this side of the heat death.
-  LinkMemo& memo = memos_[tx_radio.shard_];  // transmitter's shard memo
-  const bool cacheable = !memo.lines.empty() &&
+  const bool cacheable = !memo_.lines.empty() &&
                          tx_radio.id() < (1ULL << 32) &&
                          rx_radio.id() < (1ULL << 32);
   const std::uint64_t key = (tx_radio.id() << 32) | rx_radio.id();
@@ -448,11 +355,11 @@ double Medium::link_gain_db(const Radio& tx_radio,
     // (the likelier hit), then the other; a miss fills the LRU way, so
     // two live links sharing a set coexist instead of evicting each
     // other on every alternation.
-    const std::size_t set = splitmix(key) & (memo.mask >> 1);
-    mru = &memo.mru[set];
+    const std::size_t set = splitmix(key) & (memo_.mask >> 1);
+    mru = &memo_.mru[set];
     for (int probe = 0; probe < 2; ++probe) {
       const std::uint8_t way = probe == 0 ? *mru : (*mru ^ 1u);
-      LinkBudget* cand = &memo.lines[set * 2 + way];
+      LinkBudget* cand = &memo_.lines[set * 2 + way];
       if (cand->key == key &&
           cand->tx_version == tx_radio.geometry_version_ &&
           cand->rx_version == rx_radio.geometry_version_) {
@@ -463,7 +370,7 @@ double Medium::link_gain_db(const Radio& tx_radio,
       }
     }
     victim_way = *mru ^ 1u;
-    line = &memo.lines[set * 2 + victim_way];
+    line = &memo_.lines[set * 2 + victim_way];
   }
   ++stats_.link_cache_misses;
   PW_COUNT(kMediumLinkCacheMisses);
@@ -719,8 +626,8 @@ void Medium::schedule_batch(std::size_t rec_idx, const Radio& sender,
     if (i > 0 && arrival(i).rx_end == arrival(i - 1).rx_end) continue;
     ++stats_.delivery_events;
     PW_COUNT(kMediumDeliveryEvents);
-    scheduler_for(sender).schedule_at(arrival(i).rx_end,
-                                      [this, rec_idx] { run_batch(rec_idx); });
+    scheduler_.schedule_at(arrival(i).rx_end,
+                           [this, rec_idx] { run_batch(rec_idx); });
   }
 }
 
@@ -818,7 +725,7 @@ PW_HOT void Medium::transmit(Radio& sender, frames::PpduRef ppdu,
   sender.energy().charge_tx_ramp();
   sender.tx_since_ = start;
   sender.tx_until_ = end;
-  scheduler_for(sender).schedule_at(end, [&sender, end] {
+  scheduler_.schedule_at(end, [&sender, end] {
     sender.energy().set_state(
         sender.sleeping() ? RadioState::kSleep : RadioState::kIdle, end);
   });
@@ -833,14 +740,9 @@ PW_HOT void Medium::transmit(Radio& sender, frames::PpduRef ppdu,
   rec.sender = &sender;
   rec.live = true;
 
-  // Tracks whether any delivery of this PPDU lands on a radio homed on a
-  // different shard (the "boundary mirror" case); counted once per
-  // transmission after the fan-out.
-  bool crossed = false;
-
   // Dynamic fading: evaluated once per transmission at the *transmit*
   // start's coherence interval (a pure function of sim time, so the
-  // draw is schedule- and shard-independent), composed on top of the
+  // draw is schedule-independent), composed on top of the
   // cached static budget per receiver below. The fade only modulates
   // power within the statically-detectable set: a down-fade below the
   // detection threshold drops the reception, but an up-fade never
@@ -867,11 +769,9 @@ PW_HOT void Medium::transmit(Radio& sender, frames::PpduRef ppdu,
     double rx_dbm = rx_power_dbm(sender, tx.power_dbm, *rx_radio);
     if (rx_dbm < config_.detect_threshold_dbm) return;
     if (fading) {
-      rx_dbm +=
-          link_fading_db(sender, *rx_radio, fading_interval, sender.shard_);
+      rx_dbm += link_fading_db(sender, *rx_radio, fading_interval);
       if (rx_dbm < config_.detect_threshold_dbm) return;  // faded below
     }
-    crossed |= rx_radio->shard_ != sender.shard_;
     begin_reception(sender, rx_radio, rx_dbm, rec, start, end);
   };
 
@@ -936,12 +836,10 @@ PW_HOT void Medium::transmit(Radio& sender, frames::PpduRef ppdu,
         double rx_dbm = sender.nb_rx_dbm_[i];
         double rx_mw = sender.nb_rx_mw_[i];
         if (fading) {
-          rx_dbm +=
-              link_fading_db(sender, *e.radio, fading_interval, sender.shard_);
+          rx_dbm += link_fading_db(sender, *e.radio, fading_interval);
           if (rx_dbm < config_.detect_threshold_dbm) continue;  // faded below
           rx_mw = dbm_to_mw(rx_dbm);
         }
-        crossed |= e.radio->shard_ != sender.shard_;
         begin_reception(sender, e.radio, rx_dbm, rec, start, end, rx_mw,
                         sender.nb_prop_ns_[i]);
         ++lane_pushes;
@@ -950,21 +848,14 @@ PW_HOT void Medium::transmit(Radio& sender, frames::PpduRef ppdu,
       double rx_dbm = tx.power_dbm + e.gain_db;
       if (rx_dbm < config_.detect_threshold_dbm) continue;  // quieter frame
       if (fading) {
-        rx_dbm +=
-            link_fading_db(sender, *e.radio, fading_interval, sender.shard_);
+        rx_dbm += link_fading_db(sender, *e.radio, fading_interval);
         if (rx_dbm < config_.detect_threshold_dbm) continue;  // faded below
       }
-      crossed |= e.radio->shard_ != sender.shard_;
       begin_reception(sender, e.radio, rx_dbm, rec, start, end);
     }
     while (vit != vend) try_receiver(*vit++);
   };
   fan_out();
-
-  if (crossed) {
-    ++stats_.mirrored_tx;
-    PW_COUNT(kShardMirroredTx);
-  }
 
   if (rec.deliveries.empty()) {
     release_record(rec_idx);  // nobody in range; recycle immediately
@@ -1059,8 +950,7 @@ void Medium::finalize_reception(TransmissionRecord& rec,
   } else if (sinr_db < phy::kPreambleDetectSnrDb) {
     return;  // not even detectable as a frame
   } else if (config_.model_frame_errors) {
-    corrupted = frame_lost(tx.rate, sinr_db, ppdu.size(),
-                           sender != nullptr ? sender->shard_ : 0);
+    corrupted = frame_lost(tx.rate, sinr_db, ppdu.size());
   }
 
   frames::PpduRef damaged_ref;
@@ -1272,25 +1162,23 @@ void Medium::audit_coherence() const {
   // gain a fresh computation produces.
   std::unordered_map<std::uint64_t, const Radio*> by_id;
   for (const Radio* r : radios_) by_id.emplace(r->id(), r);
-  for (const LinkMemo& memo : memos_) {
-    for (const LinkBudget& line : memo.lines) {
-      if (line.key == 0) continue;
-      const auto tx = by_id.find(line.key >> 32);
-      const auto rx = by_id.find(line.key & 0xffffffffULL);
-      if (tx == by_id.end() || rx == by_id.end()) continue;  // detached
-      if (line.tx_version != tx->second->geometry_version_ ||
-          line.rx_version != rx->second->geometry_version_) {
-        continue;  // stale line: the next lookup misses and recomputes
-      }
-      const double gain = raw_link_gain_db(*tx->second, *rx->second);
-      PW_CHECK(std::bit_cast<std::uint64_t>(line.gain_db) ==
-                   std::bit_cast<std::uint64_t>(gain),
-               "link cache line %.17g != recomputed %.17g for %llu->%llu "
-               "(position changed without a version bump?)",
-               line.gain_db, gain,
-               static_cast<unsigned long long>(tx->second->id()),
-               static_cast<unsigned long long>(rx->second->id()));
+  for (const LinkBudget& line : memo_.lines) {
+    if (line.key == 0) continue;
+    const auto tx = by_id.find(line.key >> 32);
+    const auto rx = by_id.find(line.key & 0xffffffffULL);
+    if (tx == by_id.end() || rx == by_id.end()) continue;  // detached
+    if (line.tx_version != tx->second->geometry_version_ ||
+        line.rx_version != rx->second->geometry_version_) {
+      continue;  // stale line: the next lookup misses and recomputes
     }
+    const double gain = raw_link_gain_db(*tx->second, *rx->second);
+    PW_CHECK(std::bit_cast<std::uint64_t>(line.gain_db) ==
+                 std::bit_cast<std::uint64_t>(gain),
+             "link cache line %.17g != recomputed %.17g for %llu->%llu "
+             "(position changed without a version bump?)",
+             line.gain_db, gain,
+             static_cast<unsigned long long>(tx->second->id()),
+             static_cast<unsigned long long>(rx->second->id()));
   }
 
   // Fading-state lines are caches of a pure function: every live line
@@ -1298,58 +1186,54 @@ void Medium::audit_coherence() const {
   // evaluation of its (link, interval) produces, or the incremental
   // walk drifted off the counter-based stream. A bad spine node would
   // otherwise surface only as a later wrong fade.
-  for (const LinkMemo& memo : memos_) {
-    for (const FadingLine& line : memo.fading_lines) {
-      if (line.key == 0 || !line.state.valid) continue;
-      const std::uint64_t j =
-          line.state.interval % phy::ChannelModel::kBlockIntervals;
-      const std::uint64_t restart = line.state.interval - j;
-      const double fresh = channel_.node_db(line.key, restart, j);
-      PW_CHECK(std::bit_cast<std::uint64_t>(line.state.value_db) ==
-                   std::bit_cast<std::uint64_t>(fresh),
-               "fading line %.17g != recomputed %.17g for link key %llu at "
-               "interval %llu",
-               line.state.value_db, fresh,
+  for (const FadingLine& line : memo_.fading_lines) {
+    if (line.key == 0 || !line.state.valid) continue;
+    const std::uint64_t j =
+        line.state.interval % phy::ChannelModel::kBlockIntervals;
+    const std::uint64_t restart = line.state.interval - j;
+    const double fresh = channel_.node_db(line.key, restart, j);
+    PW_CHECK(std::bit_cast<std::uint64_t>(line.state.value_db) ==
+                 std::bit_cast<std::uint64_t>(fresh),
+             "fading line %.17g != recomputed %.17g for link key %llu at "
+             "interval %llu",
+             line.state.value_db, fresh,
+             static_cast<unsigned long long>(line.key),
+             static_cast<unsigned long long>(line.state.interval));
+    for (unsigned k = phy::ChannelModel::spine_low_level(j);
+         k <= phy::ChannelModel::kBridgeLevels; ++k) {
+      const std::uint64_t node = phy::ChannelModel::spine_node(j, k);
+      const double node_db = channel_.node_db(line.key, restart, node);
+      PW_CHECK(std::bit_cast<std::uint64_t>(line.state.spine_db[k]) ==
+                   std::bit_cast<std::uint64_t>(node_db),
+               "fading spine level %u node %llu %.17g != recomputed %.17g "
+               "for link key %llu at interval %llu",
+               k, static_cast<unsigned long long>(node),
+               line.state.spine_db[k], node_db,
                static_cast<unsigned long long>(line.key),
                static_cast<unsigned long long>(line.state.interval));
-      for (unsigned k = phy::ChannelModel::spine_low_level(j);
-           k <= phy::ChannelModel::kBridgeLevels; ++k) {
-        const std::uint64_t node = phy::ChannelModel::spine_node(j, k);
-        const double node_db = channel_.node_db(line.key, restart, node);
-        PW_CHECK(std::bit_cast<std::uint64_t>(line.state.spine_db[k]) ==
-                     std::bit_cast<std::uint64_t>(node_db),
-                 "fading spine level %u node %llu %.17g != recomputed %.17g "
-                 "for link key %llu at interval %llu",
-                 k, static_cast<unsigned long long>(node),
-                 line.state.spine_db[k], node_db,
-                 static_cast<unsigned long long>(line.key),
-                 static_cast<unsigned long long>(line.state.interval));
-      }
     }
   }
 
   // FER lines hold the two ends of a SINR cell's bracket, which every
   // decision they serve trusts without re-evaluating: both must be the
   // exact doubles phy::frame_error_rate gives at the cell's ends.
-  for (const LinkMemo& memo : memos_) {
-    for (const FerMemoEntry& line : memo.fer_lines) {
-      if (std::isnan(line.mbps)) continue;
-      const phy::PhyRate rate{(line.shape & 1u) != 0u
-                                  ? phy::Modulation::kDsss
-                                  : phy::Modulation::kOfdm,
-                              line.mbps, int((line.shape >> 1) & 0xfffu)};
-      const std::size_t octets = line.shape >> 13;
-      const double lo = fer_cell_end(rate, line.cell, octets);
-      const double hi = fer_cell_end(rate, line.cell + 1.0, octets);
-      PW_CHECK(std::bit_cast<std::uint64_t>(line.fer_lo) ==
-                       std::bit_cast<std::uint64_t>(lo) &&
-                   std::bit_cast<std::uint64_t>(line.fer_hi) ==
-                       std::bit_cast<std::uint64_t>(hi),
-               "FER line [%.17g, %.17g] != recomputed [%.17g, %.17g] for %s, "
-               "%zu octets, cell %d",
-               line.fer_lo, line.fer_hi, lo, hi, rate.name().c_str(), octets,
-               line.cell);
-    }
+  for (const FerMemoEntry& line : memo_.fer_lines) {
+    if (std::isnan(line.mbps)) continue;
+    const phy::PhyRate rate{(line.shape & 1u) != 0u
+                                ? phy::Modulation::kDsss
+                                : phy::Modulation::kOfdm,
+                            line.mbps, int((line.shape >> 1) & 0xfffu)};
+    const std::size_t octets = line.shape >> 13;
+    const double lo = fer_cell_end(rate, line.cell, octets);
+    const double hi = fer_cell_end(rate, line.cell + 1.0, octets);
+    PW_CHECK(std::bit_cast<std::uint64_t>(line.fer_lo) ==
+                     std::bit_cast<std::uint64_t>(lo) &&
+                 std::bit_cast<std::uint64_t>(line.fer_hi) ==
+                     std::bit_cast<std::uint64_t>(hi),
+             "FER line [%.17g, %.17g] != recomputed [%.17g, %.17g] for %s, "
+             "%zu octets, cell %d",
+             line.fer_lo, line.fer_hi, lo, hi, rate.name().c_str(), octets,
+             line.cell);
   }
 
   // Indexed-vs-brute-force spot check: for every attached radio the grid

@@ -33,14 +33,6 @@
 // per-receiver reception lists are pruned amortized (when they double)
 // instead of on every push.
 //
-// City scale (the sharded medium): with MediumConfig::shards > 1 the
-// plane is partitioned into super-cells, each homed on its own
-// Scheduler (shared timebase — see sim/shard.h) with its own link/FER
-// memo. Transmissions schedule their delivery events on the sender's
-// shard, and movers migrate shards at cell-exit horizons computed from
-// their mobility model. Byte-identical to shards = 1 by construction;
-// the ShardEquivalence suite enforces it.
-//
 // Every fast path above has exactly one production spelling. What they
 // are proven against is a test-only reference oracle (see `oracle_`): a
 // brute-force scan over every attached radio with no memos, a full
@@ -102,17 +94,6 @@ struct MediumConfig {
   /// exactly the signal that time-of-flight ranging (the Wi-Peep line of
   /// follow-up work) extracts from Polite WiFi ACKs.
   bool model_propagation_delay = true;
-  /// Spatial super-cell shards. 1 = the unsharded reference path (one
-  /// scheduler, one memo). > 1 partitions the plane into shard_cell_m
-  /// super-cells interleaved over an nx × ny shard lattice; the owner
-  /// must wire one Scheduler per shard (sharing the primary's timebase)
-  /// through set_shard_schedulers before attaching radios. Every shard
-  /// count yields byte-identical simulations — events merge in global
-  /// (time, seq) order — which ShardEquivalence property-tests for
-  /// 1/2/4/9.
-  int shards = 1;
-  /// Edge length (metres) of one shard super-cell.
-  double shard_cell_m = 256.0;
 };
 
 /// Record of one on-air PPDU (what a perfect sniffer would log). The
@@ -188,26 +169,6 @@ class Medium {
   const MediumConfig& config() const { return config_; }
   Scheduler& scheduler() { return scheduler_; }
 
-  // --- Sharding (see sim/shard.h and DESIGN.md) -----------------------------
-
-  /// Wires the per-shard schedulers (index = shard id). Required before
-  /// any radio attaches when config().shards > 1; `schedulers[0]` must
-  /// be the constructor's scheduler and the others must share its
-  /// timebase (Scheduler::adopt_timebase).
-  void set_shard_schedulers(std::vector<Scheduler*> schedulers);
-  /// The scheduler homing shard `shard` (0 when unsharded).
-  Scheduler& shard_scheduler(std::uint64_t shard) const;
-  std::uint32_t shard_count() const {
-    return static_cast<std::uint32_t>(shard_schedulers_.size());
-  }
-  /// Shard owning position `p`: super-cells interleave over the nx × ny
-  /// shard lattice, so no world bounds are needed.
-  std::uint32_t shard_of(const Position& p) const;
-  /// Recomputes `radio`'s cell-exit horizon from its speed: shard checks
-  /// are skipped until the radio could possibly have left its current
-  /// super-cell. Pure optimization — assignment never affects bytes.
-  void refresh_shard_horizon(Radio& radio, double speed_mps) const;
-
   /// The medium's PPDU buffer pool. Radios draw their outgoing payload
   /// buffers here so every buffer in one simulation recycles through a
   /// single free list.
@@ -274,21 +235,14 @@ class Medium {
     /// Delivery events actually scheduled (batched fan-out folds every
     /// same-arrival-time reception of a transmission into one).
     std::uint64_t delivery_events = 0;
-    /// Sharding: radios migrated to another shard at a cell-exit
-    /// horizon, and transmissions whose fan-out crossed a shard border
-    /// (mirrored into a foreign shard's event stream).
-    std::uint64_t shard_handoffs = 0;
-    std::uint64_t mirrored_tx = 0;
     /// Fading: Gaussian draws actually made (bridge nodes and block
     /// endpoints) vs evaluations served without a draw — the link's
     /// cached interval again, or a node its cached spine already holds.
     /// The *values* are pure functions of (link, interval) — these
-    /// counters only describe how much work the lazy walk did, so they
-    /// are shard- and schedule-dependent (ShardEquivalence carves them
-    /// out).
+    /// counters only describe how much work the lazy walk did.
     std::uint64_t fading_advances = 0;
     std::uint64_t fading_cache_hits = 0;
-    /// Peak number of links holding live fading state across all shards.
+    /// Peak number of links holding live fading state.
     std::uint64_t fading_links_peak = 0;
   };
   const Stats& stats() const { return stats_; }
@@ -420,37 +374,31 @@ class Medium {
   /// bit-transparent.)
   double raw_link_gain_db(const Radio& tx_radio, const Radio& rx_radio) const;
   /// The dynamic fading term for the (a, b) link at coherence interval
-  /// `interval`, served through shard `shard`'s fading-state lines: a
-  /// line holding this link at this interval, or holding it as a spine
-  /// node, is a pure cache hit; a later interval of the same block
-  /// descends from the line's smallest cached bracket, anything else
-  /// evaluates the block's bridge cold. The returned value is a pure
-  /// function of (pair key, interval) regardless of cache state, which
-  /// is what keeps every shard count byte-identical.
+  /// `interval`, served through the fading-state lines: a line holding
+  /// this link at this interval, or holding it as a spine node, is a
+  /// pure cache hit; a later interval of the same block descends from
+  /// the line's smallest cached bracket, anything else evaluates the
+  /// block's bridge cold. The returned value is a pure function of
+  /// (pair key, interval) regardless of cache state, which is what
+  /// keeps production byte-identical to the memo-less oracle.
   double link_fading_db(const Radio& a, const Radio& b,
-                        std::uint64_t interval, std::uint32_t shard) const;
+                        std::uint64_t interval) const;
   /// One sender's slice of audit_coherence: its grid residency and (when
   /// valid) its cached neighbor list vs the brute-force reception set.
   void audit_radio(const Radio& radio) const;
-  /// Grows every shard's memo with the attached population (link and
-  /// FER lines ~ 256 × radios, power of two, clamped; fading lines an
-  /// eighth of that). Growing drops the old contents, which only happens
+  /// Grows the memo with the attached population (link and FER lines
+  /// ~ 256 × radios, power of two, clamped; fading lines an eighth of
+  /// that). Growing drops the old contents, which only happens
   /// during topology construction. The oracle never allocates them.
   void maybe_grow_link_cache();
   /// The frame-loss decision for one reception: draws the medium RNG's
   /// next uniform u and returns u < phy::frame_error_rate(rate, sinr_db,
   /// octets), which is rng_.bernoulli(fer) draw for draw. The FER is
-  /// evaluated only when the bracket of sinr_db's 1/64 dB cell, served
-  /// by `shard`'s memo (the transmitter's; 0 when unsharded), cannot
-  /// settle u; phy::kFerBracketSlack makes the bracket exact. Without a
-  /// memo (the oracle) every decision evaluates the FER.
+  /// evaluated only when the memoized bracket of sinr_db's 1/64 dB cell
+  /// cannot settle u; phy::kFerBracketSlack makes the bracket exact.
+  /// Without a memo (the oracle) every decision evaluates the FER.
   bool frame_lost(const phy::PhyRate& rate, double sinr_db,
-                  std::size_t octets, std::uint32_t shard) const;
-  /// Homes `radio` on the shard owning its position (attach and
-  /// post-horizon moves); rebinds its scheduler.
-  void maybe_migrate_shard(Radio& radio);
-  /// The scheduler homing `radio`'s shard (== scheduler_ unsharded).
-  Scheduler& scheduler_for(const Radio& radio) const;
+                  std::size_t octets) const;
 
   std::int32_t cell_coord(double v) const;
   std::uint64_t cell_key_for(const Position& p) const;
@@ -473,11 +421,6 @@ class Medium {
   /// of the record's shared decode. The equivalence suites require
   /// production to reproduce its bytes.
   bool oracle_ = false;
-  /// Shard id -> scheduler; {&scheduler_} when unsharded. Shard lattice
-  /// factorization shard = ix mod nx + nx * (iy mod ny).
-  std::vector<Scheduler*> shard_schedulers_;
-  std::uint32_t shard_nx_ = 1;
-  std::uint32_t shard_ny_ = 1;
   mutable Rng rng_;
   std::uint64_t seed_;
   /// Static-geometry + dynamic-fading math (see phy/channel_model.h).
@@ -516,17 +459,15 @@ class Medium {
   /// One link's cached fading position and bridge spine (see
   /// phy::ChannelModel::FadingState, ~100 B). Keyed by the
   /// order-independent pair key; 0 = empty. Purely a cache of the pure
-  /// fading function, so a collision overwriting a line (or a shard
-  /// split partitioning the lines differently) never changes a returned
-  /// value — only how many nodes the next evaluation has to draw.
+  /// fading function, so a collision overwriting a line never changes a
+  /// returned value — only how many nodes the next evaluation has to
+  /// draw.
   struct FadingLine {
     std::uint64_t key = 0;
     phy::ChannelModel::FadingState state;
   };
-  /// One shard's link-budget + FER + fading memo. Lookups key off the
-  /// transmitter's shard so a shard only touches its own lines (cache
-  /// locality is the point of sharding); pure memoization either way,
-  /// so the split never changes a returned double.
+  /// The link-budget + FER + fading memo: pure memoization, so no line
+  /// ever changes a returned double.
   struct LinkMemo {
     /// Link-budget cache lines (power-of-two count), 2-way
     /// set-associative: lines 2s and 2s+1 are the two ways of set
@@ -543,7 +484,7 @@ class Medium {
     std::vector<FadingLine> fading_lines;
     std::uint64_t fading_mask = 0;
   };
-  mutable std::vector<LinkMemo> memos_;  // one per shard; [0] unsharded
+  mutable LinkMemo memo_;
   /// Receiver noise floor — a constant of the medium config, hoisted out
   /// of the per-reception SINR math.
   double noise_mw_ = 0.0;
@@ -556,9 +497,9 @@ class Medium {
   };
   mutable RangeMemo range_memo_[8];
   mutable unsigned range_memo_next_ = 0;
-  /// Links currently holding live fading state across all shards (the
-  /// fading_links_peak gauge tracks its high-water mark). Reset when
-  /// cache growth drops the lines.
+  /// Links currently holding live fading state (the fading_links_peak
+  /// gauge tracks its high-water mark). Reset when cache growth drops
+  /// the lines.
   mutable std::uint64_t fading_links_live_ = 0;
   mutable std::vector<Radio*> scratch_;  // fan-out candidate buffer (reused)
 

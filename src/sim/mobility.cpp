@@ -16,7 +16,6 @@ WaypointMover::WaypointMover(Radio& radio, Scheduler& scheduler,
 void WaypointMover::start() {
   if (!route_.empty()) {
     radio_.set_position(route_.front());
-    radio_.update_shard_horizon(speed_mps_);
     next_waypoint_ = 1;
   }
   if (next_waypoint_ >= route_.size()) {
@@ -48,9 +47,6 @@ void WaypointMover::step() {
     }
   }
   radio_.set_position(pos);
-  // Re-arm the cell-exit horizon so the medium can skip shard-migration
-  // checks until this radio could plausibly leave its super-cell.
-  radio_.update_shard_horizon(speed_mps_);
 
   if (next_waypoint_ >= route_.size()) {
     finished_ = true;

@@ -5,23 +5,7 @@ namespace politewifi::sim {
 Simulation::Simulation(SimulationConfig config)
     : config_(config),
       medium_(scheduler_, config.medium, config.seed),
-      rng_(config.seed) {
-  if (config.medium.shards > 1) {
-    // Wire the sharded medium before any radio attaches: each extra
-    // scheduler shares scheduler_'s clock and sequence counter, so the
-    // union of the per-shard heaps is the single heap, partitioned.
-    std::vector<Scheduler*> shards;
-    shards.reserve(static_cast<std::size_t>(config.medium.shards));
-    shards.push_back(&scheduler_);
-    for (int s = 1; s < config.medium.shards; ++s) {
-      extra_schedulers_.push_back(std::make_unique<Scheduler>());
-      extra_schedulers_.back()->adopt_timebase(scheduler_);
-      shards.push_back(extra_schedulers_.back().get());
-    }
-    medium_.set_shard_schedulers(shards);
-    executor_ = std::make_unique<ShardExecutor>(std::move(shards));
-  }
-}
+      rng_(config.seed) {}
 
 Device& Simulation::add_device(DeviceInfo info, const MacAddress& mac,
                                RadioConfig radio_config,
@@ -70,7 +54,7 @@ bool Simulation::establish(Device& client, Duration timeout) {
   const TimePoint deadline = scheduler_.now() + timeout;
   while (scheduler_.now() < deadline) {
     if (client.client()->established()) return true;
-    run_for(milliseconds(10));  // routes through the shard executor
+    run_for(milliseconds(10));
   }
   return client.client()->established();
 }

@@ -7,7 +7,6 @@
 
 #include "crypto/wpa2.h"
 #include "sim/device.h"
-#include "sim/shard.h"
 #include "sim/trace.h"
 
 namespace politewifi::sim {
@@ -25,16 +24,8 @@ class Simulation {
   Medium& medium() { return medium_; }
   Rng& rng() { return rng_; }
   TimePoint now() const { return scheduler_.now(); }
-  /// Runs events for `d` of simulated time. With MediumConfig::shards > 1
-  /// the shard executor merges the per-shard event streams in global
-  /// (time, seq) order — byte-identical to the single-scheduler run.
-  void run_for(Duration d) {
-    if (executor_) {
-      executor_->run_until(now() + d);
-    } else {
-      scheduler_.run_for(d);
-    }
-  }
+  /// Runs events for `d` of simulated time.
+  void run_for(Duration d) { scheduler_.run_for(d); }
 
   /// Adds a device. The MAC address must be unique in this simulation.
   Device& add_device(DeviceInfo info, const MacAddress& mac,
@@ -71,11 +62,6 @@ class Simulation {
   Scheduler scheduler_;
   Medium medium_;
   Rng rng_;
-  /// Shard schedulers 1..S-1 (shard 0 is scheduler_). They adopt
-  /// scheduler_'s timebase before any event exists, so one (clock, seq)
-  /// pair spans all shards and the executor's merge is exact.
-  std::vector<std::unique_ptr<Scheduler>> extra_schedulers_;
-  std::unique_ptr<ShardExecutor> executor_;
   std::vector<std::unique_ptr<Device>> devices_;
   std::unique_ptr<TraceRecorder> trace_;
 };

@@ -1,18 +1,22 @@
 #include "sim/radio.h"
 
+#include "common/check.h"
+
 namespace politewifi::sim {
 
 Radio::Radio(Medium& medium, Scheduler& scheduler, RadioConfig config)
     : medium_(medium),
-      scheduler_(&scheduler),
+      scheduler_(scheduler),
       config_(config),
       position_(config.position),
       energy_(config.power, scheduler.now()),
       id_(medium.allocate_radio_id()) {
+  PW_CHECK(&scheduler == &medium.scheduler(),
+           "a radio runs on its medium's scheduler");
   energy_.set_timeline_ids(medium.timeline_group(),
                            static_cast<std::int64_t>(id_));
-  energy_.set_state(RadioState::kIdle, scheduler_->now());
-  medium_.attach(this);  // homes the radio on its shard (rebinds scheduler_)
+  energy_.set_state(RadioState::kIdle, scheduler_.now());
+  medium_.attach(this);
 }
 
 Radio::~Radio() { medium_.detach(this); }
@@ -22,10 +26,6 @@ void Radio::set_position(const Position& p) {
   position_ = p;
   ++geometry_version_;
   medium_.on_radio_moved(*this);
-}
-
-void Radio::update_shard_horizon(double speed_mps) {
-  medium_.refresh_shard_horizon(*this, speed_mps);
 }
 
 void Radio::set_channel(int channel) {
@@ -54,7 +54,7 @@ void Radio::transmit(const frames::Frame& frame, const phy::TxVector& tx) {
 void Radio::set_sleeping(bool sleeping) {
   if (sleeping_ == sleeping) return;
   sleeping_ = sleeping;
-  const TimePoint now = scheduler_->now();
+  const TimePoint now = scheduler_.now();
   if (sleeping_) {
     rx_nesting_ = 0;
     energy_.set_state(RadioState::kSleep, now);

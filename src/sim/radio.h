@@ -9,7 +9,6 @@
 
 #include <string>
 
-#include "common/check.h"
 #include "frames/frame_template.h"
 #include "frames/serializer.h"
 #include "mac/environment.h"
@@ -39,24 +38,11 @@ class Radio final : public mac::MacEnvironment {
 
   // --- mac::MacEnvironment ---------------------------------------------------
 
-  TimePoint now() const override { return scheduler_->now(); }
-  /// Timer ids carry the issuing shard in the top byte so cancel() can
-  /// route to the scheduler that actually holds the event even after the
-  /// radio migrated shards (each shard's slot/generation space is
-  /// private, so a raw id from shard A could falsely hit a live event on
-  /// shard B). With shards = 1 the tag is 0 and ids are bit-identical to
-  /// the untagged ones.
+  TimePoint now() const override { return scheduler_.now(); }
   std::uint64_t schedule(Duration delay, SmallFn fn) override {
-    const std::uint64_t raw = scheduler_->schedule_in(delay, std::move(fn));
-    PW_DCHECK(raw >> kShardIdShift == 0,
-              "event id overflows into the shard tag byte");
-    return raw | std::uint64_t{shard_} << kShardIdShift;
+    return scheduler_.schedule_in(delay, std::move(fn));
   }
-  void cancel(std::uint64_t timer_id) override {
-    if (timer_id == 0) return;
-    medium_.shard_scheduler(timer_id >> kShardIdShift)
-        .cancel(timer_id & ((std::uint64_t{1} << kShardIdShift) - 1));
-  }
+  void cancel(std::uint64_t timer_id) override { scheduler_.cancel(timer_id); }
   void transmit(const frames::Frame& frame, const phy::TxVector& tx) override;
   bool medium_busy() const override { return medium_.busy_for(*this); }
 
@@ -99,13 +85,6 @@ class Radio final : public mac::MacEnvironment {
   /// the cached link budgets involving this radio.
   void set_position(const Position& p);
 
-  /// Tells the medium how fast this radio moves so it can compute the
-  /// cell-exit horizon: the earliest time the radio could leave its
-  /// current shard's super-cell. Shard-migration checks are skipped
-  /// until then (a pure optimization — any assignment is byte-identical
-  /// under the shared-timebase merge, see DESIGN.md).
-  void update_shard_horizon(double speed_mps);
-
   /// Retunes the radio (survey rigs hop channels). Takes effect for the
   /// next PPDU; an in-flight reception on the old channel is lost, which
   /// is exactly what real retuning does.
@@ -119,9 +98,8 @@ class Radio final : public mac::MacEnvironment {
   const EnergyMeter& energy() const { return energy_; }
 
   /// Stable identity for deterministic per-link randomness. Allocated by
-  /// the owning medium in attach order, so independent simulations (e.g.
-  /// sweep-runner workers) draw identical per-link randomness no matter
-  /// how many run concurrently in one process.
+  /// the owning medium in attach order, so a simulation draws identical
+  /// per-link randomness whatever other simulations share its process.
   std::uint64_t id() const { return id_; }
 
   /// This radio's outgoing frame-template cache (introspection: the
@@ -134,13 +112,8 @@ class Radio final : public mac::MacEnvironment {
   friend class Medium;
   friend struct MediumTestPeer;  // corruption-injection tests
 
-  static constexpr int kShardIdShift = 56;
-
   Medium& medium_;
-  /// The scheduler of the shard this radio is homed on; rebound by the
-  /// medium when the radio migrates (all shard schedulers share one
-  /// timebase, so now() is shard-independent).
-  Scheduler* scheduler_;
+  Scheduler& scheduler_;  // the medium's
   RadioConfig config_;
   Position position_;
   mac::Station* station_ = nullptr;
@@ -182,10 +155,6 @@ class Radio final : public mac::MacEnvironment {
   bool grid_indexed_ = false;
   /// Bumped on every move/retune; tags cached link budgets.
   std::uint32_t geometry_version_ = 0;
-  /// Shard (super-cell) this radio is homed on; 0 when unsharded.
-  std::uint32_t shard_ = 0;
-  /// Cell-exit horizon: migration checks are skipped before this time.
-  TimePoint shard_check_after_ = kSimStart;
 };
 
 }  // namespace politewifi::sim

@@ -1,10 +1,10 @@
 // Channel-model tests: the static/dynamic decomposition, the AR(1)
 // fading bridge's purity, draw contract and moments, and the
 // ChannelEquivalence property — `fading_rho = 0` must be byte-identical
-// to the memoryless channel across every engine configuration
-// (sharded/unsharded × production/reference oracle), all the way up to
-// the survey document the runtime publishes — and the fading-state
-// lines must be a pure cache.
+// to the memoryless channel in production and in the reference oracle,
+// all the way up to the survey document the runtime publishes — the
+// fading-state lines must be a pure cache, and a faded, mobile,
+// channel-hopping scene must match the oracle byte for byte.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +17,7 @@
 #include "common/rng.h"
 #include "core/injector.h"
 #include "medium_test_peer.h"
+#include "obs/metrics.h"
 #include "phy/channel_model.h"
 #include "phy/propagation.h"
 #include "runtime/experiments/all.h"
@@ -401,18 +402,36 @@ struct EngineFingerprint {
   bool operator==(const EngineFingerprint&) const = default;
 };
 
-/// A compact mixed scenario with marginal links: static population
-/// spread across several 150 m super-cells plus a walking injector
-/// (`frames_per_step` injections per 25 ms step), with shadowing and
-/// frame errors ON, so an up- or down-fade that leaked through a
-/// supposedly dormant fading term would flip FER draws, detection
-/// edges, energies and trace bytes. `stats`, when non-null, receives
-/// the production medium's engine counters.
+/// What every station and the sniffer observed in `sim`.
+EngineFingerprint fingerprint_of(sim::Simulation& sim,
+                                 const sim::TraceRecorder& recorder) {
+  EngineFingerprint fp;
+  for (const auto& dev : sim.devices()) {
+    const auto& s = dev->station().stats();
+    fp.station.emplace_back(s.frames_received, s.frames_for_us, s.acks_sent,
+                            s.fcs_failures, s.duplicates_dropped,
+                            s.frames_transmitted);
+    fp.energy_mj.push_back(dev->radio().energy().consumed_mj(sim.now()));
+  }
+  fp.receptions = sim.medium().stats().receptions;
+  fp.delivery_events = sim.medium().stats().delivery_events;
+  for (const auto& e : recorder.entries()) {
+    fp.trace.emplace_back(e.time, e.sender_name, e.raw);
+  }
+  return fp;
+}
+
+/// A compact mixed scenario with marginal links: a static population
+/// spread over a 400 m square plus a walking injector (`frames_per_step`
+/// injections per 25 ms step), with shadowing and frame errors ON, so an
+/// up- or down-fade that leaked through a supposedly dormant fading term
+/// would flip FER draws, detection edges, energies and trace bytes.
+/// `stats`, when non-null, receives the production medium's engine
+/// counters.
 EngineFingerprint run_channel_scenario(sim::MediumConfig mc,
                                        bool oracle = false,
                                        sim::Medium::Stats* stats = nullptr,
                                        int frames_per_step = 1) {
-  mc.shard_cell_m = 150.0;
   sim::Simulation sim({.medium = mc, .seed = 314});
   if (oracle) sim::MediumTestPeer::use_reference_oracle(sim.medium());
   sim::TraceRecorder& recorder = sim.trace();
@@ -449,21 +468,7 @@ EngineFingerprint run_channel_scenario(sim::MediumConfig mc,
   sim.run_for(milliseconds(200));
   sim.medium().audit_coherence();
   if (stats != nullptr) *stats = sim.medium().stats();
-
-  EngineFingerprint fp;
-  for (const auto& dev : sim.devices()) {
-    const auto& s = dev->station().stats();
-    fp.station.emplace_back(s.frames_received, s.frames_for_us, s.acks_sent,
-                            s.fcs_failures, s.duplicates_dropped,
-                            s.frames_transmitted);
-    fp.energy_mj.push_back(dev->radio().energy().consumed_mj(sim.now()));
-  }
-  fp.receptions = sim.medium().stats().receptions;
-  fp.delivery_events = sim.medium().stats().delivery_events;
-  for (const auto& e : recorder.entries()) {
-    fp.trace.emplace_back(e.time, e.sender_name, e.raw);
-  }
-  return fp;
+  return fingerprint_of(sim, recorder);
 }
 
 TEST(ChannelEquivalence, RhoZeroIsByteIdenticalToTheMemorylessChannel) {
@@ -472,25 +477,22 @@ TEST(ChannelEquivalence, RhoZeroIsByteIdenticalToTheMemorylessChannel) {
   const EngineFingerprint baseline = run_channel_scenario({});
   ASSERT_FALSE(baseline.trace.empty());
 
-  for (const int shards : {1, 4}) {
-    for (const bool oracle : {false, true}) {
-      sim::MediumConfig mc;
-      mc.shards = shards;
-      mc.fading_rho = 0.0;  // the off-switch under test
-      // Deliberately loud dormant knobs: with rho = 0 they must be
-      // completely inert, not merely small.
-      mc.fading_sigma_db = 9.0;
-      mc.fading_coherence_us = 50.0;
-      EXPECT_EQ(run_channel_scenario(mc, oracle), baseline)
-          << "shards=" << shards << " oracle=" << oracle;
-    }
+  for (const bool oracle : {false, true}) {
+    sim::MediumConfig mc;
+    mc.fading_rho = 0.0;  // the off-switch under test
+    // Deliberately loud dormant knobs: with rho = 0 they must be
+    // completely inert, not merely small.
+    mc.fading_sigma_db = 9.0;
+    mc.fading_coherence_us = 50.0;
+    EXPECT_EQ(run_channel_scenario(mc, oracle), baseline)
+        << "oracle=" << oracle;
   }
 }
 
-// With fading ON, production serves every fade through per-shard
-// fading-state lines that walk each link's bridge spine incrementally,
-// and decides frame loss from memoized FER brackets; the oracle keeps no
-// lines, evaluates every fade cold from its block's endpoints and every
+// With fading ON, production serves every fade through fading-state
+// lines that walk each link's bridge spine incrementally, and decides
+// frame loss from memoized FER brackets; the oracle keeps no lines,
+// evaluates every fade cold from its block's endpoints and every
 // frame-loss decision from the exact FER. Identical bytes prove the
 // lines are a pure cache of the fading function and the bracket decision
 // is exact (the coherence audit re-derives every cached spine node and
@@ -548,5 +550,127 @@ TEST(ChannelEquivalence, SurveyDocumentIgnoresDormantFadingKnobs) {
   EXPECT_EQ(results_block(base.json), results_block(tweaked.json));
   EXPECT_NE(base.json, tweaked.json);  // the params echo does differ
 }
+
+// --- FadedMobileEquivalence: a faded, mobile scene against the oracle -------
+
+/// RAII registry window: reset + enable on entry, disable on exit, so a
+/// failing test can't leak an enabled registry.
+struct MetricsWindow {
+  MetricsWindow() {
+    obs::Registry::reset();
+    obs::Registry::set_enabled(true);
+  }
+  ~MetricsWindow() { obs::Registry::set_enabled(false); }
+};
+
+/// Work a faded mobile run did: the equivalence below is vacuous unless
+/// the fading process drew and some frame was decoded.
+struct MobileWork {
+  std::uint64_t fading_advances = 0;
+  std::int64_t decodes = 0;
+};
+
+/// A mobility-heavy faded scene: 16 static radios on channels 1/6/11
+/// over a 440 m square, about a quarter asleep; an injector rig walking
+/// a waypoint loop and hopping channel every 25 ms step; a bystander
+/// teleported every 17 steps; a sleep flip at step 60. Frame errors,
+/// shadowing and propagation delay stay on, and the fading is heavily
+/// correlated and fast (~6 coherence intervals per step), so the
+/// walker's links cross many bridge nodes and several block restarts.
+/// Every run checks the FER-draw identity and the coherence audit.
+EngineFingerprint run_faded_mobile_scenario(std::uint64_t scenario_seed,
+                                            bool oracle,
+                                            MobileWork* work = nullptr) {
+  MetricsWindow window;
+  sim::MediumConfig mc;
+  mc.fading_rho = 0.9;
+  mc.fading_sigma_db = 2.0;
+  mc.fading_coherence_us = 4000.0;
+  sim::Simulation sim({.medium = mc, .seed = 4000 + scenario_seed});
+  if (oracle) sim::MediumTestPeer::use_reference_oracle(sim.medium());
+  sim::TraceRecorder& recorder = sim.trace();
+
+  Rng layout(1000 + scenario_seed);
+  const int channels[] = {1, 6, 11};
+  std::vector<sim::Device*> targets;
+  for (int i = 0; i < 16; ++i) {
+    sim::RadioConfig rc;
+    rc.position = {layout.uniform(-220.0, 220.0),
+                   layout.uniform(-220.0, 220.0)};
+    rc.channel = channels[layout.uniform_int(0, 2)];
+    auto& dev = sim.add_device(
+        {.name = "node" + std::to_string(i)},
+        {0x5e, 0x11, 0x22, 0x33, 0x44, std::uint8_t(i)}, rc);
+    if (layout.bernoulli(0.25)) dev.radio().set_sleeping(true);
+    targets.push_back(&dev);
+  }
+
+  sim::RadioConfig rig;
+  rig.position = {-220.0, -220.0};
+  sim::Device& attacker = sim.add_device(
+      {.name = "walker", .kind = sim::DeviceKind::kAttacker},
+      {0x02, 0xaa, 0xbb, 0xcc, 0xdd, 0xee}, rig);
+  core::FakeFrameInjector injector(attacker);
+  sim::WaypointMover mover(attacker.radio(), sim.scheduler(),
+                           {{-220.0, -220.0}, {220.0, -100.0}, {220.0, 220.0},
+                            {-220.0, 100.0}},
+                           40.0, milliseconds(50));
+  mover.start();
+
+  for (int step = 0; step < 120; ++step) {
+    attacker.radio().set_channel(channels[step % 3]);
+    if (step == 60) {
+      targets[0]->radio().set_sleeping(!targets[0]->radio().sleeping());
+    }
+    if (step % 17 == 9) {
+      targets[3]->radio().set_position({layout.uniform(-220.0, 220.0),
+                                        layout.uniform(-220.0, 220.0)});
+    }
+    injector.inject_one(targets[layout.uniform_int(0, 15)]->address());
+    sim.run_for(milliseconds(25));
+  }
+  sim.run_for(milliseconds(200));
+  const sim::Medium::Stats& stats = sim.medium().stats();
+#if PW_OBS_ON
+  // Every PHY FER evaluation is one end of a memo miss's bracket or an
+  // exact fallback (read before the audit, which re-evaluates lines).
+  EXPECT_EQ(obs::Registry::counter_value(obs::Counter::kPhyFerDraws),
+            std::int64_t(2 * stats.fer_cache_misses +
+                          stats.fer_exact_fallbacks))
+      << "oracle=" << oracle;
+  if (work != nullptr) {
+    work->decodes = obs::Registry::counter_value(obs::Counter::kFramesDecodes);
+  }
+#endif
+  sim.medium().audit_coherence();
+  if (work != nullptr) work->fading_advances = stats.fading_advances;
+  return fingerprint_of(sim, recorder);
+}
+
+class FadedMobileEquivalence
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Production serves the hopping walker's fades from fading-state lines
+// and decides frame loss from memoized FER brackets, past sleepers and a
+// teleported bystander; the oracle keeps no memo at all. Station
+// counters, energy doubles, receptions, delivery events and sniffer
+// bytes must still match, because the fade is a pure function of (link,
+// coherence interval).
+TEST_P(FadedMobileEquivalence, ProductionMatchesTheOracle) {
+  MobileWork work;
+  const EngineFingerprint production =
+      run_faded_mobile_scenario(GetParam(), /*oracle=*/false, &work);
+  ASSERT_FALSE(production.trace.empty());
+  EXPECT_GT(work.fading_advances, 0u)
+      << "the fading process never drew a sample; the property is vacuous";
+#if PW_OBS_ON
+  EXPECT_GT(work.decodes, 0) << "nothing was ever decoded";
+#endif
+  EXPECT_EQ(run_faded_mobile_scenario(GetParam(), /*oracle=*/true),
+            production);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomTopologies, FadedMobileEquivalence,
+                         ::testing::Values(1, 2, 3));
 
 }  // namespace

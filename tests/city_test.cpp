@@ -1,11 +1,10 @@
 // City-scale reduction equivalence: one child document per district,
 // reduced by runtime/city_reduce, must be *byte-identical* to the
 // in-process `pw_run city` document — including the merged `metrics`
-// block — for both the unsharded and the sharded medium. CityReduction
-// proves it on in-process children; CityProcesses re-proves it across
-// real processes through `pw_run --city` (the campaign driver spawning
-// the PW_PW_RUN binary), including a SIGKILLed district and a
-// checkpoint/resume.
+// block. CityReduction proves it on in-process children; CityProcesses
+// re-proves it across real processes through `pw_run --city` (the
+// campaign driver spawning the PW_PW_RUN binary), including a SIGKILLed
+// district and a checkpoint/resume.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -79,28 +78,6 @@ TEST(CityReduction, ChildDocumentsReduceToTheInProcessBytes) {
   expect_reduction_matches_in_process(kQuick);
 }
 
-TEST(CityReduction, ShardedMediumReducesIdentically) {
-  auto flags = kQuick;
-  flags.push_back({"shards", "4"});
-  expect_reduction_matches_in_process(flags);
-}
-
-TEST(CityReduction, ShardingDoesNotChangeTheSurvey) {
-  // The medium-level ShardEquivalence suite proves byte-identity of the
-  // simulation; this re-proves it end to end through the experiment:
-  // only cache-efficiency metrics may differ between shard counts.
-  auto sharded_flags = kQuick;
-  sharded_flags.push_back({"shards", "4"});
-  const auto flat = run_city(kQuick);
-  const auto sharded = run_city(sharded_flags);
-  ASSERT_EQ(flat.exit_code, 0);
-  ASSERT_EQ(sharded.exit_code, 0);
-  const Json flat_doc = parse_or_die(flat.json);
-  const Json sharded_doc = parse_or_die(sharded.json);
-  EXPECT_EQ(flat_doc.find("results")->dump(),
-            sharded_doc.find("results")->dump());
-}
-
 // --- Reducer validation on synthetic documents --------------------------------
 
 Json district_entry(int k) {
@@ -119,7 +96,6 @@ Json child_doc(int k, int districts, std::int64_t seed = 77) {
   params["district"] = k;
   params["districts"] = districts;
   params["scale"] = 0.01;
-  params["shards"] = std::int64_t{1};
   Json results = Json::object();
   Json list = Json::array();
   list.push_back(district_entry(k));
@@ -296,30 +272,22 @@ void expect_in_process_bytes(const runtime::RunExperimentResult& whole,
   EXPECT_EQ(read_text(out + ".metrics.json"), whole.metrics_json) << out;
 }
 
-class CityProcesses
-    : public ::testing::TestWithParam<std::pair<int, int>> {};
+class CityProcesses : public ::testing::TestWithParam<int> {};
 
 TEST_P(CityProcesses, MatchTheInProcessBytes) {
-  const auto [procs, shards] = GetParam();
-  auto flags = kQuick;
-  flags.push_back({"shards", std::to_string(shards)});
-  const auto whole = run_city(flags);
+  const auto whole = run_city(kQuick);
   ASSERT_EQ(whole.exit_code, 0) << whole.error;
   runtime::campaign::CampaignDriverOptions options;
-  options.processes = procs;  // no dir: a TMPDIR scratch journal
+  options.processes = GetParam();  // no dir: a TMPDIR scratch journal
   const std::string out = make_temp_dir() + "/city";
-  ASSERT_EQ(run_city_processes(flags, out, options), 0);
+  ASSERT_EQ(run_city_processes(kQuick, out, options), 0);
   expect_in_process_bytes(whole, out);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ProcsByShards, CityProcesses,
-    ::testing::Values(std::pair{1, 1}, std::pair{1, 4}, std::pair{4, 1},
-                      std::pair{4, 4}),
-    [](const auto& info) {
-      return "procs" + std::to_string(info.param.first) + "_shards" +
-             std::to_string(info.param.second);
-    });
+INSTANTIATE_TEST_SUITE_P(Procs, CityProcesses, ::testing::Values(1, 4),
+                         [](const auto& info) {
+                           return "procs" + std::to_string(info.param);
+                         });
 
 TEST(CityCampaign, SigkilledDistrictRetriesToTheSameBytes) {
   const auto whole = run_city(kQuick);

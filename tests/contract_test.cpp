@@ -221,6 +221,16 @@ TEST(MediumAuditDeathTest, CorruptedNeighborGainTrips) {
   EXPECT_DEATH(city.medium.audit_coherence(), "cached gain .* != recomputed");
 }
 
+// One scheduler per medium: a radio on another scheduler would run its
+// MAC timers on a clock the medium's deliveries never advance.
+TEST(MediumContractDeathTest, RadioOnAForeignSchedulerDies) {
+  Scheduler scheduler;
+  Scheduler foreign;
+  Medium medium(scheduler, MediumConfig{}, /*seed=*/7);
+  EXPECT_DEATH(Radio(medium, foreign, RadioConfig{}),
+               "a radio runs on its medium's scheduler");
+}
+
 // --- Radio state-machine legality table -------------------------------------
 
 TEST(RadioStateTable, EncodesTheMacGatingRules) {

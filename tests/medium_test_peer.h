@@ -29,14 +29,12 @@ struct MediumTestPeer {
     r.position_ = p;
   }
   static bool corrupt_one_current_link_cache_line(Medium& m) {
-    for (auto& memo : m.memos_) {
-      for (auto& line : memo.lines) {
-        if (line.key == 0 || line.tx_version != 0 || line.rx_version != 0) {
-          continue;  // want a line that would be served as a hit
-        }
-        line.gain_db += 1.0;
-        return true;
+    for (auto& line : m.memo_.lines) {
+      if (line.key == 0 || line.tx_version != 0 || line.rx_version != 0) {
+        continue;  // want a line that would be served as a hit
       }
+      line.gain_db += 1.0;
+      return true;
     }
     return false;
   }
@@ -44,12 +42,10 @@ struct MediumTestPeer {
   /// decision that line serves would trust a bracket the FER does not
   /// have.
   static bool corrupt_one_fer_line(Medium& m) {
-    for (auto& memo : m.memos_) {
-      for (auto& line : memo.fer_lines) {
-        if (std::isnan(line.mbps)) continue;  // empty line
-        line.fer_lo = std::nextafter(line.fer_lo, 2.0);
-        return true;
-      }
+    for (auto& line : m.memo_.fer_lines) {
+      if (std::isnan(line.mbps)) continue;  // empty line
+      line.fer_lo = std::nextafter(line.fer_lo, 2.0);
+      return true;
     }
     return false;
   }

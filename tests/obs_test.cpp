@@ -1,11 +1,14 @@
 // Tests for the observability layer: registry determinism, histogram
 // bucket semantics, the canonical metrics block (shape, wall exclusion,
 // thread-count independence), the timeline profiler, the golden metrics
-// documents, and the OBSERVABILITY.md catalogue contract (the doc lists
-// every registered metric and names nothing the registry doesn't have).
+// documents, the CLI's --metrics/--timeline artifacts, and the
+// OBSERVABILITY.md catalogue contract (the doc lists every registered
+// metric and names nothing the registry doesn't have).
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -242,8 +245,7 @@ struct MetricsGolden {
 void PrintTo(const MetricsGolden& c, std::ostream* os) { *os << c.name; }
 
 // The benchmark's workloads at their conformance sizes (benchmark/run.py's
-// `quick` parameters), the quickstart, and one district of the city on
-// the sharded medium.
+// `quick` parameters), the quickstart, and one district of the city.
 const MetricsGolden kMetricsGoldens[] = {
     {"quickstart", "quickstart", {}, true},
     {"survey_static", "wardriving", {{"seed", "99"}, {"scale", "0.01"}},
@@ -258,7 +260,7 @@ const MetricsGolden kMetricsGoldens[] = {
      false},
     {"flood_ack", "battery_drain", {{"seed", "62"}, {"measure_s", "5"}},
      false},
-    {"city_sharded", "city", {{"district", "0"}, {"shards", "4"}}, true},
+    {"city_district", "city", {{"district", "0"}}, true},
 };
 
 class ObsMetricsGolden : public ::testing::TestWithParam<MetricsGolden> {};
@@ -281,7 +283,7 @@ TEST_P(ObsMetricsGolden, DocumentMatchesGolden) {
   }
   EXPECT_EQ(result.json, read_repo_file(path))
       << "regenerate with: " << command << " --metrics --json=" << path
-      << " (then delete the side-car .metrics.json/.trace.json)";
+      << " (then delete the side-car .metrics.json)";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -289,6 +291,47 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<MetricsGolden>& info) {
       return std::string(info.param.name);
     });
+
+/// Runs the pw_run CLI in-process from a fresh temporary directory, so
+/// default-named artifacts land where the test can list them, and
+/// returns the names of the files the run left there.
+std::set<std::string> pw_run_artifacts(std::vector<std::string> args) {
+  namespace fs = std::filesystem;
+  std::string dir =
+      (fs::temp_directory_path() / "pw_obs_cli.XXXXXX").string();
+  EXPECT_NE(mkdtemp(dir.data()), nullptr);
+  const fs::path home = fs::current_path();
+  fs::current_path(dir);
+  std::string argv0 = "pw_run";
+  std::vector<char*> argv = {argv0.data()};
+  for (std::string& arg : args) argv.push_back(arg.data());
+  ::testing::internal::CaptureStdout();
+  const int code =
+      runtime::pw_run_main(static_cast<int>(argv.size()), argv.data());
+  ::testing::internal::GetCapturedStdout();
+  fs::current_path(home);
+  EXPECT_EQ(code, 0);
+  std::set<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.insert(entry.path().filename().string());
+  }
+  fs::remove_all(dir);
+  return names;
+}
+
+// Each flag writes its own artifact and nothing else: a --metrics run
+// records no timeline (for a city district the trace is ~160 MB and
+// most of the run's wall time), and --timeline alone writes the trace.
+TEST(ObsCli, MetricsAndTimelineWriteOnlyTheirOwnFiles) {
+  using Names = std::set<std::string>;
+  EXPECT_EQ(pw_run_artifacts({"quickstart", "--smoke", "--metrics"}),
+            Names{"quickstart.metrics.json"});
+  EXPECT_EQ(pw_run_artifacts({"quickstart", "--smoke", "--timeline"}),
+            Names{"quickstart.trace.json"});
+  EXPECT_EQ(
+      pw_run_artifacts({"quickstart", "--smoke", "--metrics", "--timeline"}),
+      (Names{"quickstart.metrics.json", "quickstart.trace.json"}));
+}
 
 TEST(ObsExperiment, RunWithoutMetricsLeavesDocumentClean) {
   runtime::register_builtin_experiments();

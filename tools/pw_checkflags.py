@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""CLI <-> documentation drift check (lint CI; no build needed).
+"""CLI <-> documentation drift check (a ctest entry; needs no build).
 
 The pw_run CLI surface is defined in exactly one place —
 `kReservedFlags` plus the experiment ParamSpecs — and is documented in
 prose across README.md, EXPERIMENTS.md, OBSERVABILITY.md and
 CAMPAIGNS.md. Those drift apart silently: a flag lands in the driver
 but never in the docs, or a doc keeps advertising a flag that was
-renamed away. This check extracts both sides *statically* (the lint CI
-job runs without a build) and fails on:
+renamed away. This check extracts both sides *statically* (it needs no
+build, and ctest runs it as `pw_checkflags`) and fails on:
 
   undocumented-flag   a driver flag absent from pw_run's own usage text
                       or from every documentation file
