@@ -51,7 +51,9 @@ namespace politewifi::obs {
 // every entry (a test diffs the doc against this table).
 #define PW_OBS_COUNTER_LIST(X)                                                \
   X(kSchedulerEventsExecuted, "sim.scheduler.events_executed", "events",      \
-    "callbacks popped and run by the event loop")                             \
+    "callbacks run by the event loop (popped or in place)")                   \
+  X(kSchedulerEventsInline, "sim.scheduler.events_inline", "events",          \
+    "events run in place, without a heap round trip")                         \
   X(kSchedulerEventsCancelled, "sim.scheduler.events_cancelled", "events",    \
     "events tombstoned by Scheduler::cancel")                                 \
   X(kSchedulerCompactions, "sim.scheduler.compactions", "sweeps",             \
@@ -63,7 +65,7 @@ namespace politewifi::obs {
   X(kMediumReceptions, "sim.medium.receptions", "receptions",                 \
     "receptions actually created (candidates above detect threshold)")        \
   X(kMediumDeliveryEvents, "sim.medium.delivery_events", "events",            \
-    "delivery events scheduled (batched fan-out folds same-time arrivals)")   \
+    "arrival groups (a transmission's same-time deliveries; most in place)")  \
   X(kMediumLinkCacheHits, "sim.medium.link_cache_hits", "lookups",            \
     "link-budget memo hits")                                                  \
   X(kMediumLinkCacheMisses, "sim.medium.link_cache_misses", "lookups",        \
@@ -71,9 +73,9 @@ namespace politewifi::obs {
   X(kMediumLinkCacheEvictions, "sim.medium.link_cache_evictions", "lines",    \
     "valid link-cache lines overwritten by a colliding link (thrash)")        \
   X(kMediumFerCacheHits, "sim.medium.fer_cache_hits", "lookups",              \
-    "FER-bracket memo hits (one probe per frame-loss decision)")              \
+    "FER-bracket table hits (one lookup per frame-loss decision)")            \
   X(kMediumFerCacheMisses, "sim.medium.fer_cache_misses", "lookups",          \
-    "FER-bracket memo misses (both cell ends evaluated)")                     \
+    "FER-bracket table cells filled (both cell ends evaluated)")              \
   X(kMediumFerExactFallbacks, "sim.medium.fer_exact_fallbacks", "decisions",  \
     "frame-loss decisions the FER bracket could not settle (exact FER)")      \
   X(kMediumPpduBytesCopied, "sim.medium.ppdu_bytes_copied", "octets",         \
@@ -120,7 +122,7 @@ namespace politewifi::obs {
     "peak radios attached to one medium")                                     \
   X(kMediumLinkCacheGeneration, "sim.medium.link_cache_generation",           \
     "generations",                                                            \
-    "link/FER cache (re)allocations — growth drops the old contents")         \
+    "link cache (re)allocations — growth drops the old contents")             \
   X(kMediumFadingLinksPeak, "sim.medium.fading_links_peak", "links",          \
     "peak links holding live fading state")                                   \
   X(kCampaignQueueDepthPeak, "runtime.campaign.queue_depth_peak", "jobs",     \

@@ -1,6 +1,7 @@
 #include "sim/event_queue.h"
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "common/annotations.h"
@@ -82,13 +83,46 @@ void Scheduler::release_slot(std::uint32_t index) {
 }
 
 PW_HOT Scheduler::EventId Scheduler::schedule_at(TimePoint at, Callback fn) {
+  return schedule_reserved(at, next_seq_++, std::move(fn));
+}
+
+PW_HOT Scheduler::EventId Scheduler::schedule_reserved(TimePoint at,
+                                                       std::uint64_t seq,
+                                                       Callback fn) {
+  PW_DCHECK(seq < next_seq_, "sequence number %llu was never reserved",
+            static_cast<unsigned long long>(seq));
   const std::uint32_t index = acquire_slot();
   Slot& slot = pool_[index];
   slot.fn = std::move(fn);
   slot.armed = true;
-  heap_.push_back(HeapEntry{std::max(at, now_), next_seq_++, index});
+  heap_.push_back(HeapEntry{std::max(at, now_), seq, index});
   std::push_heap(heap_.begin(), heap_.end(), Later{});
   return make_id(index, slot.generation);
+}
+
+PW_HOT bool Scheduler::run_in_place(TimePoint at, std::uint64_t seq) {
+  if (at > in_place_until_) return false;
+  // The heap top need not be live: a tombstone that precedes the key
+  // forces a push, which pop_one then orders correctly.
+  if (!heap_.empty() && !Later{}(heap_.front(), HeapEntry{at, seq, 0})) {
+    return false;
+  }
+  PW_DCHECK(at >= now_, "in-place event lies in the past");
+  now_ = at;
+  ++inline_;
+  PW_COUNT(kSchedulerEventsInline);
+  count_executed();
+  return true;
+}
+
+void Scheduler::count_executed() {
+  ++executed_;
+  PW_COUNT(kSchedulerEventsExecuted);
+#if PW_AUDIT_ENABLED
+  // Audit builds re-verify the full invariant set periodically, so a
+  // corruption is caught within kAuditPeriod events of its cause.
+  if (executed_ % kAuditPeriod == 0) audit();
+#endif
 }
 
 PW_HOT void Scheduler::cancel(EventId id) {
@@ -146,13 +180,7 @@ PW_HOT bool Scheduler::pop_one(bool bounded, TimePoint limit) {
     Callback fn = std::move(slot.fn);
     release_slot(top.slot);
     now_ = top.at;
-    ++executed_;
-    PW_COUNT(kSchedulerEventsExecuted);
-#if PW_AUDIT_ENABLED
-    // Audit builds re-verify the full invariant set periodically, so a
-    // corruption is caught within kAuditPeriod events of its cause.
-    if (executed_ % kAuditPeriod == 0) audit();
-#endif
+    count_executed();
     fn();
     return true;
   }
@@ -160,16 +188,25 @@ PW_HOT bool Scheduler::pop_one(bool bounded, TimePoint limit) {
 }
 
 void Scheduler::run_until(TimePoint until) {
+  const TimePoint outer = std::exchange(in_place_until_, until);
   while (pop_one(/*bounded=*/true, until)) {
   }
+  in_place_until_ = outer;
   now_ = std::max(now_, until);
 }
 
 void Scheduler::run_all() {
+  const TimePoint outer = std::exchange(in_place_until_, TimePoint::max());
   while (pop_one(/*bounded=*/false, TimePoint{})) {
   }
+  in_place_until_ = outer;
 }
 
-bool Scheduler::run_one() { return pop_one(/*bounded=*/false, TimePoint{}); }
+bool Scheduler::run_one() {
+  const TimePoint outer = std::exchange(in_place_until_, TimePoint::min());
+  const bool ran = pop_one(/*bounded=*/false, TimePoint{});
+  in_place_until_ = outer;
+  return ran;
+}
 
 }  // namespace politewifi::sim

@@ -18,6 +18,16 @@
 //    of cancels — the old unordered_set of cancelled ids, which leaked
 //    one entry for every cancel that raced an already-fired event, is
 //    gone.
+//  - A chain of events may share one heap entry. Its owner reserves the
+//    chain's sequence numbers up front (reserve_seqs) and keeps only the
+//    next link in the heap (schedule_reserved). When a link finishes,
+//    run_in_place runs the next one without a heap round trip if its
+//    (time, seq) key is due before everything in the heap and within the
+//    running run_until bound; otherwise the owner pushes it under its
+//    reserved number. Either way every callback runs at the (time, seq)
+//    position it would have had as its own event. The medium's delivery
+//    records are the one such chain: one entry per in-flight
+//    transmission, not one per arrival group.
 #pragma once
 
 #include <cstdint>
@@ -68,11 +78,35 @@ class Scheduler {
   void run_all();
 
   /// Executes the single earliest event, if any. Returns false when empty.
+  /// Never runs a second event in place (see run_in_place).
   bool run_one();
+
+  /// Reserves `n` consecutive sequence numbers and returns the first. An
+  /// event later pushed under one of them orders among simultaneous
+  /// events as if it had been scheduled now.
+  std::uint64_t reserve_seqs(std::uint64_t n) {
+    const std::uint64_t first = next_seq_;
+    next_seq_ += n;
+    return first;
+  }
+
+  /// Schedules `fn` at `at` (>= now) under `seq`, a number reserve_seqs
+  /// handed out and no other event has used.
+  EventId schedule_reserved(TimePoint at, std::uint64_t seq, Callback fn);
+
+  /// Called from inside a running callback: if the event keyed (`at`,
+  /// `seq`) would be the next one popped — it precedes the heap top (a
+  /// tombstone counts, which only costs a push) and lies within the
+  /// running run_until bound — advances the clock to `at`, counts it as
+  /// an executed event and returns true; the caller then runs its body.
+  /// Returns false under run_one and outside the event loop.
+  bool run_in_place(TimePoint at, std::uint64_t seq);
 
   /// Live (non-cancelled) events still queued.
   std::size_t pending() const { return heap_.size() - tombstones_; }
   std::uint64_t events_executed() const { return executed_; }
+  /// The executed events that run_in_place ran without a heap entry.
+  std::uint64_t events_inline() const { return inline_; }
 
   // --- engine introspection (tests and the benchmark) ----------------------
 
@@ -131,10 +165,18 @@ class Scheduler {
   /// Pops and runs the earliest live event with at <= limit, reclaiming
   /// any tombstones on the way. Returns false if none qualifies.
   bool pop_one(bool bounded, TimePoint limit);
+  /// Counts one executed event (and audits periodically in PW_AUDIT
+  /// builds): popped and in-place events alike.
+  void count_executed();
 
   TimePoint now_ = kSimStart;
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
+  std::uint64_t inline_ = 0;
+  /// The latest time run_in_place may run an event at: the running
+  /// run_until bound, TimePoint::max() under run_all, and min() under
+  /// run_one and outside the event loop.
+  TimePoint in_place_until_ = TimePoint::min();
   std::size_t tombstones_ = 0;
   std::vector<HeapEntry> heap_;
   std::vector<Slot> pool_;

@@ -58,7 +58,7 @@ std::uint64_t chan_key_of(const Radio& r) {
 }
 
 /// The FER at SINR cell boundary `cell` / kFerCellsPerDb (exact: `cell`
-/// is an integer): what a FER memo miss fills each end of its bracket
+/// is an integer): what a FER table miss fills each end of its bracket
 /// with, and what the coherence auditor re-derives the ends from.
 double fer_cell_end(const phy::PhyRate& rate, double cell,
                     std::size_t octets) {
@@ -232,8 +232,6 @@ void Medium::maybe_grow_link_cache() {
   memo_.lines.assign(want, LinkBudget{});  // key 0 = empty line
   memo_.mask = want - 1;
   memo_.mru.assign(want / 2, 0);  // one MRU bit per 2-line set
-  memo_.fer_lines.assign(want, FerMemoEntry{});  // mbps NaN = empty
-  memo_.fer_mask = want - 1;
   if (channel_.fading_enabled()) {
     // Fading state is pair-keyed (reciprocal links share a line) and a
     // line holds a whole bridge spine (~100 B); an eighth of the
@@ -252,36 +250,49 @@ void Medium::maybe_grow_link_cache() {
   PW_GAUGE_MAX(kMediumLinkCacheGeneration, stats_.link_cache_generation);
 }
 
-bool Medium::frame_lost(const phy::PhyRate& rate, double sinr_db,
-                        std::size_t octets) const {
+std::uint32_t Medium::fer_shape_of(const phy::PhyRate& rate,
+                                   std::size_t octets) const {
+  for (std::size_t s = 0; s < memo_.fer_shapes.size(); ++s) {
+    const FerShape& shape = memo_.fer_shapes[s];
+    if (shape.octets == octets && shape.rate == rate) {
+      return static_cast<std::uint32_t>(s);
+    }
+  }
+  memo_.fer_shapes.push_back(FerShape{rate, octets});
+  memo_.fer_dir.resize(memo_.fer_dir.size() + kFerTableChunks, kNoFerChunk);
+  return static_cast<std::uint32_t>(memo_.fer_shapes.size() - 1);
+}
+
+bool Medium::frame_lost(TransmissionRecord& rec, double sinr_db) const {
+  static_assert(kFerChunkCells == phy::kFerCellsPerDb, "1 dB chunks");
+  const phy::PhyRate& rate = rec.tx.rate;
+  const std::size_t octets = rec.ppdu.size();
   // The uniform std::bernoulli_distribution would compare the FER
   // against: one engine output per decision, in delivery order.
   const double u = rng_.canonical();
   const double cell = std::floor(sinr_db * phy::kFerCellsPerDb);
-  if (!memo_.fer_lines.empty() && octets < (std::size_t{1} << 19) &&
-      std::uint32_t(rate.bits_per_symbol) < (1u << 12) &&
-      std::abs(cell) < 0x1p31) {
-    const std::int32_t index = static_cast<std::int32_t>(cell);
-    const std::uint32_t shape =
-        (std::uint32_t(octets) << 13) |
-        (std::uint32_t(rate.bits_per_symbol) << 1) |
-        (rate.modulation == phy::Modulation::kDsss ? 1u : 0u);
-    const std::uint64_t h =
-        splitmix(((std::uint64_t(shape) << 32) | std::uint32_t(index)) ^
-                 std::bit_cast<std::uint64_t>(rate.mbps));
-    FerMemoEntry& e = memo_.fer_lines[h & memo_.fer_mask];
-    if (e.cell == index && e.shape == shape && e.mbps == rate.mbps) {
+  if (!oracle_ && cell >= 0.0 && cell < kFerTableChunks * kFerChunkCells) {
+    if (rec.fer_shape == kNoFerShape) rec.fer_shape = fer_shape_of(rate, octets);
+    const auto index = static_cast<std::uint32_t>(cell);
+    std::uint32_t& chunk =
+        memo_.fer_dir[std::size_t{rec.fer_shape} * kFerTableChunks +
+                      index / kFerChunkCells];
+    if (chunk == kNoFerChunk) {  // first touch of this 1 dB chunk
+      chunk = static_cast<std::uint32_t>(memo_.fer_cells.size());
+      memo_.fer_cells.resize(memo_.fer_cells.size() + kFerChunkCells);
+    }
+    FerCell& c = memo_.fer_cells[chunk + index % kFerChunkCells];
+    if (c.lo >= 0.0) {
       ++stats_.fer_cache_hits;
       PW_COUNT(kMediumFerCacheHits);
     } else {
       ++stats_.fer_cache_misses;
       PW_COUNT(kMediumFerCacheMisses);
-      e = FerMemoEntry{fer_cell_end(rate, cell, octets),
-                       fer_cell_end(rate, cell + 1.0, octets), rate.mbps,
-                       index, shape};
+      c = FerCell{fer_cell_end(rate, cell, octets),
+                  fer_cell_end(rate, cell + 1.0, octets)};
     }
-    if (u < e.fer_hi - phy::kFerBracketSlack) return true;
-    if (u >= e.fer_lo + phy::kFerBracketSlack) return false;
+    if (u < c.hi - phy::kFerBracketSlack) return true;
+    if (u >= c.lo + phy::kFerBracketSlack) return false;
   }
   ++stats_.fer_exact_fallbacks;
   PW_COUNT(kMediumFerExactFallbacks);
@@ -565,6 +576,7 @@ void Medium::release_record(std::size_t rec_idx) {
   rec.deliveries.clear();  // keeps capacity for the record's next life
   rec.order.clear();
   rec.next = 0;
+  rec.fer_shape = kNoFerShape;
   rec.live = false;
   rec.decoded = false;  // rec.decode keeps its Frame storage
   free_records_.push_back(rec_idx);
@@ -592,43 +604,92 @@ const frames::DeserializeResult& Medium::intact_decode(
 }
 
 void Medium::schedule_batch(std::size_t rec_idx, const Radio& sender,
-                            std::size_t lane_pushes) {
+                            bool lane_replay) {
   TransmissionRecord& rec = *records_[rec_idx];
   const std::size_t n = rec.deliveries.size();
-  if (lane_pushes == n && !sender.volatile_ &&
-      n == sender.neighbors_.size()) {
-    // Pure lane replay: every delivery is neighbor i in list order, so
-    // the arrival permutation was already computed when the lanes were
-    // built. Copied, not referenced — the sender's list can be rebuilt
-    // while this record is still in flight.
-    rec.order.assign(sender.nb_arrival_rank_.begin(),
-                     sender.nb_arrival_rank_.end());
-  } else {
-    // Mixed fan-out (volatile interleaves, sleepers, quieter frame, the
-    // oracle's scan): a stable index sort, so ties keep fan-out order
-    // (the scheduler is FIFO within a timestamp).
-    rec.order.resize(n);
+  const auto sort_finalize_order = [&rec, n](std::vector<std::uint32_t>& order) {
+    // A stable index sort, so ties keep fan-out order (the scheduler is
+    // FIFO within a timestamp).
+    order.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
-      rec.order[i] = static_cast<std::uint32_t>(i);
+      order[i] = static_cast<std::uint32_t>(i);
     }
-    std::stable_sort(rec.order.begin(), rec.order.end(),
+    std::stable_sort(order.begin(), order.end(),
                      [&rec](std::uint32_t a, std::uint32_t b) {
                        return rec.deliveries[a].rx_end <
                               rec.deliveries[b].rx_end;
                      });
-  }
-  // All group events are scheduled here, inside the transmit() call, so
-  // their sequence numbers occupy one window per transmission.
-  const auto arrival = [&rec](std::size_t k) -> const PendingDelivery& {
-    return rec.deliveries[rec.order[k]];
   };
-  for (std::size_t i = 0; i < n; ++i) {
-    if (i > 0 && arrival(i).rx_end == arrival(i - 1).rx_end) continue;
-    ++stats_.delivery_events;
-    PW_COUNT(kMediumDeliveryEvents);
-    scheduler_.schedule_at(arrival(i).rx_end,
-                           [this, rec_idx] { run_batch(rec_idx); });
+  if (lane_replay) {
+    merge_finalize_order(rec, sender);
+#if PW_AUDIT_ENABLED
+    const contract::AuditScope audit;
+    std::vector<std::uint32_t> sorted;
+    sort_finalize_order(sorted);
+    PW_CHECK(rec.order == sorted,
+             "merged finalize order of a %zu-delivery record differs from "
+             "the stable sort",
+             n);
+#endif
+  } else {
+    sort_finalize_order(rec.order);
   }
+  const auto arrival = [&rec](std::size_t k) -> TimePoint {
+    return rec.deliveries[rec.order[k]].rx_end;
+  };
+  std::uint64_t groups = 1;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (arrival(i) != arrival(i - 1)) ++groups;
+  }
+  stats_.delivery_events += groups;
+  PW_COUNT_N(kMediumDeliveryEvents, groups);
+  if (oracle_) {
+    // The reference: one heap event per arrival group, all scheduled
+    // here, so their sequence numbers occupy one window per transmission.
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i > 0 && arrival(i) == arrival(i - 1)) continue;
+      scheduler_.schedule_at(arrival(i),
+                             [this, rec_idx] { run_batch(rec_idx); });
+    }
+    return;
+  }
+  // The same window, reserved: only the first group enters the heap now.
+  rec.next_seq = scheduler_.reserve_seqs(groups);
+  scheduler_.schedule_reserved(arrival(0), rec.next_seq++,
+                               [this, rec_idx] { run_batch(rec_idx); });
+}
+
+void Medium::merge_finalize_order(TransmissionRecord& rec,
+                                  const Radio& sender) {
+  const std::vector<PendingDelivery>& d = rec.deliveries;
+  // Lane deliveries come in (rx_end, push order) along the arrival-rank
+  // lane: rx_end = tx end + the lane's delay, and lanes push in index
+  // order. Off-lane ones are pushed in attach order; an insertion sort
+  // (there are few) puts them in (rx_end, push order) too.
+  const auto before = [&d](std::uint32_t a, std::uint32_t b) {
+    return d[a].rx_end < d[b].rx_end ||
+           (d[a].rx_end == d[b].rx_end && a < b);
+  };
+  for (std::size_t i = 1; i < off_lane_.size(); ++i) {
+    const std::uint32_t x = off_lane_[i];
+    std::size_t j = i;
+    for (; j > 0 && before(x, off_lane_[j - 1]); --j) {
+      off_lane_[j] = off_lane_[j - 1];
+    }
+    off_lane_[j] = x;
+  }
+  rec.order.clear();
+  std::size_t o = 0;
+  for (const std::uint32_t lane : sender.nb_arrival_rank_) {
+    const std::uint32_t k = lane_delivery_[lane];
+    if (k == kNoDelivery) continue;  // asleep, or faded below threshold
+    while (o < off_lane_.size() && before(off_lane_[o], k)) {
+      rec.order.push_back(off_lane_[o++]);
+    }
+    rec.order.push_back(k);
+  }
+  rec.order.insert(rec.order.end(), off_lane_.begin() + std::ptrdiff_t(o),
+                   off_lane_.end());
 }
 
 void Medium::run_batch(std::size_t rec_idx) {
@@ -637,16 +698,31 @@ void Medium::run_batch(std::size_t rec_idx) {
   // records_ mid-loop.
   TransmissionRecord& rec = *records_[rec_idx];
   PW_DCHECK(rec.live, "batch delivery fired on a released record");
-  const TimePoint now = scheduler_.now();
+  TimePoint now = scheduler_.now();
   const std::size_t n = rec.deliveries.size();
-  while (rec.next < n) {
-    const std::size_t k = rec.order[rec.next];
-    if (rec.deliveries[k].rx_end != now) break;
-    const PendingDelivery d = rec.deliveries[k];
-    ++rec.next;
-    finalize_reception(rec, d);
+  for (;;) {
+    while (rec.next < n) {
+      const std::size_t k = rec.order[rec.next];
+      if (rec.deliveries[k].rx_end != now) break;
+      const PendingDelivery d = rec.deliveries[k];
+      ++rec.next;
+      finalize_reception(rec, d);
+    }
+    if (rec.next == n) {
+      release_record(rec_idx);
+      return;
+    }
+    if (oracle_) return;  // its next group has its own event
+    // The next group runs now if nothing queued is due before it;
+    // otherwise it waits in the heap under its reserved number.
+    now = rec.deliveries[rec.order[rec.next]].rx_end;
+    const std::uint64_t seq = rec.next_seq++;
+    if (!scheduler_.run_in_place(now, seq)) {
+      scheduler_.schedule_reserved(now, seq,
+                                   [this, rec_idx] { run_batch(rec_idx); });
+      return;
+    }
   }
-  if (rec.next == n) release_record(rec_idx);
 }
 
 void Medium::begin_reception(const Radio& sender, Radio* rx_radio,
@@ -772,13 +848,15 @@ PW_HOT void Medium::transmit(Radio& sender, frames::PpduRef ppdu,
       rx_dbm += link_fading_db(sender, *rx_radio, fading_interval);
       if (rx_dbm < config_.detect_threshold_dbm) return;  // faded below
     }
+    off_lane_.push_back(static_cast<std::uint32_t>(rec.deliveries.size()));
     begin_reception(sender, rx_radio, rx_dbm, rec, start, end);
   };
 
-  // Deliveries pushed straight off the sender's SoA lanes (schedule_batch
-  // reuses the precomputed arrival permutation when the whole fan-out was
-  // a lane replay).
-  std::size_t lane_pushes = 0;
+  // Whether the deliveries came off the sender's SoA lanes (plus
+  // off-lane volatile receivers): schedule_batch then merges the finalize
+  // order from the lanes' precomputed arrival permutation.
+  bool lane_replay = false;
+  off_lane_.clear();
 
   const auto fan_out = [&] {
     if (oracle_) {  // the reference scan: every radio, in attach order
@@ -810,10 +888,11 @@ PW_HOT void Medium::transmit(Radio& sender, frames::PpduRef ppdu,
     // Lane replay is valid only for the exact power the lanes were built
     // at: every lane double was computed from that power, and every list
     // entry already cleared the detection threshold there.
-    const bool lane_replay = tx.power_dbm == sender.nb_power_dbm_;
+    lane_replay = tx.power_dbm == sender.nb_power_dbm_;
     auto vit = volatile_radios_.begin();
     const auto vend = volatile_radios_.end();
     const std::size_t nbs = sender.neighbors_.size();
+    if (lane_replay) lane_delivery_.assign(nbs, kNoDelivery);
     for (std::size_t i = 0; i < nbs; ++i) {
       const NeighborEntry& e = sender.neighbors_[i];
       while (vit != vend && (*vit)->attach_order_ < e.order) {
@@ -828,9 +907,7 @@ PW_HOT void Medium::transmit(Radio& sender, frames::PpduRef ppdu,
         // are the cache's fan-out-keyed tier. The lanes hold the
         // *static* budget; the fade composes here (same expressions as
         // the per-delivery path, so both spellings stay bit-identical),
-        // and a fade-dropped entry shorts lane_pushes so schedule_batch
-        // falls back to the index sort instead of the precomputed rank
-        // lane.
+        // and a fade-dropped entry leaves its lane without a delivery.
         ++stats_.link_cache_hits;
         PW_COUNT(kMediumLinkCacheHits);
         double rx_dbm = sender.nb_rx_dbm_[i];
@@ -840,9 +917,9 @@ PW_HOT void Medium::transmit(Radio& sender, frames::PpduRef ppdu,
           if (rx_dbm < config_.detect_threshold_dbm) continue;  // faded below
           rx_mw = dbm_to_mw(rx_dbm);
         }
+        lane_delivery_[i] = static_cast<std::uint32_t>(rec.deliveries.size());
         begin_reception(sender, e.radio, rx_dbm, rec, start, end, rx_mw,
                         sender.nb_prop_ns_[i]);
-        ++lane_pushes;
         continue;
       }
       double rx_dbm = tx.power_dbm + e.gain_db;
@@ -861,7 +938,7 @@ PW_HOT void Medium::transmit(Radio& sender, frames::PpduRef ppdu,
     release_record(rec_idx);  // nobody in range; recycle immediately
     return;
   }
-  schedule_batch(rec_idx, sender, lane_pushes);
+  schedule_batch(rec_idx, sender, lane_replay);
 }
 
 void Medium::prune(std::vector<Reception>& list) const {
@@ -950,7 +1027,7 @@ void Medium::finalize_reception(TransmissionRecord& rec,
   } else if (sinr_db < phy::kPreambleDetectSnrDb) {
     return;  // not even detectable as a frame
   } else if (config_.model_frame_errors) {
-    corrupted = frame_lost(tx.rate, sinr_db, ppdu.size());
+    corrupted = frame_lost(rec, sinr_db);
   }
 
   frames::PpduRef damaged_ref;
@@ -1214,26 +1291,42 @@ void Medium::audit_coherence() const {
     }
   }
 
-  // FER lines hold the two ends of a SINR cell's bracket, which every
+  // FER cells hold the two ends of a SINR cell's bracket, which every
   // decision they serve trusts without re-evaluating: both must be the
-  // exact doubles phy::frame_error_rate gives at the cell's ends.
-  for (const FerMemoEntry& line : memo_.fer_lines) {
-    if (std::isnan(line.mbps)) continue;
-    const phy::PhyRate rate{(line.shape & 1u) != 0u
-                                ? phy::Modulation::kDsss
-                                : phy::Modulation::kOfdm,
-                            line.mbps, int((line.shape >> 1) & 0xfffu)};
-    const std::size_t octets = line.shape >> 13;
-    const double lo = fer_cell_end(rate, line.cell, octets);
-    const double hi = fer_cell_end(rate, line.cell + 1.0, octets);
-    PW_CHECK(std::bit_cast<std::uint64_t>(line.fer_lo) ==
-                     std::bit_cast<std::uint64_t>(lo) &&
-                 std::bit_cast<std::uint64_t>(line.fer_hi) ==
-                     std::bit_cast<std::uint64_t>(hi),
-             "FER line [%.17g, %.17g] != recomputed [%.17g, %.17g] for %s, "
-             "%zu octets, cell %d",
-             line.fer_lo, line.fer_hi, lo, hi, rate.name().c_str(), octets,
-             line.cell);
+  // exact doubles phy::frame_error_rate gives at the ends of the cell
+  // their directory slot names. Chunks must tile fer_cells exactly once.
+  PW_CHECK_EQ(memo_.fer_dir.size(),
+              memo_.fer_shapes.size() * std::size_t{kFerTableChunks});
+  PW_CHECK_EQ(memo_.fer_cells.size() % kFerChunkCells, 0u);
+  std::vector<bool> chunk_seen(memo_.fer_cells.size() / kFerChunkCells, false);
+  for (std::size_t s = 0; s < memo_.fer_shapes.size(); ++s) {
+    const FerShape& shape = memo_.fer_shapes[s];
+    for (std::uint32_t c = 0; c < kFerTableChunks; ++c) {
+      const std::uint32_t chunk = memo_.fer_dir[s * kFerTableChunks + c];
+      if (chunk == kNoFerChunk) continue;
+      PW_CHECK(chunk % kFerChunkCells == 0 &&
+                   chunk / kFerChunkCells < chunk_seen.size() &&
+                   !chunk_seen[chunk / kFerChunkCells],
+               "FER chunk offset %u of %s, %zu octets, %u dB is misaligned, "
+               "out of range or shared",
+               chunk, shape.rate.name().c_str(), shape.octets, c);
+      chunk_seen[chunk / kFerChunkCells] = true;
+      for (std::uint32_t k = 0; k < kFerChunkCells; ++k) {
+        const FerCell& cell = memo_.fer_cells[chunk + k];
+        if (cell.lo < 0.0) continue;  // not yet evaluated
+        const double index = double(c * kFerChunkCells + k);
+        const double lo = fer_cell_end(shape.rate, index, shape.octets);
+        const double hi = fer_cell_end(shape.rate, index + 1.0, shape.octets);
+        PW_CHECK(std::bit_cast<std::uint64_t>(cell.lo) ==
+                         std::bit_cast<std::uint64_t>(lo) &&
+                     std::bit_cast<std::uint64_t>(cell.hi) ==
+                         std::bit_cast<std::uint64_t>(hi),
+                 "FER line [%.17g, %.17g] != recomputed [%.17g, %.17g] for "
+                 "%s, %zu octets, cell %.0f",
+                 cell.lo, cell.hi, lo, hi, shape.rate.name().c_str(),
+                 shape.octets, index);
+      }
+    }
   }
 
   // Indexed-vs-brute-force spot check: for every attached radio the grid
@@ -1280,7 +1373,7 @@ void Medium::audit_coherence() const {
              "record %zu live flag disagrees with the free list", i);
     if (!rec.live) {
       PW_CHECK(!rec.ppdu && rec.deliveries.empty() && rec.order.empty() &&
-                   rec.next == 0,
+                   rec.next == 0 && rec.fer_shape == kNoFerShape,
                "released record %zu still pins payload or deliveries", i);
     } else {
       PW_CHECK(static_cast<bool>(rec.ppdu),

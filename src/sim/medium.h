@@ -19,29 +19,43 @@
 // budgets are memoized in a position-versioned 2-way set-associative
 // cache and, for a static transmitter, in per-transmitter contiguous
 // SoA lanes (received power, linear power, propagation delay, arrival
-// rank) that a repeated fan-out replays as pure loads. Frame loss is
-// decided at finalize time, in delivery order, from one uniform per
-// reception and a memoized FER bracket of the reception's 1/64 dB SINR
-// cell: the erfc/pow chain runs only when the uniform lands inside the
-// bracket, and the decision is exactly the oracle's
-// bernoulli(frame_error_rate) draw for draw. The PPDU is shared across all
-// receivers of a transmission instead of copied per receiver, and so is
-// its decode: the first intact delivery that reaches a listening MAC
-// decodes the shared octets into the transmission's record, and every
-// later intact receiver gets that one result (a channel-damaged copy goes
-// to the station as octets, which checks the FCS before parsing). The
-// per-receiver reception lists are pruned amortized (when they double)
-// instead of on every push.
+// rank) that a repeated fan-out replays as pure loads.
+//
+// Batched fan-out: a transmission parks its deliveries on one pooled
+// record, in finalize order — (arrival time, fan-out order), read off the
+// sender's precomputed arrival-rank lane with the few volatile receivers
+// merged in, so a lane replay never sorts. The deliveries that share an
+// arrival time form one arrival group. The record holds one scheduler
+// entry at a time, for its next group, under sequence numbers reserved
+// at transmit time; when a group finishes, the next one runs in place if
+// nothing in the heap is due before it (Scheduler::run_in_place), so most
+// groups cost no heap operation at all, and every callback keeps the
+// (time, seq) position an event per group would have had.
+//
+// Frame loss is decided at finalize time, in delivery order, from one
+// uniform per reception and the FER bracket of the reception's 1/64 dB
+// SINR cell, read from a directly indexed table (per frame shape, 1 dB
+// chunks allocated on first touch): the erfc/pow chain runs only when the
+// uniform lands inside the bracket, and the decision is exactly the
+// oracle's bernoulli(frame_error_rate) draw for draw.
+//
+// The PPDU is shared across all receivers of a transmission instead of
+// copied per receiver, and so is its decode: the first intact delivery
+// that reaches a listening MAC decodes the shared octets into the
+// transmission's record, and every later intact receiver gets that one
+// result (a channel-damaged copy goes to the station as octets, which
+// checks the FCS before parsing). The per-receiver reception lists are
+// pruned amortized (when they double) instead of on every push.
 //
 // Every fast path above has exactly one production spelling. What they
 // are proven against is a test-only reference oracle (see `oracle_`): a
-// brute-force scan over every attached radio with no memos, a full
-// serialization per frame and a decode per receiver. The *Equivalence
-// suites hold production to the oracle's bytes.
+// brute-force scan over every attached radio with no memos, a stable
+// sort and one heap event per arrival group, a full serialization per
+// frame and a decode per receiver. The *Equivalence suites hold
+// production to the oracle's bytes.
 #pragma once
 
 #include <functional>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -217,23 +231,26 @@ class Medium {
     /// Valid link-cache lines overwritten by a colliding link — the
     /// thrash signal the set-associative layout exists to suppress.
     std::uint64_t link_cache_evictions = 0;
-    /// Times the link/FER caches were (re)allocated; growth drops the
-    /// old contents, so a climbing generation under steady state would
+    /// Times the link cache was (re)allocated; growth drops the old
+    /// contents, so a climbing generation under steady state would
     /// explain a hit-rate collapse.
     std::uint64_t link_cache_generation = 0;
-    /// FER-bracket memo probes (one per frame-loss decision that reaches
-    /// the memo); a miss evaluates both ends of the cell's bracket.
+    /// FER-bracket table lookups (one per frame-loss decision whose SINR
+    /// lies in the table's range); a miss is a cell's first touch and
+    /// evaluates both ends of its bracket, so misses count the distinct
+    /// cells touched.
     std::uint64_t fer_cache_hits = 0;
     std::uint64_t fer_cache_misses = 0;
     /// Frame-loss decisions the bracket could not settle (the uniform
-    /// landed inside it, or there is no memo: the oracle), decided by the
-    /// exact phy::frame_error_rate.
+    /// landed inside it, the SINR lies outside the table, or there is no
+    /// table: the oracle), decided by the exact phy::frame_error_rate.
     std::uint64_t fer_exact_fallbacks = 0;
     /// Payload octets copied after transmit() took ownership — only the
     /// copy-on-corrupt path ever adds to this; intact receivers share.
     std::uint64_t ppdu_bytes_copied = 0;
-    /// Delivery events actually scheduled (batched fan-out folds every
-    /// same-arrival-time reception of a transmission into one).
+    /// Arrival groups: a transmission's deliveries that share an arrival
+    /// time run as one event, most of them in place (see
+    /// Scheduler::run_in_place) rather than through the heap.
     std::uint64_t delivery_events = 0;
     /// Fading: Gaussian draws actually made (bridge nodes and block
     /// endpoints) vs evaluations served without a draw — the link's
@@ -272,6 +289,13 @@ class Medium {
   friend struct MediumTestPeer;  // oracle switch + corruption injection
 
   static constexpr std::uint64_t kAuditPeriod = 256;
+  static constexpr std::uint32_t kNoDelivery = ~std::uint32_t{0};
+  static constexpr std::uint32_t kNoFerShape = ~std::uint32_t{0};
+  static constexpr std::uint32_t kNoFerChunk = ~std::uint32_t{0};
+  /// The FER table: 1 dB chunks of phy::kFerCellsPerDb cells, covering
+  /// SINRs in [0, kFerTableChunks) dB.
+  static constexpr std::uint32_t kFerChunkCells = 64;
+  static constexpr std::uint32_t kFerTableChunks = 256;
   /// Memoized directed link budget, one cache line. `gain_db` is
   /// (shadowing − path loss): rx_dbm = tx_dbm + gain_db. Valid while
   /// `key` matches and both geometry versions match; a colliding link
@@ -306,6 +330,11 @@ class Medium {
     /// push order).
     std::vector<std::uint32_t> order;
     std::size_t next = 0;  // cursor into `order`
+    /// The reserved sequence number of the next arrival group to run.
+    std::uint64_t next_seq = 0;
+    /// The transmission's shape in the FER table, found on the first
+    /// frame-loss decision (kNoFerShape until then).
+    std::uint32_t fer_shape = kNoFerShape;
     bool live = false;
     /// The decode of `ppdu`, shared by every intact delivery (see
     /// intact_decode). Valid while `decoded`; release clears the flag but
@@ -318,15 +347,22 @@ class Medium {
   std::size_t acquire_record();
   void release_record(std::size_t rec_idx);
   /// Orders the record's deliveries by arrival time (stable: fan-out
-  /// order breaks ties) and schedules one event per distinct rx_end. The
-  /// order comes from the transmitter's precomputed arrival-rank lane
-  /// when the fan-out was a pure lane replay, from an index sort
-  /// otherwise; both produce the identical finalize sequence.
-  /// `lane_pushes` = deliveries that came straight off the sender's
-  /// neighbor lanes.
+  /// order breaks ties), reserves one sequence number per arrival group
+  /// and schedules the first group. After a lane replay (`lane_replay`)
+  /// the order is merge_finalize_order's; otherwise (a volatile sender,
+  /// a frame quieter than the lanes' power, the oracle) an index sort.
+  /// The oracle schedules one event per group up front, as the
+  /// reference for run_batch's in-place runs.
   void schedule_batch(std::size_t rec_idx, const Radio& sender,
-                      std::size_t lane_pushes);
-  /// Finalizes every pending delivery of `rec_idx` arriving now.
+                      bool lane_replay);
+  /// The stable (rx_end, push order) sort of a lane replay's deliveries
+  /// without sorting: walks the sender's arrival-rank lane, skipping
+  /// lanes that pushed nothing (`lane_delivery_`), and merges in the
+  /// off-lane deliveries (`off_lane_`, volatile receivers).
+  void merge_finalize_order(TransmissionRecord& rec, const Radio& sender);
+  /// Finalizes every pending delivery of `rec_idx` arriving now, then
+  /// runs each later arrival group in place while it is due next, and
+  /// otherwise pushes the record back under the group's reserved number.
   void run_batch(std::size_t rec_idx);
 
   /// Settles one delivery of `rec`: energy, interference, the
@@ -386,19 +422,22 @@ class Medium {
   /// One sender's slice of audit_coherence: its grid residency and (when
   /// valid) its cached neighbor list vs the brute-force reception set.
   void audit_radio(const Radio& radio) const;
-  /// Grows the memo with the attached population (link and FER lines
+  /// Grows the memo with the attached population (link lines
   /// ~ 256 × radios, power of two, clamped; fading lines an eighth of
   /// that). Growing drops the old contents, which only happens
   /// during topology construction. The oracle never allocates them.
   void maybe_grow_link_cache();
-  /// The frame-loss decision for one reception: draws the medium RNG's
-  /// next uniform u and returns u < phy::frame_error_rate(rate, sinr_db,
-  /// octets), which is rng_.bernoulli(fer) draw for draw. The FER is
-  /// evaluated only when the memoized bracket of sinr_db's 1/64 dB cell
-  /// cannot settle u; phy::kFerBracketSlack makes the bracket exact.
-  /// Without a memo (the oracle) every decision evaluates the FER.
-  bool frame_lost(const phy::PhyRate& rate, double sinr_db,
-                  std::size_t octets) const;
+  /// The frame-loss decision for one reception of `rec`: draws the
+  /// medium RNG's next uniform u and returns u < phy::frame_error_rate(
+  /// rate, sinr_db, octets), which is rng_.bernoulli(fer) draw for draw.
+  /// The FER is evaluated only when the table's bracket of sinr_db's
+  /// 1/64 dB cell cannot settle u; phy::kFerBracketSlack makes the
+  /// bracket exact. Without a table (the oracle) every decision
+  /// evaluates the FER.
+  bool frame_lost(TransmissionRecord& rec, double sinr_db) const;
+  /// The FER table's shape index for (rate, octets), added on first use.
+  std::uint32_t fer_shape_of(const phy::PhyRate& rate,
+                             std::size_t octets) const;
 
   std::int32_t cell_coord(double v) const;
   std::uint64_t cell_key_for(const Position& p) const;
@@ -416,7 +455,9 @@ class Medium {
   /// attaches: fan-out scans every attached radio in attach order, no
   /// link/FER/fading memo is ever allocated (every lookup recomputes
   /// from the pure functions, and every frame-loss decision evaluates
-  /// the exact FER), radios serialize every frame instead of patching
+  /// the exact FER), a record's finalize order is a stable sort and each
+  /// arrival group its own heap event (no in-place runs), radios
+  /// serialize every frame instead of patching
   /// templates, and every receiver gets octets to decode itself instead
   /// of the record's shared decode. The equivalence suites require
   /// production to reproduce its bytes.
@@ -443,19 +484,18 @@ class Medium {
   TraceSink trace_;
   CsiProvider csi_;
   mutable Stats stats_;
-  /// One line of the FER memo (32 B): the FER bracket of one 1/64 dB
-  /// SINR cell for one (rate, length). `mbps` is NaN on an empty line,
-  /// which matches no rate. A frame of 2^19 octets or more, an NDBPS of
-  /// 2^12 or more, or a SINR outside the int32 cell range skips the memo
-  /// and is decided exactly.
-  struct FerMemoEntry {
-    double fer_lo = 0.0;  // phy::frame_error_rate at the cell's low end
-    double fer_hi = 0.0;  // ... and at its high end
-    double mbps = std::numeric_limits<double>::quiet_NaN();
-    std::int32_t cell = 0;     // floor(sinr_db * phy::kFerCellsPerDb)
-    std::uint32_t shape = 0;   // (octets << 13) | (ndbps << 1) | dsss bit
+  /// One cell of the FER table: the FER bracket of one 1/64 dB SINR
+  /// cell for one frame shape. Negative ends mark a cell not yet
+  /// evaluated (an FER never is).
+  struct FerCell {
+    double lo = -1.0;  // phy::frame_error_rate at the cell's low end
+    double hi = -1.0;  // ... and at its high end
   };
-  static_assert(sizeof(FerMemoEntry) == 32, "one FER line per half cache line");
+  /// A frame shape of the FER table: the FER depends on nothing else.
+  struct FerShape {
+    phy::PhyRate rate;
+    std::size_t octets = 0;
+  };
   /// One link's cached fading position and bridge spine (see
   /// phy::ChannelModel::FadingState, ~100 B). Keyed by the
   /// order-independent pair key; 0 = empty. Purely a cache of the pure
@@ -477,8 +517,14 @@ class Medium {
     /// Per-set MRU way (0 or 1); the miss victim is the other way (LRU
     /// within the set).
     std::vector<std::uint8_t> mru;
-    std::vector<FerMemoEntry> fer_lines;  // direct-mapped, pow-2 size
-    std::uint64_t fer_mask = 0;
+    /// The FER bracket table, directly indexed: shape s's 1 dB chunk c
+    /// holds cells [c, c + 1) dB and sits at fer_cells[fer_dir[s *
+    /// kFerTableChunks + c]] (kNoFerChunk until first touched). SINRs
+    /// outside [0, kFerTableChunks) dB bypass it. Never evicts, never
+    /// dropped by link-cache growth.
+    std::vector<FerShape> fer_shapes;
+    std::vector<std::uint32_t> fer_dir;
+    std::vector<FerCell> fer_cells;
     /// Dynamic-fading state lines (direct-mapped, pow-2), allocated only
     /// when fading is enabled — the rho = 0 path never touches them.
     std::vector<FadingLine> fading_lines;
@@ -502,6 +548,13 @@ class Medium {
   /// the lines.
   mutable std::uint64_t fading_links_live_ = 0;
   mutable std::vector<Radio*> scratch_;  // fan-out candidate buffer (reused)
+  /// Lane-replay scratch, filled by one transmit's fan-out and read by
+  /// its schedule_batch (nothing between them can transmit): per lane of
+  /// the sender's neighbor list the delivery it pushed (kNoDelivery if
+  /// its receiver slept or faded out), and the off-lane deliveries in
+  /// push order.
+  std::vector<std::uint32_t> lane_delivery_;
+  std::vector<std::uint32_t> off_lane_;
 
   /// Declared before records_ so records release their payload references
   /// back into a still-live pool during destruction.

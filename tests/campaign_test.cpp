@@ -34,6 +34,7 @@
 #include "runtime/campaign/journal.h"
 #include "runtime/campaign/manifest.h"
 #include "runtime/campaign/schema.h"
+#include "temp_dir.h"
 
 namespace politewifi::runtime::campaign {
 namespace {
@@ -60,15 +61,7 @@ void write_text(const std::string& path, const std::string& text) {
   ASSERT_TRUE(out.good()) << "cannot write " << path;
 }
 
-std::string make_temp_dir() {
-  const char* tmp = std::getenv("TMPDIR");
-  std::string tmpl = (tmp != nullptr ? tmp : "/tmp");
-  tmpl += "/pw_campaign_test.XXXXXX";
-  std::vector<char> buf(tmpl.begin(), tmpl.end());
-  buf.push_back('\0');
-  EXPECT_NE(mkdtemp(buf.data()), nullptr);
-  return std::string(buf.data());
-}
+constexpr const char* kTempPrefix = "pw_campaign_test";
 
 /// A minimal fast manifest: quickstart smoke jobs, distinct params.
 std::string test_manifest_text(std::int64_t timeout_ms = 0,
@@ -267,7 +260,8 @@ TEST(JsonlTest, CompactDumpIsAParseFixedPoint) {
 }
 
 TEST(JsonlTest, AppendReadRoundTripAndTornTail) {
-  const std::string root = make_temp_dir();
+  const TempDir tmp(kTempPrefix);
+  const std::string& root = tmp.path();
   const std::string path = root + "/j.jsonl";
   common::Json a = common::Json::object();
   a["id"] = "one";
@@ -301,7 +295,8 @@ TEST(JsonlTest, AppendReadRoundTripAndTornTail) {
 // ------------------------------------------------- journal loading ---
 
 struct JournalFixture {
-  std::string root = make_temp_dir();
+  TempDir tmp{kTempPrefix};
+  std::string root = tmp.path();
   CampaignManifest manifest;
   std::string digest;
   JournalFixture() {
@@ -627,7 +622,8 @@ std::pair<int, std::string> run_campaign(const CampaignDriverOptions& options) {
 }
 
 TEST(CampaignDriverTest, StraightRunsAreByteIdenticalAcrossProcs) {
-  const std::string root = make_temp_dir();
+  const TempDir tmp(kTempPrefix);
+  const std::string& root = tmp.path();
   write_text(root + "/p1.json", test_manifest_text());
   write_text(root + "/p4.json", test_manifest_text());
   auto [code1, doc1] = run_campaign(driver_options(root, "p1", 1));
@@ -646,7 +642,8 @@ TEST(CampaignDriverTest, StraightRunsAreByteIdenticalAcrossProcs) {
 }
 
 TEST(CampaignDriverTest, SigkilledChildIsRetriedToIdenticalBytes) {
-  const std::string root = make_temp_dir();
+  const TempDir tmp(kTempPrefix);
+  const std::string& root = tmp.path();
   write_text(root + "/straight.json", test_manifest_text());
   write_text(root + "/faulty.json", test_manifest_text());
   for (const int procs : {1, 4}) {
@@ -664,7 +661,8 @@ TEST(CampaignDriverTest, SigkilledChildIsRetriedToIdenticalBytes) {
 }
 
 TEST(CampaignDriverTest, CheckpointResumeIsByteIdentical) {
-  const std::string root = make_temp_dir();
+  const TempDir tmp(kTempPrefix);
+  const std::string& root = tmp.path();
   write_text(root + "/straight.json", test_manifest_text());
   auto [straight_code, straight_doc] =
       run_campaign(driver_options(root, "straight", 1));
@@ -695,7 +693,8 @@ TEST(CampaignDriverTest, ResumeRecoversWhenTheDriverDiedBeforeTheSnapshot) {
   // write leaves either no view at all or one an earlier invocation
   // wrote ("nothing ever completed"). Resume replays the logs, so both
   // must finish byte-identical, not refuse the directory as corrupt.
-  const std::string root = make_temp_dir();
+  const TempDir tmp(kTempPrefix);
+  const std::string& root = tmp.path();
   write_text(root + "/straight.json", test_manifest_text());
   auto [straight_code, straight_doc] =
       run_campaign(driver_options(root, "straight", 1));
@@ -732,7 +731,8 @@ TEST(CampaignDriverTest, ResumeRecoversWhenTheDriverDiedBeforeTheSnapshot) {
 /// child SIGKILLed: results.jsonl holds b, c, a and attempts.jsonl the
 /// header, claim a1, fail a1, claim b1, claim c1, claim a2.
 struct StraightThreeJobRun {
-  std::string root = make_temp_dir();
+  TempDir tmp{kTempPrefix};
+  std::string root = tmp.path();
   CampaignDriverOptions options = driver_options(root, "straight", 1);
   std::string doc;
   std::string results;
@@ -866,7 +866,8 @@ TEST(CampaignDriverTest, TornTailInEitherLogIsRefusedThenRepaired) {
 TEST(CampaignDriverTest, StateJsonIsTheLogReplayWrittenOncePerInvocation) {
   // Quarantine, then a resume that re-claims the job as attempt 1:
   // every event kind, across two invocations.
-  const std::string root = make_temp_dir();
+  const TempDir tmp(kTempPrefix);
+  const std::string& root = tmp.path();
   write_text(root + "/view.json", test_manifest_text(0, 2));
   CampaignDriverOptions options = driver_options(root, "view", 2);
   options.faults.kill.insert({"a-quickstart", 1});
@@ -920,7 +921,8 @@ void expect_catalogued(const common::Json& object, const std::string& prefix,
 
 TEST(CampaignDriverTest, EveryArtifactKeyIsCatalogued) {
   // A quarantine, then a resume: every attempt event kind is on disk.
-  const std::string root = make_temp_dir();
+  const TempDir tmp(kTempPrefix);
+  const std::string& root = tmp.path();
   write_text(root + "/keys.json", test_manifest_text(0, 2));
   CampaignDriverOptions options = driver_options(root, "keys", 1);
   options.faults.kill.insert({"a-quickstart", 1});
@@ -971,7 +973,8 @@ TEST(CampaignDriverTest, RepairsATruncatedManifestCopy) {
   // Plain-write crash damage from an earlier run: the canonical copy is
   // rewritten atomically on the next invocation instead of being
   // trusted forever because it exists.
-  const std::string root = make_temp_dir();
+  const TempDir tmp(kTempPrefix);
+  const std::string& root = tmp.path();
   write_text(root + "/copy.json", test_manifest_text());
   CampaignDriverOptions options = driver_options(root, "copy", 1);
   options.faults.stop_after = 1;
@@ -988,7 +991,8 @@ TEST(CampaignDriverTest, RepairsATruncatedManifestCopy) {
 }
 
 TEST(CampaignDriverTest, StopsClaimingWorkWhenTheJournalCannotBeWritten) {
-  const std::string root = make_temp_dir();
+  const TempDir tmp(kTempPrefix);
+  const std::string& root = tmp.path();
   write_text(root + "/io.json", test_manifest_text());
   CampaignDriverOptions options = driver_options(root, "io", 2);
   // A directory squatting on attempts.jsonl: the log cannot be read or
@@ -1018,7 +1022,8 @@ TEST(CampaignDriverTest, StopsClaimingWorkWhenTheJournalCannotBeWritten) {
 }
 
 TEST(CampaignDriverTest, ExhaustedRetriesQuarantineAndResumeRecovers) {
-  const std::string root = make_temp_dir();
+  const TempDir tmp(kTempPrefix);
+  const std::string& root = tmp.path();
   write_text(root + "/q.json", test_manifest_text(0, 2));
   CampaignDriverOptions options = driver_options(root, "q", 2);
   options.faults.kill.insert({"a-quickstart", 1});
@@ -1052,7 +1057,8 @@ TEST(CampaignDriverTest, ExhaustedRetriesQuarantineAndResumeRecovers) {
 }
 
 TEST(CampaignDriverTest, HangingChildTimesOutAndRetries) {
-  const std::string root = make_temp_dir();
+  const TempDir tmp(kTempPrefix);
+  const std::string& root = tmp.path();
   write_text(root + "/h.json", test_manifest_text(/*timeout_ms=*/300));
   CampaignDriverOptions options = driver_options(root, "h", 2);
   options.faults.hang.insert({"b-quickstart", 1});
@@ -1068,7 +1074,8 @@ TEST(CampaignDriverTest, HangingChildTimesOutAndRetries) {
 }
 
 TEST(CampaignDriverTest, PinnedDigestMismatchQuarantinesWithoutRetry) {
-  const std::string root = make_temp_dir();
+  const TempDir tmp(kTempPrefix);
+  const std::string& root = tmp.path();
   std::string error;
   auto manifest = parse_campaign_manifest_text(test_manifest_text(), &error);
   ASSERT_TRUE(manifest.has_value()) << error;
@@ -1086,7 +1093,8 @@ TEST(CampaignDriverTest, PinnedDigestMismatchQuarantinesWithoutRetry) {
 }
 
 TEST(CampaignDriverTest, DuplicateJournalRecordRefusesResume) {
-  const std::string root = make_temp_dir();
+  const TempDir tmp(kTempPrefix);
+  const std::string& root = tmp.path();
   write_text(root + "/dup.json", test_manifest_text());
   CampaignDriverOptions options = driver_options(root, "dup", 1);
   ASSERT_EQ(run_driver(options), 0);
@@ -1101,7 +1109,8 @@ TEST(CampaignDriverTest, WrongKindDocumentFieldIsANamedErrorOnResume) {
   // A journaled document with "failed": 0 under a self-consistent
   // digest passes the journal loader; the reduce step must refuse it by
   // name instead of aborting in the bool accessor.
-  const std::string root = make_temp_dir();
+  const TempDir tmp(kTempPrefix);
+  const std::string& root = tmp.path();
   write_text(root + "/kind.json", test_manifest_text());
   CampaignDriverOptions options = driver_options(root, "kind", 1);
   ASSERT_EQ(run_driver(options), 0);
@@ -1132,7 +1141,8 @@ TEST(CampaignDriverTest, WrongKindDocumentFieldIsANamedErrorOnResume) {
 
 TEST(CampaignDriverTest, CountsCompletionsRetriesAndQuarantines) {
   PW_REQUIRE_OBS_ON();
-  const std::string root = make_temp_dir();
+  const TempDir tmp(kTempPrefix);
+  const std::string& root = tmp.path();
   write_text(root + "/obs.json", test_manifest_text(0, 2));
   CampaignDriverOptions options = driver_options(root, "obs", 1);
   options.faults.kill.insert({"a-quickstart", 1});  // one retry
@@ -1214,7 +1224,8 @@ TEST(CampaignLoaderFuzz, SeededMutationsAreNamedErrorsNeverAborts) {
   // header, claims and a failure. Each mutated file goes through its
   // loader in-process: accepted, or refused with an error naming the
   // file, never an abort (the CI sanitizer job runs this too).
-  const std::string root = make_temp_dir();
+  const TempDir tmp(kTempPrefix);
+  const std::string& root = tmp.path();
   write_text(root + "/fuzz.json", test_manifest_text());
   CampaignDriverOptions options = driver_options(root, "fuzz", 1);
   options.faults.kill.insert({"a-quickstart", 1});

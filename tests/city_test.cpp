@@ -23,6 +23,7 @@
 #include "runtime/city_reduce.h"
 #include "runtime/experiments/all.h"
 #include "runtime/runner.h"
+#include "temp_dir.h"
 
 namespace politewifi {
 namespace {
@@ -242,13 +243,7 @@ std::string read_text(const std::string& path) {
   return out.str();
 }
 
-std::string make_temp_dir() {
-  const char* tmp = std::getenv("TMPDIR");
-  std::string dir = std::string(tmp != nullptr ? tmp : "/tmp") +
-                    "/pw_city_test.XXXXXX";
-  EXPECT_NE(mkdtemp(dir.data()), nullptr);
-  return dir;
-}
+constexpr const char* kTempPrefix = "pw_city_test";
 
 /// `pw_run --city --smoke --metrics` through run_city_campaign, whose
 /// children are the real pw_run binary; the reduced document and
@@ -279,7 +274,8 @@ TEST_P(CityProcesses, MatchTheInProcessBytes) {
   ASSERT_EQ(whole.exit_code, 0) << whole.error;
   runtime::campaign::CampaignDriverOptions options;
   options.processes = GetParam();  // no dir: a TMPDIR scratch journal
-  const std::string out = make_temp_dir() + "/city";
+  const TempDir tmp(kTempPrefix);
+  const std::string out = tmp.path() + "/city";
   ASSERT_EQ(run_city_processes(kQuick, out, options), 0);
   expect_in_process_bytes(whole, out);
 }
@@ -292,7 +288,8 @@ INSTANTIATE_TEST_SUITE_P(Procs, CityProcesses, ::testing::Values(1, 4),
 TEST(CityCampaign, SigkilledDistrictRetriesToTheSameBytes) {
   const auto whole = run_city(kQuick);
   ASSERT_EQ(whole.exit_code, 0) << whole.error;
-  const std::string root = make_temp_dir();
+  const TempDir tmp(kTempPrefix);
+  const std::string& root = tmp.path();
   runtime::campaign::CampaignDriverOptions options;
   options.dir = root + "/killed.campaign";
   options.processes = 4;
@@ -309,7 +306,8 @@ TEST(CityCampaign, SigkilledDistrictRetriesToTheSameBytes) {
 TEST(CityCampaign, CheckpointThenResumeGivesTheSameBytes) {
   const auto whole = run_city(kQuick);
   ASSERT_EQ(whole.exit_code, 0) << whole.error;
-  const std::string root = make_temp_dir();
+  const TempDir tmp(kTempPrefix);
+  const std::string& root = tmp.path();
   runtime::campaign::CampaignDriverOptions options;
   options.dir = root + "/resume.campaign";
   options.processes = 4;

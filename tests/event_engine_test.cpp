@@ -8,6 +8,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <memory>
 #include <new>
@@ -245,6 +246,159 @@ TEST(SchedulerPool, RandomTraceMatchesSortedReferenceModel) {
   EXPECT_GT(compactions, 0u) << "the sweep never fired; the test is vacuous";
 }
 
+TEST(SchedulerPool, ReservedChainsMatchSortedReferenceModel) {
+  // Chains of events that share one heap entry (the medium's delivery
+  // records): the owner reserves the chain's sequence numbers, pushes
+  // only its first link, and when a link finishes runs the next one in
+  // place or pushes it under its reserved number. Replayed against the
+  // sorted (time, seq) model in which every link is its own event, with
+  // links that schedule plain events (some due before the next link, so
+  // it must wait in the heap), plain events cancelled into tombstones,
+  // and the loop driven by run_one and bounded run_until.
+  sim::Scheduler scheduler;
+  Rng rng(2025);
+  using Key = std::pair<TimePoint, std::uint64_t>;
+  std::map<Key, int> model;                    // pending, in firing order
+  std::vector<TimePoint> due;                  // tag -> model time
+  std::vector<Key> key_of;                     // plain tag -> model key
+  std::vector<sim::Scheduler::EventId> id_of;  // plain tag -> scheduler id
+  std::vector<int> live;                       // pending plain tags
+  std::vector<std::size_t> live_pos;           // plain tag -> index in `live`
+  std::vector<int> ran, expected;
+  std::uint64_t seq = 0;
+  std::size_t pushes = 0;
+
+  struct Chain {
+    std::vector<TimePoint> at;
+    std::vector<int> tags;
+    std::uint64_t first_seq = 0;
+    std::size_t next = 0;
+  };
+  std::vector<Chain> chains;
+
+  const auto new_tag = [&](TimePoint at) {
+    due.push_back(at);
+    key_of.emplace_back();
+    id_of.push_back(0);
+    live_pos.push_back(~std::size_t{0});  // not cancellable
+    return static_cast<int>(due.size() - 1);
+  };
+  const auto schedule_plain = [&](Duration delay) {
+    const TimePoint at = scheduler.now() + delay;
+    const int tag = new_tag(at);
+    id_of[tag] =
+        scheduler.schedule_at(at, [&ran, tag] { ran.push_back(tag); });
+    key_of[tag] = {at, seq++};
+    model.emplace(key_of[tag], tag);
+    live_pos[tag] = live.size();
+    live.push_back(tag);
+  };
+  const auto forget = [&](int tag) {
+    const std::size_t i = live_pos[tag];
+    if (i == ~std::size_t{0}) return;  // a chain link
+    live[i] = live.back();
+    live_pos[live[i]] = i;
+    live.pop_back();
+    live_pos[tag] = ~std::size_t{0};
+  };
+  const auto model_pop = [&] {
+    const auto first = model.begin();
+    expected.push_back(first->second);
+    forget(first->second);
+    model.erase(first);
+  };
+
+  std::function<void(std::size_t)> run_link = [&](std::size_t c) {
+    for (;;) {
+      Chain& chain = chains[c];
+      ASSERT_EQ(scheduler.now(), chain.at[chain.next]);
+      ran.push_back(chain.tags[chain.next]);
+      ++chain.next;
+      // A link's body may schedule plain events, sometimes due before
+      // the chain's next link.
+      if (rng.bernoulli(0.3)) schedule_plain(microseconds(rng.uniform_int(0, 60)));
+      if (chain.next == chain.at.size()) return;
+      const TimePoint at = chain.at[chain.next];
+      const std::uint64_t link_seq = chain.first_seq + chain.next;
+      if (!scheduler.run_in_place(at, link_seq)) {
+        ++pushes;
+        scheduler.schedule_reserved(at, link_seq, [&run_link, c] { run_link(c); });
+        return;
+      }
+    }
+  };
+  const auto start_chain = [&] {
+    Chain chain;
+    TimePoint at = scheduler.now() + microseconds(rng.uniform_int(0, 400));
+    const auto links = static_cast<std::size_t>(rng.uniform_int(1, 8));
+    chain.first_seq = scheduler.reserve_seqs(links);
+    ASSERT_EQ(chain.first_seq, seq);
+    for (std::size_t i = 0; i < links; ++i) {
+      chain.at.push_back(at);
+      chain.tags.push_back(new_tag(at));
+      model.emplace(Key{at, seq++}, chain.tags.back());
+      at += microseconds(rng.uniform_int(0, 40));  // 0: a same-time link
+    }
+    chains.push_back(std::move(chain));
+    const std::size_t c = chains.size() - 1;
+    scheduler.schedule_reserved(chains[c].at[0], chains[c].first_seq,
+                                [&run_link, c] { run_link(c); });
+  };
+
+  std::size_t checked = 0;
+  for (int op = 0; op < 30'000; ++op) {
+    const double u = rng.uniform();
+    if (u < 0.25) {
+      schedule_plain(microseconds(rng.uniform_int(0, 500)));
+    } else if (u < 0.45) {
+      start_chain();
+    } else if (u < 0.65) {
+      if (live.empty()) continue;
+      const int tag = live[rng.uniform_int(0, std::int64_t(live.size()) - 1)];
+      scheduler.cancel(id_of[tag]);
+      model.erase(key_of[tag]);
+      forget(tag);
+    } else if (u < 0.80) {
+      // run_one runs exactly one event, never a second one in place.
+      const std::size_t before = ran.size();
+      const std::uint64_t inline_before = scheduler.events_inline();
+      EXPECT_EQ(scheduler.run_one(), !model.empty());
+      if (!model.empty()) model_pop();
+      ASSERT_EQ(ran.size(), expected.size()) << "after op " << op;
+      EXPECT_LE(ran.size(), before + 1) << "run_one ran two events";
+      EXPECT_EQ(scheduler.events_inline(), inline_before)
+          << "run_one ran an event in place";
+    } else {
+      // run_until never runs an event past its bound, in place or not.
+      const std::size_t before = ran.size();
+      const TimePoint until =
+          scheduler.now() + microseconds(rng.uniform_int(0, 300));
+      scheduler.run_until(until);
+      while (!model.empty() && model.begin()->first.first <= until) {
+        model_pop();
+      }
+      for (std::size_t i = before; i < ran.size(); ++i) {
+        ASSERT_LE(due[ran[i]], until) << "ran past the bound, op " << op;
+      }
+      EXPECT_EQ(scheduler.now(), until);
+    }
+    ASSERT_EQ(ran.size(), expected.size()) << "after op " << op;
+    for (; checked < ran.size(); ++checked) {
+      ASSERT_EQ(ran[checked], expected[checked]) << "event " << checked;
+    }
+    ASSERT_EQ(scheduler.events_executed(), ran.size());
+  }
+  scheduler.run_all();
+  while (!model.empty()) model_pop();
+
+  EXPECT_EQ(ran, expected);
+  EXPECT_EQ(scheduler.events_executed(), ran.size());
+  EXPECT_EQ(scheduler.pending(), 0u);
+  EXPECT_GT(scheduler.events_inline(), 1000u) << "no link ran in place";
+  EXPECT_GT(pushes, 1000u) << "no link ever waited in the heap";
+  scheduler.audit();
+}
+
 TEST(SchedulerPool, StaleIdCannotCancelRecycledSlot) {
   sim::Scheduler scheduler;
   int fired = 0;
@@ -390,14 +544,22 @@ Fingerprint fingerprint_of(sim::Simulation& sim,
 /// `template_hits`, when given, receives the radios' summed frame-template
 /// hits — the witness that production really rendered through templates.
 /// `decodes`, when given, receives the run's frames.decodes count.
+/// `simultaneous` turns propagation delay off, so every receiver of a
+/// transmission arrives at once, and moves the tapped target 1 before
+/// every step (awake throughout): a volatile receiver attached before
+/// most static ones, so its delivery ties with theirs and the finalize
+/// order must keep it at its fan-out (attach-order) position.
 Fingerprint run_scenario(std::uint64_t scenario_seed, bool oracle,
                          std::uint64_t* template_hits = nullptr,
-                         std::int64_t* decodes = nullptr) {
+                         std::int64_t* decodes = nullptr,
+                         bool simultaneous = false) {
   if (decodes != nullptr) {
     obs::Registry::reset();
     obs::Registry::set_enabled(true);
   }
-  sim::Simulation sim({.seed = 7000 + scenario_seed});
+  sim::MediumConfig mc;
+  mc.model_propagation_delay = !simultaneous;
+  sim::Simulation sim({.medium = mc, .seed = 7000 + scenario_seed});
   if (oracle) sim::MediumTestPeer::use_reference_oracle(sim.medium());
   sim::TraceRecorder recorder;
   recorder.attach(sim.medium());
@@ -417,6 +579,8 @@ Fingerprint run_scenario(std::uint64_t scenario_seed, bool oracle,
     if (layout.bernoulli(0.25)) dev.radio().set_sleeping(true);
     targets.push_back(&dev);
   }
+
+  if (simultaneous) targets[1]->radio().set_sleeping(false);
 
   std::vector<std::tuple<std::size_t, TimePoint, Bytes>> taps;
   for (std::size_t i = 0; i < targets.size(); ++i) {
@@ -438,6 +602,11 @@ Fingerprint run_scenario(std::uint64_t scenario_seed, bool oracle,
     attacker.radio().set_position({layout.uniform(-200.0, 200.0),
                                    layout.uniform(-200.0, 200.0)});
     attacker.radio().set_channel(channels[step % 3]);
+    if (simultaneous) {
+      targets[1]->radio().set_position({layout.uniform(-150.0, 150.0),
+                                        layout.uniform(-150.0, 150.0)});
+      targets[1]->radio().set_channel(channels[step % 3]);
+    }
     sim::Device* target = targets[layout.uniform_int(0, 11)];
     if (step == 20) {
       // Flip someone's sleep state mid-run: the index must not deliver
@@ -518,6 +687,22 @@ TEST_P(GridEquivalence, IndexedFanOutIsByteIdenticalToBruteForce) {
     EXPECT_EQ(indexed.energy_mj[i], brute.energy_mj[i]) << "device " << i;
   }
   EXPECT_EQ(indexed, brute);
+}
+
+// Without propagation delay a transmission's deliveries all tie, and the
+// finalize order is fan-out order: a static sender's lane receivers with
+// the volatile ones merged in at their attach positions. The moved,
+// tapped target 1 precedes most lanes, so a merge that broke the tie
+// any other way would reorder its taps against the oracle's.
+TEST_P(GridEquivalence, SimultaneousArrivalsKeepFanOutOrder) {
+  const Fingerprint production = run_scenario(
+      GetParam(), /*oracle=*/false, nullptr, nullptr, /*simultaneous=*/true);
+  const Fingerprint oracle = run_scenario(
+      GetParam(), /*oracle=*/true, nullptr, nullptr, /*simultaneous=*/true);
+  EXPECT_TRUE(std::any_of(production.taps.begin(), production.taps.end(),
+                          [](const auto& tap) { return std::get<0>(tap) == 1; }))
+      << "the moved target's tap saw nothing; the check is vacuous";
+  EXPECT_EQ(production, oracle);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTopologies, GridEquivalence,
@@ -872,9 +1057,8 @@ TEST(SteadyState, PpduPipelineAllocatesNothingAndCopiesNoPayload) {
   sim::MediumConfig mc;
   mc.shadowing_sigma_db = 0.0;
   mc.model_frame_errors = false;
-  // Without propagation delay every receiver shares one arrival time, so
-  // a transmission is one delivery event.
-  mc.model_propagation_delay = false;
+  // Propagation delay gives receivers their own arrival times, so a
+  // transmission is a chain of arrival groups, most of them run in place.
   sim::Medium medium(scheduler, mc, /*seed=*/7);
 
   sim::RadioConfig arc;
@@ -887,6 +1071,12 @@ TEST(SteadyState, PpduPipelineAllocatesNothingAndCopiesNoPayload) {
     rc.position = {layout.uniform(0.0, 100.0), layout.uniform(0.0, 100.0)};
     receivers.push_back(std::make_unique<sim::Radio>(medium, scheduler, rc));
   }
+  // A receiver that moves between frames is volatile: off the attacker's
+  // neighbor lanes, so its delivery is merged into the lanes' arrival
+  // order on every frame.
+  sim::RadioConfig mrc;
+  mrc.position = {20.0, 20.0};
+  sim::Radio mover(medium, scheduler, mrc);
 
   frames::Frame fake = frames::make_null_function(
       MacAddress::broadcast(), MacAddress::paper_fake_address(), 0);
@@ -894,6 +1084,7 @@ TEST(SteadyState, PpduPipelineAllocatesNothingAndCopiesNoPayload) {
   std::uint16_t seq = 0;
   const auto send = [&](int frames) {
     for (int i = 0; i < frames; ++i) {
+      mover.set_position({20.0 + (seq % 16), 20.0 + (seq % 7)});
       fake.seq.sequence = seq++ & 0x0FFF;
       attacker.transmit(fake, tx);
       scheduler.run_all();
@@ -902,10 +1093,13 @@ TEST(SteadyState, PpduPipelineAllocatesNothingAndCopiesNoPayload) {
 
   send(256);
   const std::uint64_t before = heap_allocations.load();
+  const std::uint64_t inline_before = scheduler.events_inline();
   send(2000);
   EXPECT_EQ(heap_allocations.load() - before, 0u)
       << "heap allocations in 2,000 steady-state frames";
   EXPECT_EQ(medium.stats().ppdu_bytes_copied, 0u);
-  EXPECT_EQ(medium.stats().receptions, 2256u * 50u)
+  EXPECT_EQ(medium.stats().receptions, 2256u * 51u)
       << "every receiver must hear every frame, or the test is vacuous";
+  EXPECT_GT(scheduler.events_inline() - inline_before, 2000u * 10u)
+      << "arrival groups must run in place inside the counted window";
 }

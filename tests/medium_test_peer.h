@@ -38,13 +38,13 @@ struct MediumTestPeer {
     }
     return false;
   }
-  /// Nudges one end of a live FER-bracket line by one ULP: every
-  /// decision that line serves would trust a bracket the FER does not
+  /// Nudges one end of an evaluated FER-table cell by one ULP: every
+  /// decision that cell serves would trust a bracket the FER does not
   /// have.
   static bool corrupt_one_fer_line(Medium& m) {
-    for (auto& line : m.memo_.fer_lines) {
-      if (std::isnan(line.mbps)) continue;  // empty line
-      line.fer_lo = std::nextafter(line.fer_lo, 2.0);
+    for (auto& cell : m.memo_.fer_cells) {
+      if (cell.lo < 0.0) continue;  // not yet evaluated
+      cell.lo = std::nextafter(cell.lo, 2.0);
       return true;
     }
     return false;
