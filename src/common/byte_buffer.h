@@ -145,7 +145,4 @@ class ByteReader {
   std::size_t pos_ = 0;
 };
 
-/// Hex dump "aa bb cc ..." — used by trace output and test diagnostics.
-std::string hex_dump(std::span<const std::uint8_t> data);
-
 }  // namespace politewifi

@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <string>
 
 namespace politewifi {
@@ -41,6 +42,10 @@ constexpr Duration from_seconds(double s) {
 }
 
 /// Formats a TimePoint as "12.345678s" for trace output.
-std::string format_time(TimePoint t);
+inline std::string format_time(TimePoint t) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.6fs", to_seconds(t.time_since_epoch()));
+  return buf;
+}
 
 }  // namespace politewifi

@@ -6,8 +6,6 @@
 
 namespace politewifi::common {
 
-namespace {
-
 bool read_whole_file(const std::string& path, std::string* out,
                      std::string* error) {
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -25,7 +23,26 @@ bool read_whole_file(const std::string& path, std::string* out,
   return ok;
 }
 
-}  // namespace
+bool write_file_atomic(const std::string& path, const std::string& text,
+                       std::string* error) {
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  if (f == nullptr) {
+    *error = "cannot open " + tmp;
+    return false;
+  }
+  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
+                  std::fflush(f) == 0;
+  if (std::fclose(f) != 0 || !ok) {
+    *error = "short write on " + tmp;
+    return false;
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    *error = "cannot rename " + tmp + " over " + path;
+    return false;
+  }
+  return true;
+}
 
 bool read_jsonl_file(const std::string& path, JsonlReadResult* out,
                      std::string* error) {

@@ -1,4 +1,6 @@
-// Append-only JSONL journal I/O on the strict JSON parser.
+// Append-only JSONL journal I/O on the strict JSON parser, and the
+// whole-file read and crash-safe replace that the campaign runtime's
+// other artifacts use.
 //
 // The campaign runtime (runtime/campaign/) checkpoints completed jobs
 // into an append-only `results.jsonl`: one canonical compact record per
@@ -41,5 +43,18 @@ bool read_jsonl_file(const std::string& path, JsonlReadResult* out,
 /// complete survives the writer's death. Creates the file if needed.
 bool append_jsonl_record(const std::string& path, const Json& record,
                          std::string* error);
+
+/// Reads the whole file into *out. Returns false (with *error "cannot
+/// open PATH" or "read error on PATH") when it cannot.
+bool read_whole_file(const std::string& path, std::string* out,
+                     std::string* error);
+
+/// Replaces the file at `path` with `text`: writes and flushes PATH.tmp,
+/// then renames it over `path`, so a crash mid-write never leaves a
+/// truncated file there. Returns false (with *error "cannot open
+/// PATH.tmp", "short write on PATH.tmp" or "cannot rename PATH.tmp over
+/// PATH") on failure.
+bool write_file_atomic(const std::string& path, const std::string& text,
+                       std::string* error);
 
 }  // namespace politewifi::common

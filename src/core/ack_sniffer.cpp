@@ -10,15 +10,6 @@ AckSniffer::AckSniffer(MonitorHub& hub, const mac::MacEnvironment& env,
   });
 }
 
-void AckSniffer::note_injection(const MacAddress& target) {
-  pending_.push_back({env_.now(), target});
-  // Bound the queue: drop entries far outside the window.
-  const TimePoint cutoff = env_.now() - 10 * window_;
-  while (!pending_.empty() && pending_.front().at < cutoff) {
-    pending_.pop_front();
-  }
-}
-
 void AckSniffer::on_frame(const frames::Frame& frame,
                           const phy::RxVector& rx) {
   const bool ack = frame.fc.is_ack();
@@ -32,22 +23,7 @@ void AckSniffer::on_frame(const frames::Frame& frame,
   obs.rssi_dbm = rx.rssi_dbm;
   obs.csi = rx.csi;
   obs.is_cts = cts;
-
-  // Attribute to the most recent injection inside the window.
-  const TimePoint now = env_.now();
-  for (auto it = pending_.rbegin(); it != pending_.rend(); ++it) {
-    if (now - it->at <= window_) {
-      obs.attributed_victim = it->target;
-      break;
-    }
-  }
   acks_.push_back(std::move(obs));
-}
-
-std::size_t AckSniffer::count_from(const MacAddress& victim) const {
-  std::size_t n = 0;
-  for (const auto& a : acks_) n += a.attributed_victim == victim ? 1 : 0;
-  return n;
 }
 
 }  // namespace politewifi::core

@@ -1,13 +1,11 @@
-// ACK/CTS observation — the wardriving rig's verification "thread" and
-// the sensing pipeline's measurement front-end.
+// ACK/CTS observation — the sensing pipeline's measurement front-end.
 //
 // ACK frames carry no transmitter address, only the receiver (our spoofed
-// source). Attribution to a victim therefore works the way real rigs do
-// it: an ACK that lands within the response window after an injection to
-// target T was elicited by T.
+// source), so an observation records who the response was addressed to,
+// when it arrived and what the channel looked like. Crediting an ACK to
+// a victim is the wardrive survey's job (WardriveCampaign::on_ack).
 #pragma once
 
-#include <deque>
 #include <optional>
 #include <vector>
 
@@ -22,8 +20,6 @@ struct AckObservation {
   double rssi_dbm = -100.0;
   std::optional<phy::CsiSnapshot> csi;
   bool is_cts = false;  // CTS elicited by a fake RTS (§2.2 variant)
-  /// The victim attributed by injection bookkeeping; zero when unknown.
-  MacAddress attributed_victim{};
 };
 
 class AckSniffer {
@@ -33,33 +29,16 @@ class AckSniffer {
   AckSniffer(MonitorHub& hub, const mac::MacEnvironment& env,
              MacAddress ra_filter);
 
-  /// Registers an injection toward `target` (call right after injecting)
-  /// so the next matching ACK is attributed to it.
-  void note_injection(const MacAddress& target);
-
-  /// Attribution window: ACKs arrive SIFS + airtime after the fake frame
-  /// (~50-100 us); anything older than this cannot be ours.
-  void set_window(Duration window) { window_ = window; }
-
   const std::vector<AckObservation>& observations() const { return acks_; }
   std::uint64_t total() const { return acks_.size(); }
   void clear() { acks_.clear(); }
-
-  /// ACKs attributed to a given victim.
-  std::size_t count_from(const MacAddress& victim) const;
 
  private:
   void on_frame(const frames::Frame& frame, const phy::RxVector& rx);
 
   const mac::MacEnvironment& env_;
   MacAddress ra_filter_;
-  Duration window_ = microseconds(500);
   std::vector<AckObservation> acks_;
-  struct PendingInjection {
-    TimePoint at;
-    MacAddress target;
-  };
-  std::deque<PendingInjection> pending_;
 };
 
 }  // namespace politewifi::core

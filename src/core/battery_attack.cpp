@@ -6,8 +6,7 @@ BatteryDrainAttack::BatteryDrainAttack(sim::Simulation& sim,
                                        sim::Device& attacker,
                                        sim::Device& victim,
                                        InjectorConfig config)
-    : sim_(sim), attacker_(attacker), victim_(victim),
-      injector_(attacker, config) {}
+    : sim_(sim), victim_(victim), injector_(attacker, config) {}
 
 BatteryAttackResult BatteryDrainAttack::run(double rate_pps, Duration warmup,
                                             Duration measure) {
@@ -20,9 +19,6 @@ BatteryAttackResult BatteryDrainAttack::run(double rate_pps, Duration warmup,
   meter.reset(sim_.now());
   const std::uint64_t acks_before = victim_.station().stats().acks_sent;
   const std::uint64_t injected_before = injector_.stats().frames_injected;
-  const auto tmpl_before = attacker_.radio().tx_template_cache().stats();
-  const std::uint64_t allocs_before =
-      sim_.medium().ppdu_pool().stats().allocations;
 
   sim_.run_for(measure);
 
@@ -34,11 +30,6 @@ BatteryAttackResult BatteryDrainAttack::run(double rate_pps, Duration warmup,
   result.acks_elicited = victim_.station().stats().acks_sent - acks_before;
   result.frames_injected =
       injector_.stats().frames_injected - injected_before;
-  const auto& tmpl = attacker_.radio().tx_template_cache().stats();
-  result.template_hits = tmpl.hits - tmpl_before.hits;
-  result.template_misses = tmpl.misses - tmpl_before.misses;
-  result.pool_allocations =
-      sim_.medium().ppdu_pool().stats().allocations - allocs_before;
 
   injector_.stop_all();
   return result;
@@ -67,9 +58,6 @@ common::Json BatteryAttackResult::to_json() const {
   j["sleep_fraction"] = sleep_fraction;
   j["acks_elicited"] = acks_elicited;
   j["frames_injected"] = frames_injected;
-  j["template_hits"] = template_hits;
-  j["template_misses"] = template_misses;
-  j["pool_allocations"] = pool_allocations;
   return j;
 }
 

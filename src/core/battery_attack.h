@@ -18,14 +18,6 @@ struct BatteryAttackResult {
   double sleep_fraction = 0.0;     // time spent dozing during measurement
   std::uint64_t acks_elicited = 0; // victim ACK count delta
   std::uint64_t frames_injected = 0;
-  /// Zero-copy pipeline health during the measured window: injected
-  /// frames served by the attacker radio's template cache (vs full
-  /// serializations) and fresh PPDU buffers the medium had to allocate.
-  /// In steady state the hit rate approaches 1 and the allocation delta
-  /// approaches 0 — the flood_ack metrics golden holds the same counters.
-  std::uint64_t template_hits = 0;
-  std::uint64_t template_misses = 0;
-  std::uint64_t pool_allocations = 0;
 
   common::Json to_json() const;
 };
@@ -44,7 +36,6 @@ class BatteryDrainAttack {
 
  private:
   sim::Simulation& sim_;
-  sim::Device& attacker_;
   sim::Device& victim_;
   FakeFrameInjector injector_;
 };

@@ -103,17 +103,3 @@ RangeEstimate RttRanger::range(const MacAddress& target, int n) {
 }
 
 }  // namespace politewifi::core
-
-namespace politewifi::core {
-
-common::Json RangeEstimate::to_json() const {
-  common::Json j;
-  j["distance_m"] = distance_m;
-  j["mean_m"] = mean_m;
-  j["stddev_m"] = stddev_m;
-  j["measurements"] = measurements;
-  j["lost"] = lost;
-  return j;
-}
-
-}  // namespace politewifi::core

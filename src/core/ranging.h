@@ -16,7 +16,6 @@
 
 #include <optional>
 
-#include "common/json.h"
 #include "core/injector.h"
 #include "core/monitor.h"
 #include "sim/network.h"
@@ -29,8 +28,6 @@ struct RangeEstimate {
   double stddev_m = 0.0;       // spread of single measurements
   std::size_t measurements = 0;
   std::size_t lost = 0;        // injections with no usable ACK
-
-  common::Json to_json() const;
 };
 
 struct RangerConfig {

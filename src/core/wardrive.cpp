@@ -214,9 +214,6 @@ WardriveReport WardriveCampaign::run() {
   }
   report.fake_frames_sent = injector_->stats().frames_injected;
   report.acks_observed = acks_observed_;
-  report.ppdu_acquires = sim_.medium().ppdu_pool().stats().acquires;
-  report.ppdu_allocations = sim_.medium().ppdu_pool().stats().allocations;
-  report.ppdu_bytes_copied = sim_.medium().stats().ppdu_bytes_copied;
   report.client_table = tally_vendors(scanner_->devices(), /*aps=*/false);
   report.ap_table = tally_vendors(scanner_->devices(), /*aps=*/true);
   report.distinct_vendors = [&] {
@@ -247,9 +244,6 @@ common::Json WardriveReport::to_json() const {
   j["distinct_vendors"] = distinct_vendors;
   j["fake_frames_sent"] = fake_frames_sent;
   j["acks_observed"] = acks_observed;
-  j["ppdu_acquires"] = ppdu_acquires;
-  j["ppdu_allocations"] = ppdu_allocations;
-  j["ppdu_bytes_copied"] = ppdu_bytes_copied;
   j["client_vendors"] = client_table.to_json();
   j["ap_vendors"] = ap_table.to_json();
   return j;

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/json.h"
-#include "core/ack_sniffer.h"
 #include "core/injector.h"
 #include "core/scanner.h"
 #include "core/vendor_stats.h"
@@ -65,14 +64,6 @@ struct WardriveReport {
   std::size_t distinct_vendors = 0;
   std::uint64_t fake_frames_sent = 0;
   std::uint64_t acks_observed = 0;
-  /// Zero-copy pipeline accounting for the whole campaign (the city's
-  /// entire frame volume flows through one medium): PPDU buffers the pool
-  /// handed out vs fresh heap allocations, and payload octets copied
-  /// after transmit (copy-on-corrupt only). Allocations plateau once the
-  /// pool warms up; a regression here shows up as a growing ratio.
-  std::uint64_t ppdu_acquires = 0;
-  std::uint64_t ppdu_allocations = 0;
-  std::uint64_t ppdu_bytes_copied = 0;
   VendorTable client_table;
   VendorTable ap_table;
 

@@ -60,15 +60,6 @@ Frame make_data_from_ds(const MacAddress& bssid, const MacAddress& sa,
   return f;
 }
 
-Frame make_qos_data_to_ds(const MacAddress& bssid, const MacAddress& sa,
-                          const MacAddress& da, Bytes msdu,  // pw-lint: allow(by-value-bytes)
-                          std::uint16_t sequence, std::uint8_t tid) {
-  Frame f = make_data_to_ds(bssid, sa, da, std::move(msdu), sequence);
-  f.fc.subtype = static_cast<std::uint8_t>(DataSubtype::kQosData);
-  f.qos_control = tid & 0x0F;
-  return f;
-}
-
 Frame make_ps_poll(const MacAddress& bssid, const MacAddress& ta,
                    std::uint16_t aid) {
   Frame f;
@@ -77,10 +68,6 @@ Frame make_ps_poll(const MacAddress& bssid, const MacAddress& ta,
   f.addr1 = bssid;
   f.addr2 = ta;
   return f;
-}
-
-std::uint16_t ps_poll_aid(const Frame& frame) {
-  return frame.duration_id & 0x3FFF;
 }
 
 }  // namespace politewifi::frames

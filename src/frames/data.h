@@ -42,18 +42,10 @@ Frame make_data_from_ds(const MacAddress& bssid, const MacAddress& sa,
                         const MacAddress& da, Bytes msdu,  // pw-lint: allow(by-value-bytes)
                         std::uint16_t sequence);
 
-/// QoS data variant (adds the 2-octet QoS Control field, TID in low bits).
-Frame make_qos_data_to_ds(const MacAddress& bssid, const MacAddress& sa,
-                          const MacAddress& da, Bytes msdu,  // pw-lint: allow(by-value-bytes)
-                          std::uint16_t sequence, std::uint8_t tid);
-
 /// PS-Poll control frame: a dozing station asks the AP for buffered
 /// traffic. The AID is carried in the Duration/ID field with the two top
 /// bits set (§9.2.4.2).
 Frame make_ps_poll(const MacAddress& bssid, const MacAddress& ta,
                    std::uint16_t aid);
-
-/// Extracts the AID from a PS-Poll frame's Duration/ID field.
-std::uint16_t ps_poll_aid(const Frame& frame);
 
 }  // namespace politewifi::frames

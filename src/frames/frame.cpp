@@ -17,27 +17,6 @@ std::size_t Frame::header_size() const {
   return n;
 }
 
-MacAddress Frame::destination() const {
-  if (!has_addr3()) return addr1;
-  if (fc.to_ds && fc.from_ds) return addr3;
-  if (fc.to_ds) return addr3;  // To the DS: DA is addr3
-  return addr1;                // From DS or IBSS: DA is addr1
-}
-
-MacAddress Frame::source() const {
-  if (!has_addr3()) return addr2;
-  if (fc.to_ds && fc.from_ds) return addr4;
-  if (fc.from_ds) return addr3;  // From the DS: SA is addr3
-  return addr2;                  // To DS or IBSS: SA is addr2
-}
-
-MacAddress Frame::bssid() const {
-  if (!has_addr3()) return MacAddress{};
-  if (fc.to_ds && fc.from_ds) return MacAddress{};  // WDS has no single BSSID
-  if (fc.to_ds) return addr1;
-  if (fc.from_ds) return addr2;
-  return addr3;  // IBSS / management
-}
 
 std::string Frame::summary() const {
   std::string s = fc.subtype_name();

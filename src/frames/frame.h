@@ -77,13 +77,6 @@ struct Frame {
   const MacAddress& receiver() const { return addr1; }
   const MacAddress& transmitter() const { return addr2; }
 
-  /// Destination as seen by upper layers, following the ToDS/FromDS rules.
-  MacAddress destination() const;
-  /// Source as seen by upper layers.
-  MacAddress source() const;
-  /// The BSSID this frame belongs to (for data/management frames).
-  MacAddress bssid() const;
-
   /// One-line rendering modeled on Wireshark's packet list, e.g.
   /// "Null function (No data), SN=12, Flags=...C".
   std::string summary() const;

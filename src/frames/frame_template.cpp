@@ -3,6 +3,7 @@
 #include "common/check.h"
 #include "common/crc32.h"
 #include "frames/serializer.h"
+#include "obs/metrics.h"
 
 namespace politewifi::frames {
 
@@ -85,11 +86,13 @@ PpduRef FrameTemplateCache::render(const Frame& frame, PpduPool& pool) {
   Entry& e = slot_for(frame);
   if (!e.used || !matches_except_seq_retry(e.proto, frame)) {
     ++stats_.misses;
+    PW_COUNT(kFramesTemplateMisses);
     render_full(frame, e, pool);
     return e.rendered;
   }
 
   ++stats_.hits;
+  PW_COUNT(kFramesTemplateHits);
   const bool retry_changed = e.proto.fc.retry != frame.fc.retry;
   const bool seq_changed =
       e.seq_offset != 0 &&

@@ -27,20 +27,8 @@ void ElementList::set_supported_rates(const std::vector<std::uint8_t>& rates) {
   add(ElementId::kSupportedRates, Bytes(rates.begin(), rates.end()));
 }
 
-std::vector<std::uint8_t> ElementList::supported_rates() const {
-  const auto* e = find(ElementId::kSupportedRates);
-  if (!e) return {};
-  return {e->value.begin(), e->value.end()};
-}
-
 void ElementList::set_channel(std::uint8_t channel) {
   add(ElementId::kDsParameterSet, Bytes{channel});
-}
-
-std::optional<std::uint8_t> ElementList::channel() const {
-  const auto* e = find(ElementId::kDsParameterSet);
-  if (!e || e->value.size() != 1) return std::nullopt;
-  return e->value[0];
 }
 
 void ElementList::set_tim(const Tim& tim) {

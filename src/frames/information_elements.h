@@ -58,10 +58,8 @@ class ElementList {
 
   /// Rates in units of 500 kb/s, high bit = basic rate.
   void set_supported_rates(const std::vector<std::uint8_t>& rates);
-  std::vector<std::uint8_t> supported_rates() const;
 
   void set_channel(std::uint8_t channel);
-  std::optional<std::uint8_t> channel() const;
 
   /// Traffic Indication Map: DTIM count/period plus the bitmap of
   /// association IDs with buffered traffic. Drives power-save wakeups.

@@ -47,15 +47,6 @@ Bytes Deauthentication::to_body() const {
   return w.take();
 }
 
-std::optional<Deauthentication> Deauthentication::from_body(
-    std::span<const std::uint8_t> body) {
-  return parse_guard<Deauthentication>(body, +[](ByteReader& r) {
-    Deauthentication d;
-    d.reason = static_cast<ReasonCode>(r.u16le());
-    return d;
-  });
-}
-
 // --- Authentication ------------------------------------------------------------
 
 Bytes Authentication::to_body() const {

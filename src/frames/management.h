@@ -66,8 +66,6 @@ struct Deauthentication {
   ReasonCode reason = ReasonCode::kUnspecified;
 
   Bytes to_body() const;
-  static std::optional<Deauthentication> from_body(
-      std::span<const std::uint8_t> body);
 
   friend bool operator==(const Deauthentication&,
                          const Deauthentication&) = default;

@@ -36,12 +36,6 @@ PW_HOT void PpduRef::release() {
   buf_ = nullptr;
 }
 
-PpduRef PpduRef::copy_of(std::span<const std::uint8_t> octets) {
-  auto* buf = new Buffer;
-  buf->octets.assign(octets.begin(), octets.end());
-  return PpduRef(buf);
-}
-
 PpduPool::~PpduPool() {
   // Scheduled receptions may still hold refs when a simulation is torn
   // down mid-flight (the scheduler usually outlives the medium): orphan

@@ -54,10 +54,6 @@ class PpduRef {
   }
   ~PpduRef() { release(); }
 
-  /// A freestanding (pool-less) ref holding a copy of `octets` — for
-  /// call sites outside the simulator hot path.
-  static PpduRef copy_of(std::span<const std::uint8_t> octets);
-
   explicit operator bool() const { return buf_ != nullptr; }
   bool empty() const { return buf_ == nullptr || buf_->octets.empty(); }
   std::size_t size() const { return buf_ == nullptr ? 0 : buf_->octets.size(); }

@@ -28,6 +28,4 @@ enum class AckPolicyMode : std::uint8_t {
   kValidatingMac,
 };
 
-const char* ack_policy_name(AckPolicyMode mode);
-
 }  // namespace politewifi::mac

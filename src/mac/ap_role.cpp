@@ -302,25 +302,6 @@ void ApRole::install_established_client(const MacAddress& sta,
   ++stats_.handshakes_completed;
 }
 
-void ApRole::disconnect_client(const MacAddress& client,
-                               frames::ReasonCode reason) {
-  auto it = clients_.find(client);
-  if (it == clients_.end()) return;
-  frames::Frame deauth = frames::make_deauth(
-      client, bssid(), bssid(), reason, ctx_.station->next_sequence());
-  if (config_.pmf && it->second.session) {
-    it->second.session->protect(deauth);
-  }
-  ctx_.station->send(std::move(deauth), config_.mgmt_rate);
-  ++stats_.deauths_sent;
-  clients_.erase(it);
-}
-
-bool ApRole::is_established(const MacAddress& client) const {
-  const auto it = clients_.find(client);
-  return it != clients_.end() && it->second.phase == Phase::kEstablished;
-}
-
 crypto::Nonce ApRole::make_nonce() {
   crypto::Nonce n;
   for (auto& b : n) b = static_cast<std::uint8_t>(rng_.uniform_int(0, 255));

@@ -98,13 +98,6 @@ class ApRole {
   /// if the client is dozing, to be released by PS-Poll.
   void send_to_client(const MacAddress& client, Bytes msdu);
 
-  /// Administratively disconnects an established client. With pmf the
-  /// deauth is CCMP-protected so the client can authenticate it.
-  void disconnect_client(const MacAddress& client,
-                         frames::ReasonCode reason =
-                             frames::ReasonCode::kDeauthLeaving);
-
-  bool is_established(const MacAddress& client) const;
   std::size_t client_count() const { return clients_.size(); }
 
   /// The PMK in use (exposed for tests that cross-check key derivation).

@@ -6,16 +6,6 @@
 
 namespace politewifi::mac {
 
-namespace {
-
-const char* ack_policy_names[] = {"polite-hardware", "validating-mac"};
-
-}  // namespace
-
-const char* ack_policy_name(AckPolicyMode mode) {
-  return ack_policy_names[static_cast<int>(mode)];
-}
-
 Station::Station(MacConfig config, MacEnvironment& env, Rng rng)
     : config_(config), env_(env), rng_(rng), arf_(config.arf) {}
 
@@ -374,10 +364,6 @@ void Station::finish_current(bool success) {
   current_.reset();
   if (callback) callback(result);
   if (!tx_queue_.empty() && !dozing_) start_contention();
-}
-
-void Station::on_medium_idle() {
-  // Hook for future freeze/resume backoff; redraw model needs nothing.
 }
 
 }  // namespace politewifi::mac

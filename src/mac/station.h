@@ -25,7 +25,6 @@
 #include <optional>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/mac_address.h"
 #include "common/rng.h"
 #include "crypto/wpa2.h"
@@ -147,10 +146,6 @@ class Station {
   /// is dropped as an FCS failure unparsed.
   void on_ppdu_received(std::span<const std::uint8_t> raw,
                         const phy::RxVector& rx);
-
-  /// Called by the radio when the medium goes busy/idle (carrier sense
-  /// edge) so a paused backoff can resume.
-  void on_medium_idle();
 
   // --- Upper -> MAC ----------------------------------------------------------
 

@@ -51,21 +51,6 @@ std::span<const MetricInfo> counter_catalog() { return kCounterInfo; }
 std::span<const MetricInfo> gauge_catalog() { return kGaugeInfo; }
 std::span<const HistInfo> hist_catalog() { return kHistInfo; }
 
-const MetricInfo& counter_info(Counter c) {
-  PW_CHECK(c < Counter::kCount);
-  return kCounterInfo[static_cast<std::size_t>(c)];
-}
-
-const MetricInfo& gauge_info(Gauge g) {
-  PW_CHECK(g < Gauge::kCount);
-  return kGaugeInfo[static_cast<std::size_t>(g)];
-}
-
-const HistInfo& hist_info(Hist h) {
-  PW_CHECK(h < Hist::kCount);
-  return kHistInfo[static_cast<std::size_t>(h)];
-}
-
 std::atomic<bool> Registry::enabled_{false};
 std::atomic<std::int64_t> Registry::counters_[kNumCounters] = {};
 std::atomic<std::int64_t> Registry::gauges_[kNumGauges] = {};

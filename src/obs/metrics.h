@@ -92,6 +92,10 @@ namespace politewifi::obs {
     "radio power-state changes metered by EnergyMeter")                       \
   X(kFramesDecodes, "frames.decodes", "frames",                               \
     "octet strings parsed into a Frame (an FCS check alone is no decode)")    \
+  X(kFramesTemplateHits, "frames.template_hits", "frames",                    \
+    "renders served by patching a cached template's seq/retry and FCS")       \
+  X(kFramesTemplateMisses, "frames.template_misses", "frames",                \
+    "renders that serialized the frame in full into a template slot")         \
   X(kMacAcksSent, "mac.acks_sent", "frames",                                  \
     "ACKs elicited at SIFS (the paper's core effect)")                        \
   X(kMacDedupEvictions, "mac.dedup_evictions", "entries",                     \
@@ -178,10 +182,6 @@ struct HistInfo {
 std::span<const MetricInfo> counter_catalog();
 std::span<const MetricInfo> gauge_catalog();
 std::span<const HistInfo> hist_catalog();
-
-const MetricInfo& counter_info(Counter c);
-const MetricInfo& gauge_info(Gauge g);
-const HistInfo& hist_info(Hist h);
 
 /// The process-wide registry. All storage is static so the hot-path add
 /// is one array index + one relaxed atomic op, with no singleton load.

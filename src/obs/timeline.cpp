@@ -71,16 +71,6 @@ void TimelineProfiler::add_wall_span(const char* name, std::int64_t dur_ns) {
             std::max<std::int64_t>(0, end_ns - dur_ns), dur_ns});
 }
 
-std::size_t TimelineProfiler::size() const {
-  common::MutexLock lock(mutex_);
-  return spans_.size();
-}
-
-std::size_t TimelineProfiler::dropped() const {
-  common::MutexLock lock(mutex_);
-  return dropped_;
-}
-
 std::string TimelineProfiler::dump() const {
   common::MutexLock lock(mutex_);
   std::string out = "{\n  \"displayTimeUnit\": \"ms\",\n";
@@ -137,20 +127,6 @@ std::string TimelineProfiler::dump() const {
   out += first ? "[]" : "\n  ]";
   out += "\n}\n";
   return out;
-}
-
-bool TimelineProfiler::write_file(const std::string& path,
-                                  std::string* error) const {
-  const std::string text = dump();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    if (error != nullptr) *error = "cannot open " + path;
-    return false;
-  }
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  const bool ok = std::fclose(f) == 0 && written == text.size();
-  if (!ok && error != nullptr) *error = "short write: " + path;
-  return ok;
 }
 
 }  // namespace politewifi::obs

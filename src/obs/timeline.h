@@ -51,9 +51,6 @@ class TimelineProfiler {
   /// calling thread's.
   void add_wall_span(const char* name, std::int64_t dur_ns);
 
-  std::size_t size() const;
-  std::size_t dropped() const;
-
   /// Chrome trace-event JSON, canonical text with a trailing newline:
   /// {"displayTimeUnit": "ms", "traceEvents": [...]} — loadable by
   /// chrome://tracing and ui.perfetto.dev. Timestamps are microseconds
@@ -62,9 +59,6 @@ class TimelineProfiler {
   /// fills kMaxSpans, and a Json tree of the whole trace would cost
   /// ~2 GB where the text is ~160 MB.
   std::string dump() const;
-
-  /// dump() written to `path`; false (with *error) on I/O failure.
-  bool write_file(const std::string& path, std::string* error) const;
 
  private:
   struct Span {

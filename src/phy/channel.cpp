@@ -2,14 +2,6 @@
 
 namespace politewifi::phy {
 
-const char* band_name(Band band) {
-  switch (band) {
-    case Band::k2_4GHz: return "2.4GHz";
-    case Band::k5GHz: return "5GHz";
-  }
-  return "?";
-}
-
 double channel_frequency_hz(Band band, int channel) {
   switch (band) {
     case Band::k2_4GHz:

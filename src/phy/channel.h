@@ -12,8 +12,6 @@ enum class Band : std::uint8_t {
   k5GHz,
 };
 
-const char* band_name(Band band);
-
 /// Center frequency in Hz for a channel number in the given band.
 /// 2.4 GHz: ch 1..13 -> 2412 + 5*(ch-1) MHz. 5 GHz: 5000 + 5*ch MHz.
 double channel_frequency_hz(Band band, int channel);

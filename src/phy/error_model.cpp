@@ -75,10 +75,6 @@ double fer_on_curve(const BerCurve& c, double snr_db, double mpdu_bits) {
 
 }  // namespace
 
-double bit_error_rate(PhyRate rate, double snr_db) {
-  return ber_on_curve(curve_for(rate), snr_db);
-}
-
 double frame_error_rate(PhyRate rate, double snr_db, std::size_t mpdu_octets) {
   const double fer =
       fer_on_curve(curve_for(rate), snr_db, 8.0 * double(mpdu_octets));

@@ -13,10 +13,6 @@
 
 namespace politewifi::phy {
 
-/// Bit error rate at the given SNR (dB, per-symbol ES/N0 approximation)
-/// for the modulation underlying `rate`.
-double bit_error_rate(PhyRate rate, double snr_db);
-
 /// Frame error rate for `mpdu_octets` at `rate` and `snr_db`:
 /// 1 - (1 - BER)^(8 * octets).
 double frame_error_rate(PhyRate rate, double snr_db, std::size_t mpdu_octets);

@@ -21,8 +21,4 @@ double LogDistancePathLoss::loss_db(double d_m, Rng* rng) const {
   return std::max(loss, 0.0);
 }
 
-double snr_db(double rx_dbm, double noise_figure_db, double bandwidth_hz) {
-  return rx_dbm - (thermal_noise_dbm(bandwidth_hz) + noise_figure_db);
-}
-
 }  // namespace politewifi::phy

@@ -41,9 +41,4 @@ class LogDistancePathLoss {
   double frequency_hz_;
 };
 
-/// SNR in dB for a received power, against the thermal noise floor plus a
-/// receiver noise figure.
-double snr_db(double rx_dbm, double noise_figure_db = 7.0,
-              double bandwidth_hz = kChannelBandwidthHz);
-
 }  // namespace politewifi::phy

@@ -48,8 +48,4 @@ constexpr int kCwMax = 1023;
 /// Default retry limit before a frame is abandoned.
 constexpr int kRetryLimit = 7;
 
-/// Duration/ID value for a data frame expecting an ACK at `ack_rate`:
-/// SIFS + ACK airtime, in microseconds rounded up (fills the NAV).
-std::uint16_t nav_for_ack(Band band, PhyRate ack_rate);
-
 }  // namespace politewifi::phy

@@ -18,6 +18,7 @@
 
 #include "common/check.h"
 #include "common/json_parse.h"
+#include "common/jsonl.h"
 #include "obs/metrics.h"
 #include "runtime/campaign/journal.h"
 #include "runtime/campaign/manifest.h"
@@ -33,35 +34,6 @@ namespace {
 
 namespace fs = std::filesystem;
 using common::Json;
-
-bool read_file(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  out->clear();
-  char buf[4096];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) out->append(buf, n);
-  const bool ok = std::ferror(f) == 0;
-  std::fclose(f);
-  return ok;
-}
-
-bool write_file(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok =
-      std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
-      std::fflush(f) == 0;
-  return std::fclose(f) == 0 && ok;
-}
-
-/// Temp-file-plus-rename, so a crash mid-write can never leave a
-/// truncated file at `path` (same discipline as write_campaign_state).
-bool write_file_atomic(const std::string& path, const std::string& text) {
-  const std::string tmp = path + ".tmp";
-  if (!write_file(tmp, text)) return false;
-  return std::rename(tmp.c_str(), path.c_str()) == 0;
-}
 
 /// How one child attempt ended.
 enum class AttemptOutcome {
@@ -326,9 +298,10 @@ int run_campaign_driver(const CampaignManifest& manifest,
   // could clobber the copy.
   const std::string copy_path = options.dir + "/manifest.json";
   std::string existing_copy;
-  if (!read_file(copy_path, &existing_copy) ||
+  std::string io_error;
+  if (!common::read_whole_file(copy_path, &existing_copy, &io_error) ||
       existing_copy != canonical_text) {
-    if (!write_file_atomic(copy_path, canonical_text)) {
+    if (!common::write_file_atomic(copy_path, canonical_text, &io_error)) {
       std::fprintf(stderr, "pw_run: cannot write %s\n", copy_path.c_str());
       return 1;
     }
@@ -456,9 +429,9 @@ int run_campaign_driver(const CampaignManifest& manifest,
       std::string doc_text;
       std::optional<Json> document;
       if (outcome == AttemptOutcome::kDocument) {
-        std::string parse_error;
-        if (read_file(doc_path, &doc_text)) {
-          document = common::parse_json(doc_text, &parse_error);
+        std::string error;  // either failure is kNoDocument
+        if (common::read_whole_file(doc_path, &doc_text, &error)) {
+          document = common::parse_json(doc_text, &error);
         }
         if (!document.has_value()) outcome = AttemptOutcome::kNoDocument;
       }
@@ -578,12 +551,12 @@ int run_campaign_driver(const CampaignManifest& manifest,
 int run_campaign_file(const std::string& manifest_path,
                       const CampaignDriverOptions& options) {
   std::string manifest_text;
-  if (!read_file(manifest_path, &manifest_text)) {
+  std::string error;
+  if (!common::read_whole_file(manifest_path, &manifest_text, &error)) {
     std::fprintf(stderr, "pw_run: cannot read manifest %s\n",
                  manifest_path.c_str());
     return 2;
   }
-  std::string error;
   const auto manifest = parse_campaign_manifest_text(manifest_text, &error);
   if (!manifest.has_value()) {
     std::fprintf(stderr, "pw_run: %s\n", error.c_str());

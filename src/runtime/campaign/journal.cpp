@@ -456,18 +456,10 @@ bool write_campaign_state(const std::string& dir,
   }
   doc["jobs"] = std::move(jobs);
 
-  const std::string path = state_path(dir);
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return set_error(error, "cannot open " + tmp);
-  const std::string text = doc.dump() + "\n";
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
-                  std::fflush(f) == 0;
-  if (std::fclose(f) != 0 || !ok) {
-    return set_error(error, "short write on " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    return set_error(error, "cannot rename " + tmp + " over " + path);
+  std::string write_error;
+  if (!common::write_file_atomic(state_path(dir), doc.dump() + "\n",
+                                 &write_error)) {
+    return set_error(error, std::move(write_error));
   }
   return true;
 }

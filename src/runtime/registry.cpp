@@ -26,14 +26,6 @@ bool ExperimentRegistry::add(const std::string& name, Factory factory) {
   return factories_.emplace(name, factory).second;
 }
 
-bool ExperimentRegistry::remove(const std::string& name) {
-  return factories_.erase(name) > 0;
-}
-
-bool ExperimentRegistry::contains(const std::string& name) const {
-  return factories_.count(name) > 0;
-}
-
 std::unique_ptr<Experiment> ExperimentRegistry::create(
     const std::string& name) const {
   const auto it = factories_.find(name);

@@ -32,10 +32,6 @@ class ExperimentRegistry {
   /// names are CLI arguments and JSON filenames.
   bool add(const std::string& name, Factory factory);
 
-  /// Removes a registration (tests use this to stay hermetic).
-  bool remove(const std::string& name);
-
-  bool contains(const std::string& name) const;
   std::size_t size() const { return factories_.size(); }
 
   /// Instantiates the named experiment; nullptr when unknown.

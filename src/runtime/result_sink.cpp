@@ -1,7 +1,5 @@
 #include "runtime/result_sink.h"
 
-#include <cstdio>
-
 namespace politewifi::runtime {
 
 ResultSink::ResultSink()
@@ -20,23 +18,6 @@ common::Json ResultSink::document() const {
 
 std::string ResultSink::canonical_text() const {
   return document().dump() + "\n";
-}
-
-bool ResultSink::write_file(const std::string& path,
-                            std::string* error) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    if (error != nullptr) *error = "cannot open for writing: " + path;
-    return false;
-  }
-  const std::string text = canonical_text();
-  const std::size_t written = std::fwrite(text.data(), 1, text.size(), f);
-  const bool close_ok = std::fclose(f) == 0;
-  if (written != text.size() || !close_ok) {
-    if (error != nullptr) *error = "short write: " + path;
-    return false;
-  }
-  return true;
 }
 
 }  // namespace politewifi::runtime

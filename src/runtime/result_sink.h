@@ -35,10 +35,6 @@ class ResultSink {
   /// document() as canonical text with a trailing newline.
   std::string canonical_text() const;
 
-  /// Writes canonical_text() to `path`; false (with *error) on I/O
-  /// failure.
-  bool write_file(const std::string& path, std::string* error) const;
-
  private:
   common::Json meta_;     // object: experiment/seed/smoke/params
   common::Json results_;  // object

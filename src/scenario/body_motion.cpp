@@ -18,19 +18,6 @@ double smoothstep(double x) {
 
 }  // namespace
 
-const char* activity_name(Activity a) {
-  switch (a) {
-    case Activity::kAbsent: return "absent";
-    case Activity::kStill: return "still";
-    case Activity::kPickup: return "pickup";
-    case Activity::kHold: return "hold";
-    case Activity::kTyping: return "typing";
-    case Activity::kWalking: return "walking";
-    case Activity::kBreathing: return "breathing";
-  }
-  return "?";
-}
-
 BodyMotionModel::BodyMotionModel(Config config) : config_(config) {
   Rng rng(config.seed);
   phase1_ = rng.uniform(0.0, 2.0 * M_PI);
@@ -41,13 +28,6 @@ BodyMotionModel::BodyMotionModel(Config config) : config_(config) {
 void BodyMotionModel::add_phase(Activity activity, Duration duration) {
   phases_.push_back(Phase{activity, total_, total_ + duration});
   total_ += duration;
-}
-
-Activity BodyMotionModel::activity_at(Duration t) const {
-  for (const auto& p : phases_) {
-    if (t >= p.start && t < p.end) return p.activity;
-  }
-  return Activity::kAbsent;
 }
 
 BodyMotionModel::Deflection BodyMotionModel::deflection(

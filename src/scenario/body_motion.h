@@ -31,8 +31,6 @@ enum class Activity : std::uint8_t {
   kBreathing,  // sitting still, breathing only
 };
 
-const char* activity_name(Activity a);
-
 /// A scripted activity timeline that yields dynamic propagation paths.
 class BodyMotionModel {
  public:
@@ -62,7 +60,6 @@ class BodyMotionModel {
   const std::vector<Keystroke>& keystrokes() const { return keystrokes_; }
 
   Duration total_duration() const { return total_; }
-  Activity activity_at(Duration t) const;
 
   /// Dynamic paths at script time `t`.
   phy::PathSet paths_at(Duration t) const;

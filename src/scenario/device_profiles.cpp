@@ -75,26 +75,6 @@ ChipsetProfile esp8266() {
           .sifs_jitter_ns = 250.0};
 }
 
-ChipsetProfile esp32_attacker() {
-  return {.device_name = "ESP32 attacker",
-          .wifi_module = "Espressif ESP32",
-          .standard = "11n",
-          .vendor = "Espressif",
-          .band = phy::Band::k2_4GHz,
-          .power = sim::PowerProfile::esp8266(),
-          .sifs_jitter_ns = 250.0};
-}
-
-ChipsetProfile rtl8812au() {
-  return {.device_name = "RTL8812AU dongle",
-          .wifi_module = "Realtek RTL8812AU",
-          .standard = "11ac",
-          .vendor = "Realtek",
-          .band = phy::Band::k2_4GHz,  // injection runs on 2.4 in the paper
-          .power = sim::PowerProfile::mains_powered(),
-          .sifs_jitter_ns = 100.0};
-}
-
 CameraSpec logitech_circle2() {
   return {.name = "Logitech Circle 2",
           .battery_mwh = 2400.0,

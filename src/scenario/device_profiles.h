@@ -36,12 +36,6 @@ std::vector<ChipsetProfile> table1_devices();
 /// The §4.2 victim: Espressif ESP8266 low-power IoT module.
 ChipsetProfile esp8266();
 
-/// The §4.1 attacker rig: ESP32 CSI-capable injector (a few dollars).
-ChipsetProfile esp32_attacker();
-
-/// The RTL8812AU USB dongle used for injection in §2 and §3 ($12).
-ChipsetProfile rtl8812au();
-
 /// §4.2's battery-life subjects.
 struct CameraSpec {
   std::string name;

@@ -72,8 +72,6 @@ double ButterworthLowPass::step(double x) {
   return y;
 }
 
-void ButterworthLowPass::reset() { x1_ = x2_ = y1_ = y2_ = 0.0; }
-
 std::vector<double> ButterworthLowPass::apply(const std::vector<double>& x) {
   std::vector<double> out;
   out.reserve(x.size());

@@ -24,7 +24,6 @@ class ButterworthLowPass {
   ButterworthLowPass(double cutoff_hz, double fs_hz);
 
   double step(double x);
-  void reset();
 
   std::vector<double> apply(const std::vector<double>& x);
 

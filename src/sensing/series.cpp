@@ -62,7 +62,6 @@ double variance(const std::vector<double>& v) {
   return s / double(v.size() - 1);
 }
 
-double stddev(const std::vector<double>& v) { return std::sqrt(variance(v)); }
 
 double median(std::vector<double> v) {
   if (v.empty()) return 0.0;

@@ -37,7 +37,6 @@ int select_best_subcarrier(const std::vector<phy::CsiSample>& samples);
 /// Basic statistics used all over the pipeline.
 double mean(const std::vector<double>& v);
 double variance(const std::vector<double>& v);
-double stddev(const std::vector<double>& v);
 double median(std::vector<double> v);  // by-value: it sorts
 double median_absolute_deviation(const std::vector<double>& v);
 

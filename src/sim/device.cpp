@@ -2,17 +2,6 @@
 
 namespace politewifi::sim {
 
-const char* device_kind_name(DeviceKind kind) {
-  switch (kind) {
-    case DeviceKind::kAccessPoint: return "access-point";
-    case DeviceKind::kClient: return "client";
-    case DeviceKind::kIot: return "iot";
-    case DeviceKind::kAttacker: return "attacker";
-    case DeviceKind::kSniffer: return "sniffer";
-  }
-  return "?";
-}
-
 Device::Device(Medium& medium, Scheduler& scheduler, DeviceInfo info,
                mac::MacConfig mac_config, RadioConfig radio_config,
                std::uint64_t seed)

@@ -19,8 +19,6 @@ enum class DeviceKind : std::uint8_t {
   kSniffer,
 };
 
-const char* device_kind_name(DeviceKind kind);
-
 struct DeviceInfo {
   std::string name;       // "victim-tablet"
   std::string vendor;     // OUI vendor, e.g. "Apple"

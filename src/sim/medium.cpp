@@ -29,7 +29,7 @@ std::uint64_t pair_key(std::uint64_t a, std::uint64_t b) {
   return splitmix(a * 0x100000001b3ULL + b);
 }
 
-/// Hard bound on |z| from the Box–Muller draw in link_shadowing_db: the
+/// Hard bound on |z| from the Box–Muller draw in shadowing_db: the
 /// uniform u1 is at least 2^-54, so sqrt(-2 ln u1) <= sqrt(108 ln 2)
 /// ~= 8.6524 and |cos| <= 1. Any radio farther than the range this bound
 /// implies is provably below detect_threshold_dbm — skipping it cannot
@@ -217,10 +217,6 @@ void Medium::on_radio_retuned(Radio& radio) {
   mark_volatile(radio);
   index_remove(&radio);
   index_insert(&radio);
-}
-
-double Medium::link_shadowing_db(const Radio& a, const Radio& b) const {
-  return channel_.shadowing_db(a.id(), b.id());
 }
 
 void Medium::maybe_grow_link_cache() {

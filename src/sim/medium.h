@@ -189,9 +189,6 @@ class Medium {
   frames::PpduPool& ppdu_pool() { return ppdu_pool_; }
   const frames::PpduPool& ppdu_pool() const { return ppdu_pool_; }
 
-  /// Deterministic per-link shadowing in dB (exposed for tests).
-  double link_shadowing_db(const Radio& a, const Radio& b) const;
-
   /// The channel model computing both budget terms (exposed for tests:
   /// the equivalence suites replay its pure fading function directly).
   const phy::ChannelModel& channel() const { return channel_; }

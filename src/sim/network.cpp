@@ -59,22 +59,6 @@ bool Simulation::establish(Device& client, Duration timeout) {
   return client.client()->established();
 }
 
-void Simulation::establish_instantly(Device& ap, Device& client) {
-  if (ap.ap() == nullptr || client.client() == nullptr) return;
-  const crypto::Ptk ptk = fast_link_ptk(ap.address(), client.address());
-  ap.ap()->install_established_client(client.address(), ptk);
-  // AIDs are assigned in arrival order by the AP; mirror its counter by
-  // asking what it just assigned. (Re-install is idempotent.)
-  client.client()->install_established(ap.address(), 1, ptk);
-}
-
-Device* Simulation::find_device(const MacAddress& mac) {
-  for (const auto& d : devices_) {
-    if (d->address() == mac) return d.get();
-  }
-  return nullptr;
-}
-
 TraceRecorder& Simulation::trace() {
   if (!trace_) {
     trace_ = std::make_unique<TraceRecorder>();
@@ -87,10 +71,6 @@ TraceRecorder& Simulation::trace() {
     });
   }
   return *trace_;
-}
-
-crypto::Ptk fast_link_ptk(const MacAddress& ap, const MacAddress& sta) {
-  return crypto::derive_fast_ptk(ap, sta);
 }
 
 }  // namespace politewifi::sim

@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "crypto/wpa2.h"
 #include "sim/device.h"
 #include "sim/trace.h"
 
@@ -43,15 +42,9 @@ class Simulation {
   /// (through the real over-the-air handshake). Returns false on timeout.
   bool establish(Device& client, Duration timeout = seconds(10));
 
-  /// Installs an established WPA2 link between `ap` and `client` without
-  /// airtime (population-scale setup). Uses the fast PTK.
-  void establish_instantly(Device& ap, Device& client);
-
   const std::vector<std::unique_ptr<Device>>& devices() const {
     return devices_;
   }
-
-  Device* find_device(const MacAddress& mac);
 
   /// Attaches and returns a trace recorder wired to this medium with a
   /// name resolver over this simulation's devices.
@@ -65,8 +58,5 @@ class Simulation {
   std::vector<std::unique_ptr<Device>> devices_;
   std::unique_ptr<TraceRecorder> trace_;
 };
-
-/// Derives the same "fast PTK" both roles use for instant establishment.
-crypto::Ptk fast_link_ptk(const MacAddress& ap, const MacAddress& sta);
 
 }  // namespace politewifi::sim

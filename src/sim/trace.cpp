@@ -61,13 +61,4 @@ void TraceRecorder::dump(std::ostream& os, std::size_t max_rows) const {
   }
 }
 
-std::size_t TraceRecorder::count(
-    const std::function<bool(const TraceEntry&)>& pred) const {
-  std::size_t n = 0;
-  for (const auto& e : entries_) {
-    if (pred(e)) ++n;
-  }
-  return n;
-}
-
 }  // namespace politewifi::sim

@@ -47,10 +47,6 @@ class TraceRecorder {
   ///   No. Time      Source            Destination       Info
   void dump(std::ostream& os, std::size_t max_rows = 0) const;
 
-  /// Count of entries whose frame matches a predicate.
-  std::size_t count(
-      const std::function<bool(const TraceEntry&)>& pred) const;
-
  private:
   void record(const TransmissionEvent& event);
   bool passes_filter(const frames::Frame& f) const;

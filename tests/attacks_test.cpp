@@ -3,6 +3,8 @@
 // miniature wardriving survey.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <set>
 
 #include "core/battery_attack.h"
@@ -48,16 +50,18 @@ TEST(Figure3, ApDeauthsStrangerYetStillAcks) {
   // The AP software noticed (class-3 frames from a stranger) and fired
   // deauths at the spoofed address...
   EXPECT_GT(ap.ap()->stats().deauths_sent, 0u);
-  const std::size_t deauths_on_air = trace.count([](const sim::TraceEntry& e) {
-    return e.parsed && e.frame.fc.is_deauth() &&
-           e.frame.addr1 == MacAddress::paper_fake_address();
-  });
+  const auto deauths_on_air = static_cast<std::uint64_t>(
+      std::ranges::count_if(trace.entries(), [](const sim::TraceEntry& e) {
+        return e.parsed && e.frame.fc.is_deauth() &&
+               e.frame.addr1 == MacAddress::paper_fake_address();
+      }));
   // ...and each unACKed deauth appears as a same-SN triplet on the air
   // (initial + 2 retries), exactly like the paper's capture.
   EXPECT_EQ(deauths_on_air, 3 * ap.ap()->stats().deauths_sent);
-  const std::size_t retried_deauths = trace.count([](const sim::TraceEntry& e) {
-    return e.parsed && e.frame.fc.is_deauth() && e.frame.fc.retry;
-  });
+  const auto retried_deauths = static_cast<std::uint64_t>(
+      std::ranges::count_if(trace.entries(), [](const sim::TraceEntry& e) {
+        return e.parsed && e.frame.fc.is_deauth() && e.frame.fc.retry;
+      }));
   EXPECT_EQ(retried_deauths, 2 * ap.ap()->stats().deauths_sent);
 
   // ...and the hardware ACKed every fake frame regardless.
@@ -219,7 +223,7 @@ TEST(Figure5, CsiVarianceSeparatesActivities) {
       const double t = series.time_of(i) - series.t0_s;
       if (t >= t0 && t < t1) seg.push_back(series.v[i]);
     }
-    return sensing::stddev(seg);
+    return std::sqrt(sensing::variance(seg));
   };
 
   const double still_sigma = window_sigma(1, 7);
@@ -359,6 +363,66 @@ TEST(Wardrive, MultiChannelCityNeedsHoppingRig) {
     }
   }
   EXPECT_EQ(heard_channels.size(), 3u);
+}
+
+// The survey credits an ACK to the injection just before it, and only if
+// it arrives within 800 us of it (the fake frame, SIFS and the ACK take
+// ~730 us at 1 Mb/s DSSS). A stranger's ACK to the spoofed source late
+// in every tick must credit no one: a target that went deaf after it was
+// discovered stays unverified, while one that answers is verified.
+TEST(Wardrive, AckOutsideTheWindowCreditsNoTarget) {
+  Simulation sim({.seed = 73});
+  scenario::CityConfig city_cfg;
+  city_cfg.scale = 0.004;
+  city_cfg.channels = {1};  // the whole city sits off the rig's channel 6
+  const scenario::CityPlan plan(scenario::CityPlan::grid_route(1, 30),
+                                city_cfg);
+  core::WardriveConfig cfg;
+  cfg.max_duration = milliseconds(500);
+  cfg.final_loiter = Duration::zero();
+  core::WardriveCampaign campaign(sim, plan, cfg);
+
+  sim::RadioConfig rc;
+  rc.channel = 6;
+  rc.position = {-10, 5};
+  Device& answers = sim.add_device(
+      {.name = "answers"}, {0x5e, 0x44, 0x55, 0x66, 0x77, 0x01}, rc);
+  rc.position = {10, 5};
+  Device& deaf = sim.add_device(
+      {.name = "deaf"}, {0x5e, 0x44, 0x55, 0x66, 0x77, 0x02}, rc);
+  rc.position = {0, 10};
+  Device& stranger = sim.add_device(
+      {.name = "stranger"}, {0x5e, 0x44, 0x55, 0x66, 0x77, 0x03}, rc);
+
+  // Both targets announce themselves once; then one stops listening.
+  const TimePoint t0 = sim.now();
+  const auto announce = [&sim, t0](Device& device, Duration at) {
+    sim.scheduler().schedule_at(t0 + at, [&device] {
+      device.station().transmit_now(
+          frames::make_null_function(kAttackerMac, device.address(), 1),
+          phy::kOfdm6);
+    });
+  };
+  announce(answers, microseconds(100));
+  announce(deaf, microseconds(700));
+  sim.scheduler().schedule_at(t0 + milliseconds(1),
+                              [&deaf] { deaf.radio().set_sleeping(true); });
+  // Injections leave at t0 + 2k ms; the stranger's ACK ends ~1.8 ms
+  // after each, well clear of the rig's next transmission.
+  for (int k = 1; k <= 250; ++k) {
+    sim.scheduler().schedule_at(
+        t0 + milliseconds(2 * k) - microseconds(500), [&stranger, &cfg] {
+          stranger.station().transmit_now(
+              frames::make_ack(cfg.injector.spoofed_source), phy::kDsss1);
+        });
+  }
+
+  const auto report = campaign.run();
+  ASSERT_EQ(campaign.scanner().devices().count(deaf.address()), 1u);
+  EXPECT_GT(report.fake_frames_sent, 2u);
+  EXPECT_GT(report.acks_observed, 100u) << "the stranger's ACKs went unheard";
+  EXPECT_EQ(campaign.responded().count(answers.address()), 1u);
+  EXPECT_EQ(campaign.responded().count(deaf.address()), 0u);
 }
 
 }  // namespace

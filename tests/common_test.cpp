@@ -12,7 +12,6 @@
 #include "common/crc32.h"
 #include "common/json.h"
 #include "common/json_parse.h"
-#include "common/logging.h"
 #include "common/mac_address.h"
 #include "common/rng.h"
 #include "common/units.h"
@@ -134,12 +133,6 @@ TEST(ByteBuffer, PatchU16) {
   w.patch_u16le(0, 0xBEEF);
   ByteReader r(w.view());
   EXPECT_EQ(r.u16le(), 0xBEEF);
-}
-
-TEST(ByteBuffer, HexDump) {
-  const Bytes data{0x01, 0xab, 0xff};
-  EXPECT_EQ(hex_dump(data), "01 ab ff");
-  EXPECT_EQ(hex_dump(Bytes{}), "");
 }
 
 // --- CRC-32 ---------------------------------------------------------------------
@@ -389,23 +382,6 @@ TEST(JsonParse, ArrayElementAccessIsChecked) {
   ASSERT_TRUE(parsed.has_value());
   ASSERT_EQ(parsed->size(), 3u);
   EXPECT_EQ(parsed->at(1).as_int(), 20);
-}
-
-TEST(Logging, SinkReceivesMessagesAtOrAboveLevel) {
-  auto& logger = Logger::instance();
-  std::vector<std::string> seen;
-  logger.set_level(LogLevel::Info);
-  logger.set_sink([&seen](LogLevel, const std::string& m) {
-    seen.push_back(m);
-  });
-  PW_DEBUG("dropped %d", 1);
-  PW_INFO("kept %d", 2);
-  PW_ERROR("kept %s", "too");
-  logger.reset_sink();
-  logger.set_level(LogLevel::Warn);
-  ASSERT_EQ(seen.size(), 2u);
-  EXPECT_EQ(seen[0], "kept 2");
-  EXPECT_EQ(seen[1], "kept too");
 }
 
 }  // namespace

@@ -232,31 +232,7 @@ TEST(Scanner, VendorResolvedThroughOuiDatabase) {
   EXPECT_EQ(scanner.devices().at(apple).vendor, "Apple");
 }
 
-// --- AckSniffer attribution ---------------------------------------------------------
-
-TEST(AckSniffer, AttributesAcksToRecentInjection) {
-  Rig rig;
-  sim::RadioConfig rc;
-  rc.position = {6, 2};
-  Device& victim2 = rig.sim.add_device({.name = "victim2"}, kVictim2Mac, rc);
-  (void)victim2;
-
-  MonitorHub hub(rig.attacker->station());
-  AckSniffer sniffer(hub, rig.attacker->radio(),
-                     MacAddress::paper_fake_address());
-  FakeFrameInjector injector(*rig.attacker);
-
-  injector.inject_one(kVictimMac);
-  sniffer.note_injection(kVictimMac);
-  rig.sim.run_for(milliseconds(5));
-  injector.inject_one(kVictim2Mac);
-  sniffer.note_injection(kVictim2Mac);
-  rig.sim.run_for(milliseconds(5));
-
-  EXPECT_EQ(sniffer.count_from(kVictimMac), 1u);
-  EXPECT_EQ(sniffer.count_from(kVictim2Mac), 1u);
-  EXPECT_EQ(sniffer.total(), 2u);
-}
+// --- AckSniffer -------------------------------------------------------------------
 
 TEST(AckSniffer, IgnoresAcksToOtherReceivers) {
   Rig rig;

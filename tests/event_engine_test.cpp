@@ -724,6 +724,63 @@ TEST(SchedulerPool, CompactionTogglePreservesOutcome) {
   }
 }
 
+/// An attacker floods three victims spread over 300 m, so each fake
+/// frame's and each ACK's arrival groups land at different nanoseconds
+/// and its delivery chain spans a whole airtime. `slice_us` > 0 runs the
+/// flood in run_for slices that long, and returns in `overruns` how
+/// many slices left the clock anywhere but at their bound; 0 runs it in
+/// one call. `inline_events` receives Scheduler::events_inline().
+Fingerprint run_sliced_flood(std::int64_t slice_us, int* overruns,
+                             std::uint64_t* inline_events) {
+  sim::Simulation sim({.seed = 9100});
+  sim::TraceRecorder recorder;
+  recorder.attach(sim.medium());
+  sim::Device& attacker = sim.add_device(
+      {.name = "attacker", .kind = sim::DeviceKind::kAttacker},
+      {0x02, 0xaa, 0xbb, 0xcc, 0xdd, 0x01}, {.position = {0, 0}});
+  core::FakeFrameInjector injector(attacker);
+  const Position spots[] = {{40, 0}, {-120, 90}, {0, -150}};
+  for (std::uint8_t i = 0; i < 3; ++i) {
+    const sim::Device& victim = sim.add_device(
+        {.name = "victim" + std::to_string(i)},
+        {0x5e, 0x33, 0x44, 0x55, 0x66, i}, {.position = spots[i]});
+    injector.start_stream(victim.address(), 1000.0 + 300.0 * i);
+  }
+  const TimePoint end = sim.now() + milliseconds(30);
+  if (slice_us == 0) {
+    sim.run_for(end - sim.now());
+  } else {
+    while (sim.now() < end) {
+      const TimePoint bound =
+          std::min(end, sim.now() + microseconds(slice_us));
+      sim.run_for(bound - sim.now());
+      if (sim.now() != bound) ++*overruns;
+    }
+  }
+  *inline_events = sim.scheduler().events_inline();
+  return fingerprint_of(sim, recorder);
+}
+
+// Scheduler::run_in_place runs a delivery chain's next link without a
+// heap round trip only while it lies within the running run_until bound.
+// Slices of 7 us (prime, shorter than any frame's airtime) end inside
+// delivery chains over and over: each slice must stop the clock exactly
+// at its bound, and the sliced run must be byte-identical to one call.
+TEST(SchedulerPool, SlicesEndingInsideDeliveryChainsMatchOneCall) {
+  int overruns = 0;
+  std::uint64_t sliced_inline = 0;
+  std::uint64_t whole_inline = 0;
+  const Fingerprint sliced = run_sliced_flood(7, &overruns, &sliced_inline);
+  const Fingerprint whole = run_sliced_flood(0, &overruns, &whole_inline);
+  EXPECT_EQ(overruns, 0) << "slices whose events ran past the bound";
+  EXPECT_EQ(sliced, whole);
+  EXPECT_GT(sliced.receptions, 100u);
+  // A bound that refuses an in-place link makes the chain push it to the
+  // heap instead; no refusal would mean no slice ended inside a chain.
+  EXPECT_LT(sliced_inline, whole_inline)
+      << "no slice ended inside a delivery chain; vacuous";
+}
+
 class PipelineEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 // The zero-copy pipeline (pooled shared payloads, frame templates, batched

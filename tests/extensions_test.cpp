@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/injector.h"
+#include "crypto/wpa2.h"
 #include "core/localizer.h"
 #include "core/ranging.h"
 #include "defense/battery_guard.h"
@@ -200,7 +201,13 @@ TEST(Pmf, WithPmfSpoofedDeauthRejected) {
 TEST(Pmf, GenuineProtectedDeauthStillWorks) {
   PmfRig rig(/*pmf=*/true);
   ASSERT_TRUE(rig.victim->client()->established());
-  rig.ap->ap()->disconnect_client(kVictimMac);
+  // The AP's own deauth, CCMP-protected under the link's (fast) PTK.
+  frames::Frame deauth = frames::make_deauth(
+      kVictimMac, kApMac, kApMac, frames::ReasonCode::kDeauthLeaving,
+      rig.ap->station().next_sequence());
+  crypto::Wpa2Session(crypto::derive_fast_ptk(kApMac, kVictimMac))
+      .protect(deauth);
+  rig.ap->station().send(std::move(deauth), phy::kOfdm6);
   rig.sim.run_for(milliseconds(30));
   // The protected deauth was authenticated and honoured. (Left running,
   // the client promptly re-scans and re-associates — which is correct.)

@@ -88,7 +88,16 @@ TEST(FrameSizes, NullFunctionIs28Octets) {
 }
 
 TEST(FrameSizes, QosDataAddsTwoOctets) {
-  const Frame f = make_qos_data_to_ds(kA, kB, kC, Bytes{1, 2, 3}, 9, 5);
+  const Frame f = FrameBuilder()
+                      .data(DataSubtype::kQosData)
+                      .to_ds()
+                      .addr1(kA)
+                      .addr2(kB)
+                      .addr3(kC)
+                      .sequence(9)
+                      .qos(5)
+                      .body(Bytes{1, 2, 3})
+                      .build();
   EXPECT_EQ(f.header_size(), 26u);
   EXPECT_EQ(f.size_bytes(), 26u + 3u + 4u);
 }
@@ -113,18 +122,17 @@ TEST(FrameSizes, SizeMatchesTheEncodingForEveryFrameControl) {
 TEST(AddressRules, ToDsDataFrame) {
   const Frame f = make_data_to_ds(kA /*bssid*/, kB /*sa*/, kC /*da*/,
                                   Bytes{}, 1);
-  EXPECT_EQ(f.receiver(), kA);
-  EXPECT_EQ(f.source(), kB);
-  EXPECT_EQ(f.destination(), kC);
-  EXPECT_EQ(f.bssid(), kA);
+  EXPECT_EQ(f.receiver(), kA);     // the AP
+  EXPECT_EQ(f.transmitter(), kB);  // the source station
+  EXPECT_EQ(f.addr3, kC);          // the destination behind the DS
 }
 
 TEST(AddressRules, FromDsDataFrame) {
   const Frame f = make_data_from_ds(kA /*bssid*/, kB /*sa*/, kC /*da*/,
                                     Bytes{}, 1);
-  EXPECT_EQ(f.receiver(), kC);
-  EXPECT_EQ(f.source(), kB);
-  EXPECT_EQ(f.bssid(), kA);
+  EXPECT_EQ(f.receiver(), kC);     // the destination station
+  EXPECT_EQ(f.transmitter(), kA);  // the AP
+  EXPECT_EQ(f.addr3, kB);          // the original source
 }
 
 TEST(AddressRules, AckHasOnlyReceiverAddress) {
@@ -192,9 +200,18 @@ TEST(Serializer, DecodeIntoARecycledResultEqualsAFreshDecode) {
   // One result recycled across frames of every shape (4-address QoS data
   // down to an ACK, a damaged FCS, a truncated header): absent fields
   // must read as a fresh decode's, and fcs_valid must agree with it.
-  Frame wds = make_qos_data_to_ds(kA, kB, kC, Bytes(40, 7), 3, 2);
-  wds.fc.from_ds = true;
-  wds.addr4 = kB;
+  const Frame wds = FrameBuilder()
+                        .data(DataSubtype::kQosData)
+                        .to_ds()
+                        .from_ds()
+                        .addr1(kA)
+                        .addr2(kB)
+                        .addr3(kC)
+                        .addr4(kB)
+                        .sequence(3)
+                        .qos(2)
+                        .body(Bytes(40, 7))
+                        .build();
   Bytes damaged = serialize(make_null_function(kA, kB, 5));
   damaged[damaged.size() - 1] ^= 0x01;
   Bytes truncated = serialize(make_null_function(kA, kB, 6));
@@ -272,7 +289,6 @@ TEST(InformationElements, UnknownElementsSurviveRoundTrip) {
   ByteReader r(w.view());
   const auto parsed = ElementList::deserialize(r);
   EXPECT_EQ(parsed, list);
-  EXPECT_EQ(parsed.channel(), 11);
 }
 
 TEST(InformationElements, TruncatedElementThrows) {
@@ -296,9 +312,7 @@ TEST(ManagementPayloads, BeaconRoundTrip) {
 
 TEST(ManagementPayloads, DeauthCarriesReasonCode) {
   const Deauthentication d{ReasonCode::kClass3FrameFromNonassocSta};
-  const auto parsed = Deauthentication::from_body(d.to_body());
-  ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->reason, ReasonCode::kClass3FrameFromNonassocSta);
+  EXPECT_EQ(d.to_body(), (Bytes{0x07, 0x00}));  // little-endian reason 7
 }
 
 TEST(ManagementPayloads, AssociationRoundTrip) {
@@ -320,7 +334,6 @@ TEST(ManagementPayloads, AssociationRoundTrip) {
 TEST(ManagementPayloads, MalformedBodiesRejected) {
   const Bytes one_byte{0x01};
   EXPECT_FALSE(Beacon::from_body(one_byte).has_value());
-  EXPECT_FALSE(Deauthentication::from_body(one_byte).has_value());
   EXPECT_FALSE(Authentication::from_body(one_byte).has_value());
 }
 
@@ -328,7 +341,7 @@ TEST(ManagementPayloads, MalformedBodiesRejected) {
 
 TEST(PsPoll, AidEncodedInDurationField) {
   const Frame f = make_ps_poll(kA, kB, 42);
-  EXPECT_EQ(ps_poll_aid(f), 42);
+  EXPECT_EQ(f.duration_id & 0x3FFF, 42);
   EXPECT_TRUE(f.duration_id & 0xC000);  // the two top bits mark an AID
 }
 

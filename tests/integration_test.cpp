@@ -2,6 +2,7 @@
 // association + WPA2 handshake, and the paper's core experiments.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
 #include "core/ack_sniffer.h"
@@ -30,7 +31,8 @@ TEST(Integration, ClientAssociatesOverTheAir) {
 
   ASSERT_TRUE(sim.establish(client, seconds(10)));
   EXPECT_TRUE(client.client()->established());
-  EXPECT_TRUE(ap.ap()->is_established(kClientMac));
+  // The AP's side: its one client finished the 4-way handshake.
+  EXPECT_EQ(ap.ap()->client_count(), 1u);
   EXPECT_EQ(ap.ap()->stats().handshakes_completed, 1u);
 }
 
@@ -41,7 +43,8 @@ TEST(Integration, RealPbkdf2HandshakeAlsoWorks) {
   Device& client = sim.add_client("client", kClientMac, {4.0, 0.0}, {});
 
   ASSERT_TRUE(sim.establish(client, seconds(10)));
-  EXPECT_TRUE(ap.ap()->is_established(kClientMac));
+  EXPECT_EQ(ap.ap()->client_count(), 1u);
+  EXPECT_EQ(ap.ap()->stats().handshakes_completed, 1u);
 }
 
 TEST(Integration, EncryptedUplinkDelivers) {
@@ -90,7 +93,6 @@ TEST(Integration, VictimAcksFakeFrameFromStranger) {
   const auto acked_before = victim.station().stats().acks_sent;
   for (int i = 0; i < 20; ++i) {
     injector.inject_one(victim.address());
-    sniffer.note_injection(victim.address());
     sim.run_for(milliseconds(5));
   }
 
@@ -98,7 +100,6 @@ TEST(Integration, VictimAcksFakeFrameFromStranger) {
   EXPECT_GE(victim.station().stats().acks_sent - acked_before, 18u);
   // ...and the attacker's sniffer saw ACKs addressed to the spoofed MAC.
   EXPECT_GE(sniffer.total(), 18u);
-  EXPECT_GE(sniffer.count_from(victim.address()), 18u);
   // The fakes never decrypted — upper layers discarded them — but that
   // happened long after the ACKs left.
   EXPECT_GE(victim.client()->stats().frames_discarded, 18u);
@@ -192,11 +193,12 @@ TEST(Integration, Figure2TraceShape) {
   EXPECT_NE(text.find("Acknowledgement"), std::string::npos);
   EXPECT_NE(text.find("aa:bb:bb:bb:bb:bb"), std::string::npos);
 
-  const std::size_t acks = trace.count([](const sim::TraceEntry& e) {
-    return e.parsed && e.frame.fc.is_ack() &&
-           e.frame.addr1 == MacAddress::paper_fake_address();
-  });
-  EXPECT_EQ(acks, 3u);
+  const auto acks =
+      std::ranges::count_if(trace.entries(), [](const sim::TraceEntry& e) {
+        return e.parsed && e.frame.fc.is_ack() &&
+               e.frame.addr1 == MacAddress::paper_fake_address();
+      });
+  EXPECT_EQ(acks, 3);
 }
 
 TEST(Integration, RtsFromStrangerElicitsCts) {
@@ -219,7 +221,6 @@ TEST(Integration, RtsFromStrangerElicitsCts) {
 
   for (int i = 0; i < 10; ++i) {
     injector.inject_one(victim.address());
-    sniffer.note_injection(victim.address());
     sim.run_for(milliseconds(2));
   }
   EXPECT_GE(victim.station().stats().cts_sent, 9u);

@@ -234,13 +234,16 @@ TEST(TypingModel, DeterministicPerSeed) {
 // --- Body motion --------------------------------------------------------------------------
 
 TEST(BodyMotion, PhaseLookup) {
+  // A phase owns [start, end); past the script nobody is there.
   BodyMotionModel model;
   model.add_phase(Activity::kStill, seconds(5));
+  model.add_phase(Activity::kAbsent, seconds(5));
   model.add_phase(Activity::kTyping, seconds(10));
-  EXPECT_EQ(model.activity_at(seconds(2)), Activity::kStill);
-  EXPECT_EQ(model.activity_at(seconds(7)), Activity::kTyping);
-  EXPECT_EQ(model.activity_at(seconds(99)), Activity::kAbsent);
-  EXPECT_EQ(model.total_duration(), seconds(15));
+  EXPECT_FALSE(model.paths_at(seconds(2)).empty());
+  EXPECT_TRUE(model.paths_at(seconds(5)).empty());
+  EXPECT_FALSE(model.paths_at(seconds(10)).empty());
+  EXPECT_TRUE(model.paths_at(seconds(99)).empty());
+  EXPECT_EQ(model.total_duration(), seconds(20));
 }
 
 TEST(BodyMotion, AbsentMeansNoDynamicPaths) {

@@ -34,7 +34,6 @@ TEST(SeriesStats, MeanVarianceStddev) {
   const std::vector<double> v{2, 4, 4, 4, 5, 5, 7, 9};
   EXPECT_DOUBLE_EQ(mean(v), 5.0);
   EXPECT_NEAR(variance(v), 32.0 / 7.0, 1e-12);
-  EXPECT_NEAR(stddev(v), std::sqrt(32.0 / 7.0), 1e-12);
 }
 
 TEST(SeriesStats, MedianOddEven) {

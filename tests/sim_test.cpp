@@ -259,9 +259,9 @@ TEST(Medium, PerLinkShadowingIsDeterministicAndSymmetric) {
   Medium medium(scheduler, cfg, 7);
   Radio a(medium, scheduler, {.position = {0, 0}});
   Radio b(medium, scheduler, {.position = {30, 0}});
-  const double s1 = medium.link_shadowing_db(a, b);
-  const double s2 = medium.link_shadowing_db(a, b);
-  const double s3 = medium.link_shadowing_db(b, a);
+  const double s1 = medium.channel().shadowing_db(a.id(), b.id());
+  const double s2 = medium.channel().shadowing_db(a.id(), b.id());
+  const double s3 = medium.channel().shadowing_db(b.id(), a.id());
   EXPECT_DOUBLE_EQ(s1, s2);
   EXPECT_DOUBLE_EQ(s1, s3);
 }
@@ -351,34 +351,6 @@ TEST(Mobility, TurnsCorners) {
 }
 
 // --- Device / Simulation facade ------------------------------------------------------
-
-TEST(Simulation, FindDevice) {
-  Simulation sim({.seed = 1});
-  sim::RadioConfig rc;
-  const MacAddress mac{5, 5, 5, 5, 5, 5};
-  sim.add_device({.name = "x"}, mac, rc);
-  ASSERT_NE(sim.find_device(mac), nullptr);
-  EXPECT_EQ(sim.find_device({6, 6, 6, 6, 6, 6}), nullptr);
-}
-
-TEST(Simulation, EstablishInstantlyCreatesWorkingLink) {
-  Simulation sim({.medium = {.shadowing_sigma_db = 0.0}, .seed = 2});
-  mac::ApConfig apc;
-  apc.fast_keys = true;
-  apc.send_beacons = false;
-  Device& ap = sim.add_ap("ap", {1, 1, 1, 1, 1, 1}, {0, 0}, apc);
-  mac::ClientConfig cc;
-  cc.fast_keys = true;
-  Device& client = sim.add_client("c", {2, 2, 2, 2, 2, 2}, {3, 0}, cc);
-
-  sim.establish_instantly(ap, client);
-  EXPECT_TRUE(client.client()->established());
-  EXPECT_TRUE(ap.ap()->is_established(client.address()));
-
-  client.client()->send_msdu(Bytes{1, 2, 3});
-  sim.run_for(milliseconds(50));
-  EXPECT_EQ(ap.ap()->stats().msdus_received, 1u);
-}
 
 }  // namespace
 }  // namespace politewifi::sim

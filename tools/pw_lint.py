@@ -21,7 +21,8 @@ CI rather than by review vigilance:
                         when a base signature changes.
   banned-include        <ctime> (wall clock), <iostream> (iostream's
                         static init order + interleaved buffering;
-                        library code logs via common/logging.h).
+                        library code does not print: results go to the
+                        runtime's ResultSink, counts to obs/ metrics).
   by-value-bytes        a by-value `Bytes` / `std::vector<std::uint8_t>`
                         parameter in src/sim or src/frames: the payload
                         pipeline is zero-copy (shared PpduRef buffers);
