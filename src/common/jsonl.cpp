@@ -56,21 +56,21 @@ bool read_jsonl_file(const std::string& path, JsonlReadResult* out,
   std::size_t line_number = 0;
   while (line_start < text.size()) {
     ++line_number;
-    std::size_t newline = text.find('\n', line_start);
-    const bool complete = newline != std::string::npos;
-    if (!complete) newline = text.size();
+    const std::size_t newline = text.find('\n', line_start);
+    if (newline == std::string::npos) {
+      // A final line without its newline: the writer died mid-append.
+      // A record is durable only with the newline append_jsonl_record
+      // writes after it, even when the bytes that landed parse (the
+      // next append would run on into them); report, don't fail.
+      out->torn_tail = true;
+      out->torn_tail_offset = line_start;
+      return true;
+    }
     const std::string_view line(text.data() + line_start,
                                 newline - line_start);
     std::string parse_error;
     auto record = parse_json(line, &parse_error);
     if (!record.has_value()) {
-      if (!complete) {
-        // Partial final line: the writer died mid-append. By the append
-        // protocol the record was never durable; report, don't fail.
-        out->torn_tail = true;
-        out->torn_tail_offset = line_start;
-        return true;
-      }
       *error = path + " line " + std::to_string(line_number) +
                ": corrupt journal record: " + parse_error;
       return false;

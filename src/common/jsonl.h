@@ -7,11 +7,12 @@
 // line (Json::dump_compact + '\n'), flushed before the job is
 // considered durable. Reading is strict — every interior line must
 // parse as exactly one JSON value — with one deliberate carve-out: a
-// final line with no trailing newline is a *torn tail* (the writer
-// died mid-append). A torn record was never durable by the write
-// protocol, so readers surface it as a flag rather than a parse error
-// and let policy decide (the campaign loader refuses to resume over
-// one; `tools/pw_campaign.py repair` truncates it).
+// final line with no trailing newline, parseable or not, is a *torn
+// tail* (the writer died mid-append). A torn record was never durable
+// by the write protocol, so readers surface it as a flag rather than a
+// parse error and let policy decide (the campaign driver refuses to
+// resume over one and names the `truncate -s` at its offset that drops
+// it).
 #pragma once
 
 #include <cstddef>
@@ -24,9 +25,9 @@ namespace politewifi::common {
 
 struct JsonlReadResult {
   std::vector<Json> records;
-  /// A trailing partial line (no '\n') that failed to parse. Empty when
-  /// the file ended cleanly. Complete lines that fail to parse are hard
-  /// errors, never torn tails.
+  /// A trailing line without its '\n', whether or not it parses. False
+  /// when the file ended cleanly. Complete lines that fail to parse are
+  /// hard errors, never torn tails.
   bool torn_tail = false;
   /// Byte offset where the torn tail starts (truncate here to repair).
   std::size_t torn_tail_offset = 0;

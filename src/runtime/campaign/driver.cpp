@@ -233,6 +233,29 @@ int reduce_campaign(const CampaignManifest& manifest,
   return exit_code;
 }
 
+/// The manifest's canonical text: what DIR/manifest.json holds and the
+/// campaign digest is over, so an author's formatting (or omitted
+/// derivable seeds) never splits a campaign identity.
+std::string canonical_text(const CampaignManifest& manifest) {
+  return manifest.to_json().dump() + "\n";
+}
+
+/// One job's line in the status report, from its replayed progress.
+std::string job_state(const JobProgress* progress) {
+  if (progress == nullptr) return "pending";
+  const std::string attempts = std::to_string(progress->attempts);
+  if (progress->status == "completed") {
+    return "completed " + progress->digest.value_or("?");
+  }
+  if (progress->status == "quarantined") {
+    return "QUARANTINED (see " + progress->log.value_or("logs/") + ")";
+  }
+  if (progress->claim_open) {
+    return "claimed, no result (attempt " + attempts + ")";
+  }
+  return "pending after " + attempts + " attempt(s)";
+}
+
 }  // namespace
 
 int run_campaign_driver(const CampaignManifest& manifest,
@@ -240,10 +263,8 @@ int run_campaign_driver(const CampaignManifest& manifest,
                         const CampaignReducer& reduce) {
   register_builtin_experiments();
   std::string error;
-  // The digest is over the canonical form, so an author's formatting
-  // (or omitted derivable seeds) never splits a campaign identity.
-  const std::string canonical_text = manifest.to_json().dump() + "\n";
-  const std::string manifest_digest = campaign_digest(canonical_text);
+  const std::string manifest_text = canonical_text(manifest);
+  const std::string manifest_digest = campaign_digest(manifest_text);
 
   // Fail fast: every job must resolve against its experiment spec
   // before anything spawns, not D attempts deep into the queue.
@@ -285,6 +306,17 @@ int run_campaign_driver(const CampaignManifest& manifest,
       std::fprintf(stderr, "pw_run: %s\n", error.c_str());
       return 1;
     }
+    if (!journal.torn.empty()) {
+      for (const TornTail& torn : journal.torn) {
+        std::fprintf(stderr,
+                     "pw_run: %s: torn record at byte offset %zu (the "
+                     "writer died mid-append); run `%s` to drop it, then "
+                     "resume\n",
+                     torn.path.c_str(), torn.offset,
+                     torn.repair_command().c_str());
+      }
+      return 1;
+    }
     state.records = std::move(journal.completed);
     state.progress = std::move(journal.progress);
     state.has_attempts_header = journal.has_attempts_header;
@@ -300,8 +332,8 @@ int run_campaign_driver(const CampaignManifest& manifest,
   std::string existing_copy;
   std::string io_error;
   if (!common::read_whole_file(copy_path, &existing_copy, &io_error) ||
-      existing_copy != canonical_text) {
-    if (!common::write_file_atomic(copy_path, canonical_text, &io_error)) {
+      existing_copy != manifest_text) {
+    if (!common::write_file_atomic(copy_path, manifest_text, &io_error)) {
       std::fprintf(stderr, "pw_run: cannot write %s\n", copy_path.c_str());
       return 1;
     }
@@ -568,6 +600,58 @@ int run_campaign_file(const std::string& manifest_path,
           const std::map<std::string, JobRecord>& records) {
         return reduce_campaign(*manifest, options, digest, records);
       });
+}
+
+int report_campaign_status(const std::string& dir) {
+  const std::string manifest_path = dir + "/manifest.json";
+  std::string text;
+  std::string error;
+  if (!common::read_whole_file(manifest_path, &text, &error)) {
+    std::fprintf(stderr,
+                 "pw_run: %s is not a campaign directory (%s)\n",
+                 dir.c_str(), error.c_str());
+    return 2;
+  }
+  const auto manifest = parse_campaign_manifest_text(text, &error);
+  if (!manifest.has_value()) {
+    std::fprintf(stderr, "pw_run: %s: %s\n", manifest_path.c_str(),
+                 error.c_str());
+    return 2;
+  }
+  CampaignJournal journal;
+  if (!load_campaign_journal(dir, *manifest,
+                             campaign_digest(canonical_text(*manifest)),
+                             &journal, &error)) {
+    std::fprintf(stderr, "pw_run: %s\n", error.c_str());
+    return 1;
+  }
+
+  std::size_t quarantined = 0;
+  std::int64_t retried = 0;
+  for (const auto& [id, progress] : journal.progress) {
+    (void)id;
+    if (progress.status == "quarantined") ++quarantined;
+    retried += std::max<std::int64_t>(0, progress.attempts - 1);
+  }
+  std::printf("campaign:    %s (suite %s)\n", manifest->campaign.c_str(),
+              manifest->suite_version.c_str());
+  std::printf("jobs:        %zu/%zu completed, %zu quarantined, %lld "
+              "retried attempts\n",
+              journal.completed.size(), manifest->jobs.size(), quarantined,
+              static_cast<long long>(retried));
+  for (const CampaignJob& job : manifest->jobs) {
+    const auto it = journal.progress.find(job.id);
+    const std::string state =
+        job_state(it == journal.progress.end() ? nullptr : &it->second);
+    std::printf("  %-24s %s\n", job.id.c_str(), state.c_str());
+  }
+  for (const TornTail& torn : journal.torn) {
+    std::printf("torn tail:   %s ends in a partial record at byte %zu; "
+                "repair: %s\n",
+                torn.path.c_str(), torn.offset,
+                torn.repair_command().c_str());
+  }
+  return quarantined > 0 || !journal.torn.empty() ? 1 : 0;
 }
 
 }  // namespace politewifi::runtime::campaign

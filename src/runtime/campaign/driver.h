@@ -101,4 +101,10 @@ int run_campaign_driver(const CampaignManifest& manifest,
 int run_campaign_file(const std::string& manifest_path,
                       const CampaignDriverOptions& options);
 
+/// `pw_run --campaign-dir=DIR` alone: replays DIR's journal against its
+/// manifest copy, as a resume would, and prints each job's state on
+/// stdout. Writes nothing. Exit codes: 0; 1 quarantined jobs, a torn
+/// tail or a journal the loader refuses; 2 no valid DIR/manifest.json.
+int report_campaign_status(const std::string& dir);
+
 }  // namespace politewifi::runtime::campaign

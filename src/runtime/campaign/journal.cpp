@@ -71,20 +71,13 @@ bool only_keys(const Json& object, const std::string& what,
   return true;
 }
 
-/// Reads a whole log. A torn tail refuses resume: the line was never
+/// Reads a whole log, noting a torn tail in `torn`: the line was never
 /// durable, and truncating it is an operator step, not a silent one.
 bool read_log(const std::string& path, std::vector<Json>* lines,
-              std::string* error) {
+              std::vector<TornTail>* torn, std::string* error) {
   common::JsonlReadResult log;
   if (!common::read_jsonl_file(path, &log, error)) return false;
-  if (log.torn_tail) {
-    return set_error(
-        error, path + ": torn record at byte offset " +
-                   std::to_string(log.torn_tail_offset) +
-                   " (the writer died mid-append); run `tools/"
-                   "pw_campaign.py repair <dir>` to truncate it, then "
-                   "resume");
-  }
+  if (log.torn_tail) torn->push_back({path, log.torn_tail_offset});
   *lines = std::move(log.records);
   return true;
 }
@@ -275,6 +268,10 @@ std::string attempts_path(const std::string& dir) {
 
 std::string state_path(const std::string& dir) { return dir + "/state.json"; }
 
+std::string TornTail::repair_command() const {
+  return "truncate -s " + std::to_string(offset) + " " + path;
+}
+
 std::string document_text(const common::Json& document) {
   return document.dump() + "\n";
 }
@@ -364,6 +361,7 @@ bool load_campaign_journal(const std::string& dir,
   out->completed.clear();
   out->progress.clear();
   out->has_attempts_header = false;
+  out->torn.clear();
 
   const std::string results = results_path(dir);
   const std::string attempts = attempts_path(dir);
@@ -378,7 +376,7 @@ bool load_campaign_journal(const std::string& dir,
   const JobIndex jobs = index_jobs(manifest);
 
   std::vector<Json> lines;
-  if (!read_log(attempts, &lines, error)) return false;
+  if (!read_log(attempts, &lines, &out->torn, error)) return false;
   for (std::size_t i = 0; i < lines.size(); ++i) {
     const std::string what = attempts + " line " + std::to_string(i + 1);
     if (i == 0) {
@@ -400,7 +398,7 @@ bool load_campaign_journal(const std::string& dir,
   }
 
   if (!have_results) return true;
-  if (!read_log(results, &lines, error)) return false;
+  if (!read_log(results, &lines, &out->torn, error)) return false;
   for (const Json& doc : lines) {
     JobRecord record;
     if (!parse_record(doc, jobs, &record, error)) return false;

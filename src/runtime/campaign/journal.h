@@ -28,10 +28,14 @@
 // wrong JSON kind, unknown events, attempt numbers that skip or go
 // backwards, a record whose job was never claimed, and a header stamped
 // by a different manifest are all errors naming the file and the
-// offending id. A torn tail in either log (writer died mid-append)
-// refuses resume and points at `tools/pw_campaign.py repair`.
+// offending id. A torn tail in either log (the writer died
+// mid-append) is reported with its byte offset, after the lines before
+// it are replayed: the driver refuses to resume over it and
+// `pw_run --campaign-dir=DIR` shows it, both naming the `truncate -s`
+// that drops the partial line.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <optional>
@@ -93,12 +97,24 @@ std::int64_t next_attempt(const JobProgress& progress);
 bool replay_attempt_event(const AttemptEvent& event, JobProgress* progress,
                           std::string* error);
 
+/// A log whose last line is partial: the writer died mid-append, so by
+/// the flush-then-act write order the line was never durable.
+struct TornTail {
+  std::string path;        // the log, as dir + "/results.jsonl" etc.
+  std::size_t offset = 0;  // where the partial line starts
+
+  /// The operator's repair: `truncate -s OFFSET PATH`.
+  std::string repair_command() const;
+};
+
 /// Everything a resume needs to know about prior invocations.
 struct CampaignJournal {
   std::map<std::string, JobRecord> completed;   // keyed by job id
   std::map<std::string, JobProgress> progress;  // replayed from the logs
   /// attempts.jsonl holds its header line, so appends need not write it.
   bool has_attempts_header = false;
+  /// Torn tails, attempts.jsonl's first; the lines before each replay.
+  std::vector<TornTail> torn;
 };
 
 /// Journal file names inside a campaign directory.
@@ -118,7 +134,8 @@ common::Json attempts_header(const CampaignManifest& manifest,
 /// them into per-job progress. Missing files mean a fresh campaign
 /// (empty journal, returns true); results.jsonl without attempts.jsonl
 /// is a half-deleted directory or one an older pw_run wrote, and is
-/// refused. state.json is never read.
+/// refused. A torn tail is not an error: it lands in `out->torn` and
+/// the lines before it replay. state.json is never read.
 bool load_campaign_journal(const std::string& dir,
                            const CampaignManifest& manifest,
                            const std::string& manifest_digest,

@@ -18,8 +18,8 @@ bool set_error(std::string* error, std::string message) {
   return false;
 }
 
-// Mirrors run_context.cpp exactly; pw_campaign.py carries the Python
-// twin. Changing any constant is a manifest-format break.
+// Mirrors run_context.cpp exactly. Changing any constant is a
+// manifest-format break.
 std::uint64_t fnv1a64(std::string_view text) {
   std::uint64_t h = 1469598103934665603ULL;
   for (const char c : text) {

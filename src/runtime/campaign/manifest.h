@@ -11,9 +11,9 @@
 //
 // Job sub-seeds follow the run_context derivation discipline:
 // splitmix64(base_seed ^ fnv1a64(id)), masked to the non-negative
-// int64 range `--seed` accepts. tools/pw_campaign.py mirrors the same
-// arithmetic so a Python-authored manifest and a C++-derived one agree
-// byte for byte (campaign_test pins this against a Python-built golden).
+// int64 range `--seed` accepts, so a hand-written manifest may omit
+// them (campaign_test pins the derivation and the canonical form
+// against a checked-in golden).
 #pragma once
 
 #include <cstdint>
@@ -40,7 +40,7 @@ struct CampaignJob {
   std::string experiment;  // registered experiment name
   // Parameter values stay CLI flag text ("--key=value"); keeping them as
   // strings keeps the manifest free of doubles, so the canonical form is
-  // trivially byte-stable across C++ and Python writers.
+  // trivially byte-stable.
   std::map<std::string, std::string> params;
   bool smoke = false;
   std::int64_t seed = 0;  // effective sub-seed (derived when unspecified)

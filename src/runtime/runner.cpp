@@ -1,5 +1,6 @@
 #include "runtime/runner.h"
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -56,6 +57,7 @@ void print_pw_run_usage() {
       "  pw_run --city [--procs=P] [--campaign-dir=DIR] [--smoke]\n"
       "                [--districts=D] [--<param>=<value> ...]\n"
       "                [--json[=PATH]] [--metrics[=PATH]]\n"
+      "  pw_run --campaign-dir=DIR    report a campaign directory's progress\n"
       "\n"
       "--campaign streams the manifest's job queue through a pool of P\n"
       "child processes (default 4) with checkpoint/resume: completed jobs\n"
@@ -63,8 +65,10 @@ void print_pw_run_usage() {
       "with .json replaced by .campaign) and skipped on re-invocation, so\n"
       "an interrupted campaign resumes to byte-identical results. Crashed\n"
       "or timed-out jobs retry with recorded exponential backoff until\n"
-      "the manifest's policy quarantines them. See CAMPAIGNS.md and\n"
-      "tools/pw_campaign.py (init/status/resume/repair).\n"
+      "the manifest's policy quarantines them. --campaign-dir=DIR alone\n"
+      "replays DIR's journal and prints every job's state without writing\n"
+      "anything (exit 1 on quarantined jobs or a torn tail, whose\n"
+      "`truncate -s` repair it prints). See CAMPAIGNS.md.\n"
       "\n"
       "--city runs the `city` experiment as a campaign with one job per\n"
       "district, all on the run's seed, and reduces the district documents\n"
@@ -173,7 +177,7 @@ bool parse_fault_env_list(const char* env_name,
     std::int64_t attempt = 0;
     if (colon == std::string::npos || colon == 0 ||
         !common::parse_int64(item.substr(colon + 1), &attempt) ||
-        attempt < 1) {
+        attempt < 1 || attempt > INT_MAX) {
       std::fprintf(stderr,
                    "pw_run: %s: expected \"id:attempt[,id:attempt...]\", "
                    "got \"%s\"\n",
@@ -200,7 +204,8 @@ bool parse_campaign_fault_env(campaign::CampaignFaults* faults) {
   if (const char* raw = std::getenv("PW_CAMPAIGN_STOP_AFTER")) {
     std::int64_t value = 0;
     if (*raw != '\0') {
-      if (!common::parse_int64(raw, &value) || value < 1) {
+      if (!common::parse_int64(raw, &value) || value < 1 ||
+          value > INT_MAX) {
         std::fprintf(stderr, "pw_run: PW_CAMPAIGN_STOP_AFTER: expected a "
                              "positive dispatch count, got \"%s\"\n",
                      raw);
@@ -334,11 +339,29 @@ int pw_run_main(int argc, char** argv) {
 
   const common::Flag* campaign_flag = parsed->find_flag("campaign");
   const common::Flag* city_flag = parsed->find_flag("city");
+  const common::Flag* dir_flag = parsed->find_flag("campaign-dir");
+  if (dir_flag != nullptr &&
+      (!dir_flag->value.has_value() || dir_flag->value->empty())) {
+    std::fprintf(stderr, "pw_run: --campaign-dir needs a directory: "
+                         "--campaign-dir=DIR\n");
+    return 2;
+  }
   if (campaign_flag == nullptr && city_flag == nullptr) {
-    if (parsed->has_flag("campaign-dir") || parsed->has_flag("procs")) {
+    if (dir_flag != nullptr) {
+      // Alone, --campaign-dir reports that campaign and writes nothing.
+      if (parsed->flags.size() != 1 || !parsed->positionals.empty()) {
+        std::fprintf(stderr,
+                     "pw_run: --campaign-dir=DIR takes no other flag or "
+                     "argument unless --campaign or --city runs the "
+                     "campaign\n");
+        return 2;
+      }
+      return campaign::report_campaign_status(*dir_flag->value);
+    }
+    if (parsed->has_flag("procs")) {
       std::fprintf(stderr,
-                   "pw_run: --campaign-dir and --procs only apply together "
-                   "with --campaign or --city\n");
+                   "pw_run: --procs only applies together with --campaign "
+                   "or --city\n");
       return 2;
     }
   } else {
@@ -382,14 +405,7 @@ int pw_run_main(int argc, char** argv) {
     }
     campaign::CampaignDriverOptions opts;
     opts.argv0 = argv[0];
-    if (const common::Flag* dir = parsed->find_flag("campaign-dir")) {
-      if (!dir->value.has_value() || dir->value->empty()) {
-        std::fprintf(stderr, "pw_run: --campaign-dir needs a directory: "
-                             "--campaign-dir=DIR\n");
-        return 2;
-      }
-      opts.dir = *dir->value;
-    }
+    if (dir_flag != nullptr) opts.dir = *dir_flag->value;
     if (const common::Flag* procs = parsed->find_flag("procs")) {
       std::int64_t value = 0;
       if (!procs->value.has_value() ||

@@ -75,6 +75,16 @@ class FixtureFindings(unittest.TestCase):
                       out)
         self.assertIn("make_unique reachable from PW_HOT root own_slot", out)
 
+    def test_hot_alloc_behind_a_name_five_classes_share(self):
+        # An untyped receiver leaves five `size` candidates; the walk
+        # follows them all, so unrelated same-named functions elsewhere
+        # cannot hide the allocating one.
+        code, out, _err = run_fixture("hot_alloc_shared_name")
+        self.assertEqual(code, 1, out)
+        self.assertEqual(out.count("[hot-new]"), 1, out)
+        self.assertIn("PW_HOT root occupancy (via occupancy → Spill::size)",
+                      out)
+
     def test_unguarded_write_flagged_locked_sibling_not(self):
         code, out, _err = run_fixture("unguarded_write")
         self.assertEqual(code, 1, out)

@@ -1,15 +1,15 @@
 // Campaign runtime tests: manifest schema strictness and canonical
-// round-trips, the Python/C++ seed-derivation and formatting agreement
-// (pinned against the tools/pw_campaign.py-authored golden), JSONL
-// journal semantics (torn tails, duplicate and corrupt records), the
-// attempt-log replay rules, and the driver's end-to-end determinism
-// contract — straight runs, SIGKILLed children, checkpoint/resume,
-// quarantine and a driver killed at any journal line boundary all
-// converge on byte-identical campaign documents (CAMPAIGNS.md). A
-// seeded mutation loop feeds corrupted manifests and logs through the
-// loaders. End-to-end cases spawn the real pw_run binary (PW_PW_RUN)
-// through the in-process driver, so the fork/exec, timeout and journal
-// paths are the ones production takes.
+// round-trips, the seed derivation and canonical form (pinned against a
+// checked-in golden), JSONL journal semantics (torn tails, duplicate
+// and corrupt records), the attempt-log replay rules, the driver's
+// end-to-end determinism contract — straight runs, SIGKILLed children,
+// checkpoint/resume, quarantine and a driver killed at any journal line
+// boundary all converge on byte-identical campaign documents
+// (CAMPAIGNS.md) — and the read-only `pw_run --campaign-dir=DIR`
+// status report. A seeded mutation loop feeds corrupted manifests and
+// logs through the loaders. End-to-end cases spawn the real pw_run
+// binary (PW_PW_RUN) through the in-process driver, so the fork/exec,
+// timeout and journal paths are the ones production takes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -34,6 +34,7 @@
 #include "runtime/campaign/journal.h"
 #include "runtime/campaign/manifest.h"
 #include "runtime/campaign/schema.h"
+#include "runtime/runner.h"
 #include "temp_dir.h"
 
 namespace politewifi::runtime::campaign {
@@ -226,23 +227,32 @@ TEST(CampaignManifestTest, RejectsMalformedManifests) {
   }
 }
 
-TEST(CampaignManifestTest, PythonGoldenMatchesCppCanonicalForm) {
-  // tests/goldens/campaign/manifest.json is authored by
-  // tools/pw_campaign.py init; the C++ round-trip reproducing its exact
-  // bytes pins the Python/C++ agreement on canonical formatting AND on
-  // the splitmix64/fnv1a64 seed derivation (the golden's seeds were
-  // derived in Python).
+TEST(CampaignManifestTest, GoldenIsTheCanonicalFormOfItsSeedlessSelf) {
+  // tests/goldens/campaign/manifest.json spells out every job's seed.
+  // Stripped of them and re-parsed, it must come back byte for byte:
+  // the parser derives splitmix64(base_seed ^ fnv1a64(id)) for each job
+  // and the writer emits the canonical form, so drift in either the
+  // derivation or the formatting fails here.
   const std::string golden = read_text(
       std::string(PW_REPO_ROOT) + "/tests/goldens/campaign/manifest.json");
   ASSERT_FALSE(golden.empty());
+  auto doc = common::parse_json(golden);
+  ASSERT_TRUE(doc.has_value());
+  const common::Json& jobs = *doc->find("jobs");
+  common::Json seedless = common::Json::array();
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    ASSERT_NE(jobs.at(i).find("seed"), nullptr) << "job " << i;
+    common::Json job = common::Json::object();
+    for (const auto& [key, value] : jobs.at(i).as_object()) {
+      if (key != "seed") job[key] = value;
+    }
+    seedless.push_back(std::move(job));
+  }
+  (*doc)["jobs"] = std::move(seedless);
   std::string error;
-  auto manifest = parse_campaign_manifest_text(golden, &error);
+  auto manifest = parse_campaign_manifest(*doc, &error);
   ASSERT_TRUE(manifest.has_value()) << error;
   EXPECT_EQ(manifest->to_json().dump() + "\n", golden);
-  for (const CampaignJob& job : manifest->jobs) {
-    EXPECT_EQ(job.seed, derive_job_seed(manifest->base_seed, job.id))
-        << job.id;
-  }
 }
 
 // ---------------------------------------------------- jsonl journal --
@@ -285,6 +295,14 @@ TEST(JsonlTest, AppendReadRoundTripAndTornTail) {
   EXPECT_EQ(result.records.size(), 2u);
   EXPECT_TRUE(result.torn_tail);
   EXPECT_EQ(result.torn_tail_offset, clean.size());
+
+  // So is a last record that lost only its newline: it parses, but the
+  // next append would run on into it and corrupt the line.
+  write_text(path, clean.substr(0, clean.size() - 1));
+  ASSERT_TRUE(common::read_jsonl_file(path, &result, &error)) << error;
+  EXPECT_EQ(result.records.size(), 1u);
+  EXPECT_TRUE(result.torn_tail);
+  EXPECT_EQ(result.torn_tail_offset, clean.find('\n') + 1);
 
   // The same bytes mid-file (newline-complete) are corruption.
   write_text(path, "{\"id\":\"thr\n" + clean);
@@ -599,17 +617,33 @@ TEST(CampaignJournalTest, RecoversASnapshotLaggingTheJournal) {
   EXPECT_EQ(journal.progress.count("b-quickstart"), 0u);
 }
 
-TEST(CampaignJournalTest, RefusesResumeOverATornTail) {
+TEST(CampaignJournalTest, ReportsTheTornOffsetAndTheLinesBeforeIt) {
+  // A writer killed mid-append leaves a partial last line in either log.
+  // The loader replays the lines before it and reports where it starts;
+  // refusing to resume over it is the driver's decision.
   JournalFixture fixture;
-  fixture.commit(fixture.record_for(fixture.manifest.jobs[0]));
+  const JobRecord record = fixture.record_for(fixture.manifest.jobs[0]);
+  fixture.commit(record);
   const std::string results = results_path(fixture.root);
-  write_text(results, read_text(results) + "{\"id\":\"b-qui");
+  const std::string attempts = attempts_path(fixture.root);
+  const std::string clean_results = read_text(results);
+  const std::string clean_attempts = read_text(attempts);
+  write_text(results, clean_results + "{\"id\":\"b-qui");
+  write_text(attempts, clean_attempts + "{\"attempt\":1,\"ev");
   CampaignJournal journal;
   std::string error;
-  EXPECT_FALSE(load_campaign_journal(fixture.root, fixture.manifest,
-                                     fixture.digest, &journal, &error));
-  EXPECT_NE(error.find("torn record"), std::string::npos) << error;
-  EXPECT_NE(error.find("pw_campaign.py repair"), std::string::npos) << error;
+  ASSERT_TRUE(fixture.load(&journal, &error)) << error;
+  ASSERT_EQ(journal.torn.size(), 2u);
+  EXPECT_EQ(journal.torn[0].path, attempts);
+  EXPECT_EQ(journal.torn[0].offset, clean_attempts.size());
+  EXPECT_EQ(journal.torn[1].path, results);
+  EXPECT_EQ(journal.torn[1].offset, clean_results.size());
+  EXPECT_EQ(journal.torn[1].repair_command(),
+            "truncate -s " + std::to_string(clean_results.size()) + " " +
+                results);
+  EXPECT_EQ(journal.completed.count(record.id), 1u);
+  EXPECT_EQ(journal.progress.at(record.id).status.value_or(""), "completed");
+  EXPECT_EQ(journal.progress.count("b-quickstart"), 0u);
 }
 
 // ------------------------------------------------- driver, end-to-end
@@ -821,46 +855,6 @@ TEST(CampaignDriverTest, CrashAtAnyJournalLineBoundaryResumesToTheSameBytes) {
   }
   // i = 0 with any j, then b, c and a need 4, 5 and 6 attempt lines.
   EXPECT_EQ(reachable, 7 + 3 + 2 + 1);
-}
-
-TEST(CampaignDriverTest, TornTailInEitherLogIsRefusedThenRepaired) {
-#ifndef PW_PYTHON3
-  GTEST_SKIP() << "no python3 to run tools/pw_campaign.py repair";
-#else
-  const StraightThreeJobRun straight;
-  const std::vector<std::string> records = lines_of(straight.results);
-  const std::vector<std::string> events = lines_of(straight.attempts);
-  ASSERT_EQ(records.size(), 3u);
-  ASSERT_EQ(events.size(), 6u);
-  // Killed mid-append: c's record (after its claim, line 5), or c's
-  // claim itself (after b's record).
-  const struct {
-    const char* name;
-    std::string results;
-    std::string attempts;
-  } kCuts[] = {
-      {"torn_results", records[0] + records[1].substr(0, 40),
-       first_lines(straight.attempts, 5)},
-      {"torn_attempts", records[0],
-       first_lines(straight.attempts, 4) + events[4].substr(0, 30)},
-  };
-  for (const auto& cut : kCuts) {
-    const CampaignDriverOptions options =
-        straight.cut(cut.name, cut.results, cut.attempts);
-    ::testing::internal::CaptureStderr();
-    EXPECT_EQ(run_driver(options), 1) << cut.name;
-    const std::string diagnostics = ::testing::internal::GetCapturedStderr();
-    EXPECT_NE(diagnostics.find("torn record"), std::string::npos)
-        << cut.name << ": " << diagnostics;
-    const std::string repair = std::string(PW_PYTHON3) + " " +
-                               PW_REPO_ROOT + "/tools/pw_campaign.py repair " +
-                               options.dir + " > /dev/null";
-    ASSERT_EQ(std::system(repair.c_str()), 0) << repair;
-    const auto [code, doc] = run_campaign(options);
-    EXPECT_EQ(code, 0) << cut.name;
-    EXPECT_EQ(doc, straight.doc) << cut.name;
-  }
-#endif
 }
 
 TEST(CampaignDriverTest, StateJsonIsTheLogReplayWrittenOncePerInvocation) {
@@ -1162,6 +1156,308 @@ TEST(CampaignDriverTest, CountsCompletionsRetriesAndQuarantines) {
             2);
 }
 
+TEST(CampaignDriverTest, FaultHookValuesAboveIntMaxAreUsageErrors) {
+  // The hooks parse an int64 into an int: a value past INT_MAX must be
+  // refused, not wrapped (4294967296 would wrap to 0, "no limit").
+  const TempDir tmp(kTempPrefix);
+  const std::string& root = tmp.path();
+  write_text(root + "/env.json", test_manifest_text());
+  const std::string dir = root + "/env.campaign";
+  const struct {
+    const char* name;
+    const char* value;
+  } kCases[] = {
+      {"PW_CAMPAIGN_STOP_AFTER", "4294967296"},
+      {"PW_CAMPAIGN_STOP_AFTER", "4294967297"},
+      {"PW_CAMPAIGN_FAULT_KILL", "a-quickstart:4294967297"},
+      {"PW_CAMPAIGN_FAULT_HANG", "b-quickstart:2147483648"},
+  };
+  for (const auto& test_case : kCases) {
+    ASSERT_EQ(::setenv(test_case.name, test_case.value, 1), 0);
+    std::string arg0 = "pw_run";
+    std::string campaign = "--campaign=" + root + "/env.json";
+    std::string campaign_dir = "--campaign-dir=" + dir;
+    char* argv[] = {arg0.data(), campaign.data(), campaign_dir.data()};
+    ::testing::internal::CaptureStderr();
+    const int code = runtime::pw_run_main(3, argv);
+    const std::string diagnostics = ::testing::internal::GetCapturedStderr();
+    ::unsetenv(test_case.name);
+    EXPECT_EQ(code, 2) << test_case.name << "=" << test_case.value;
+    EXPECT_NE(diagnostics.find(test_case.name), std::string::npos)
+        << diagnostics;
+    EXPECT_FALSE(std::filesystem::exists(dir))
+        << test_case.name << "=" << test_case.value << " started the driver";
+  }
+}
+
+// ------------------------------------------------- status report ----
+
+/// Every entry under `dir` by relative path: a file's bytes, or "/" for
+/// a directory.
+std::map<std::string, std::string> snapshot(const std::string& dir) {
+  std::map<std::string, std::string> entries;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(dir)) {
+    const std::string rel =
+        std::filesystem::relative(entry.path(), dir).string();
+    entries[rel] =
+        entry.is_directory() ? "/" : read_text(entry.path().string());
+  }
+  return entries;
+}
+
+struct StatusReport {
+  int code = 0;
+  std::string out;
+  std::string err;
+};
+
+/// `pw_run --campaign-dir=DIR [extra]` in-process; every file in DIR
+/// must be byte-identical afterwards.
+StatusReport report_status(const std::string& dir,
+                           const std::string& extra = "") {
+  const auto before = snapshot(dir);
+  std::string arg0 = "pw_run";
+  std::string flag = "--campaign-dir=" + dir;
+  std::string more = extra;
+  char* argv[] = {arg0.data(), flag.data(), more.data()};
+  ::testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStderr();
+  StatusReport report;
+  report.code = runtime::pw_run_main(extra.empty() ? 2 : 3, argv);
+  report.out = ::testing::internal::GetCapturedStdout();
+  report.err = ::testing::internal::GetCapturedStderr();
+  EXPECT_EQ(snapshot(dir), before) << "the status report changed " << dir;
+  return report;
+}
+
+/// The per-job lines of a status report: job id -> state.
+std::map<std::string, std::string> reported_states(const std::string& out) {
+  std::map<std::string, std::string> states;
+  for (const std::string& line : lines_of(out)) {
+    if (line.rfind("  ", 0) != 0) continue;
+    std::istringstream fields(line);
+    std::string id;
+    std::string state;
+    fields >> id;
+    std::getline(fields >> std::ws, state);
+    states[id] = state;
+  }
+  return states;
+}
+
+/// Each manifest job's state by the state.json view the driver wrote at
+/// exit, in the status report's words (no claim is open at exit).
+std::map<std::string, std::string> states_at_exit(const std::string& dir) {
+  std::string error;
+  const auto manifest =
+      parse_campaign_manifest_text(read_text(dir + "/manifest.json"), &error);
+  EXPECT_TRUE(manifest.has_value()) << error;
+  const auto state = common::parse_json(read_text(state_path(dir)));
+  EXPECT_TRUE(state.has_value()) << dir;
+  std::map<std::string, std::string> states;
+  if (!manifest.has_value() || !state.has_value()) return states;
+  for (const CampaignJob& job : manifest->jobs) {
+    const common::Json* entry = state->find("jobs")->find(job.id);
+    std::string& text = states[job.id];
+    if (entry == nullptr) {
+      text = "pending";
+      continue;
+    }
+    const common::Json* status = entry->find("status");
+    if (status == nullptr) {
+      text = "pending after " +
+             std::to_string(entry->find("attempts")->as_int()) +
+             " attempt(s)";
+    } else if (status->as_string() == "completed") {
+      text = "completed " + entry->find("digest")->as_string();
+    } else {
+      text = "QUARANTINED (see " + entry->find("log")->as_string() + ")";
+    }
+  }
+  return states;
+}
+
+/// Reports DIR and checks it against the state.json the driver wrote at
+/// exit: the exit code, the summary line and every job's state.
+StatusReport expect_report(const std::string& dir, int code,
+                           const std::string& summary) {
+  StatusReport report = report_status(dir);
+  EXPECT_EQ(report.code, code) << report.err;
+  EXPECT_NE(report.out.find("jobs:        " + summary + "\n"),
+            std::string::npos)
+      << report.out;
+  EXPECT_EQ(reported_states(report.out), states_at_exit(dir)) << report.out;
+  return report;
+}
+
+TEST(CampaignStatusTest, CheckpointedCampaignShowsWhatIsLeftUntilItFinishes) {
+  // a's first child is SIGKILLed and the run stops after two dispatches
+  // (a1 failed, b1 done); the resume finishes a on its second attempt.
+  const TempDir tmp(kTempPrefix);
+  const std::string& root = tmp.path();
+  write_text(root + "/cp.json", test_manifest_text());
+  CampaignDriverOptions options = driver_options(root, "cp", 1);
+  options.faults.kill.insert({"a-quickstart", 1});
+  options.faults.stop_after = 2;
+  ASSERT_EQ(run_driver(options), 3);
+  const StatusReport report = expect_report(
+      options.dir, 0, "1/2 completed, 0 quarantined, 0 retried attempts");
+  EXPECT_EQ(report.out.rfind("campaign:    test (suite t1)\n", 0), 0u)
+      << report.out;
+  EXPECT_EQ(reported_states(report.out).at("a-quickstart"),
+            "pending after 1 attempt(s)");
+
+  options.faults = {};
+  ASSERT_EQ(run_driver(options), 0);
+  expect_report(options.dir, 0,
+                "2/2 completed, 0 quarantined, 1 retried attempts");
+}
+
+TEST(CampaignStatusTest, QuarantineExitsOneUntilTheResumeCompletesIt) {
+  const TempDir tmp(kTempPrefix);
+  const std::string& root = tmp.path();
+  write_text(root + "/q.json", test_manifest_text(0, 2));
+  CampaignDriverOptions options = driver_options(root, "q", 1);
+  options.faults.kill.insert({"a-quickstart", 1});
+  options.faults.kill.insert({"a-quickstart", 2});
+  ASSERT_EQ(run_driver(options), 1);
+  const StatusReport report = expect_report(
+      options.dir, 1, "1/2 completed, 1 quarantined, 1 retried attempts");
+  EXPECT_EQ(reported_states(report.out).at("a-quickstart"),
+            "QUARANTINED (see logs/a-quickstart.attempt2.log)");
+
+  // The resume re-runs the quarantined job as attempt 1 of a fresh
+  // budget, so nothing counts as retried any more.
+  options.faults.kill.clear();
+  ASSERT_EQ(run_driver(options), 0);
+  expect_report(options.dir, 0,
+                "2/2 completed, 0 quarantined, 0 retried attempts");
+}
+
+TEST(CampaignDriverTest, TornTailInEitherLogIsRefusedThenRepaired) {
+  const StraightThreeJobRun straight;
+  const std::vector<std::string> records = lines_of(straight.results);
+  const std::vector<std::string> events = lines_of(straight.attempts);
+  ASSERT_EQ(records.size(), 3u);
+  ASSERT_EQ(events.size(), 6u);
+  // Killed mid-append: c's record (after its claim, line 5), or c's
+  // claim itself (after b's record).
+  const struct {
+    const char* name;
+    std::string results;
+    std::string attempts;
+    bool results_torn;
+  } kCuts[] = {
+      {"torn_results", records[0] + records[1].substr(0, 40),
+       first_lines(straight.attempts, 5), true},
+      {"torn_attempts", records[0],
+       first_lines(straight.attempts, 4) + events[4].substr(0, 30), false},
+  };
+  const std::string kTorn = "torn record at byte offset ";
+  for (const auto& cut : kCuts) {
+    const CampaignDriverOptions options =
+        straight.cut(cut.name, cut.results, cut.attempts);
+    const std::string log = cut.results_torn ? results_path(options.dir)
+                                             : attempts_path(options.dir);
+    const std::size_t clean =
+        cut.results_torn ? records[0].size()
+                         : first_lines(straight.attempts, 4).size();
+    ::testing::internal::CaptureStderr();
+    EXPECT_EQ(run_driver(options), 1) << cut.name;
+    const std::string diagnostics = ::testing::internal::GetCapturedStderr();
+    const std::size_t at = diagnostics.find(kTorn);
+    ASSERT_NE(at, std::string::npos) << cut.name << ": " << diagnostics;
+    const std::size_t offset =
+        std::stoul(diagnostics.substr(at + kTorn.size()));
+    EXPECT_EQ(offset, clean) << cut.name;
+    EXPECT_NE(diagnostics.find("truncate -s " + std::to_string(offset) + " " +
+                               log),
+              std::string::npos)
+        << cut.name << ": " << diagnostics;
+    // The status report prints the same repair; c's claim, which the
+    // torn record would have completed, is open.
+    const StatusReport report = report_status(options.dir);
+    EXPECT_EQ(report.code, 1) << report.err;
+    EXPECT_NE(report.out.find("repair: truncate -s " +
+                              std::to_string(offset) + " " + log + "\n"),
+              std::string::npos)
+        << cut.name << ": " << report.out;
+    EXPECT_EQ(reported_states(report.out).at("c-quickstart"),
+              cut.results_torn ? "claimed, no result (attempt 1)"
+                               : "pending");
+    std::filesystem::resize_file(log, offset);
+    const auto [code, doc] = run_campaign(options);
+    EXPECT_EQ(code, 0) << cut.name;
+    EXPECT_EQ(doc, straight.doc) << cut.name;
+  }
+}
+
+TEST(CampaignStatusTest, TornTailInEitherLogIsShownWithItsRepair) {
+  // Checkpointed 3-job runs with a's first child SIGKILLed, then a
+  // partial line appended as a driver killed mid-append leaves one: c's
+  // claim after two dispatches (a1 failed, b1 done), or c's record after
+  // three (a1, b1, c1).
+  const TempDir tmp(kTempPrefix);
+  const std::string& root = tmp.path();
+  for (const bool in_results : {false, true}) {
+    const std::string name = in_results ? "torn_results" : "torn_attempts";
+    const std::string summary =
+        std::string(in_results ? "2" : "1") +
+        "/3 completed, 0 quarantined, 0 retried attempts";
+    write_text(root + "/" + name + ".json", three_job_manifest_text());
+    CampaignDriverOptions options = driver_options(root, name, 1);
+    options.faults.kill.insert({"a-quickstart", 1});
+    options.faults.stop_after = in_results ? 3 : 2;
+    ASSERT_EQ(run_driver(options), 3) << name;
+    const std::string log = in_results ? results_path(options.dir)
+                                       : attempts_path(options.dir);
+    const std::string clean = read_text(log);
+    write_text(log, clean + (in_results ? "{\"digest\":\"crc32:"
+                                        : "{\"attempt\":1,\"event\":\"cl"));
+
+    const StatusReport report = expect_report(options.dir, 1, summary);
+    EXPECT_NE(report.out.find("torn tail:   " + log + " ends in a partial "
+                              "record at byte " +
+                              std::to_string(clean.size()) +
+                              "; repair: truncate -s " +
+                              std::to_string(clean.size()) + " " + log +
+                              "\n"),
+              std::string::npos)
+        << name << ": " << report.out;
+
+    // The printed repair drops the partial line and nothing else.
+    std::filesystem::resize_file(log, clean.size());
+    EXPECT_EQ(expect_report(options.dir, 0, summary).out.find("torn"),
+              std::string::npos);
+  }
+}
+
+TEST(CampaignStatusTest, ANonCampaignDirectoryIsAUsageError) {
+  const TempDir tmp(kTempPrefix);
+  const std::string& root = tmp.path();
+  write_text(root + "/notes.txt", "not a campaign\n");
+  StatusReport report = report_status(root);
+  EXPECT_EQ(report.code, 2);
+  EXPECT_TRUE(report.out.empty()) << report.out;
+  EXPECT_NE(report.err.find("not a campaign directory"), std::string::npos)
+      << report.err;
+
+  // A manifest.json the parser refuses is no campaign either.
+  write_text(root + "/manifest.json", "{\"campaign\": \"x\"}\n");
+  report = report_status(root);
+  EXPECT_EQ(report.code, 2);
+  EXPECT_NE(report.err.find("manifest"), std::string::npos) << report.err;
+
+  // A campaign directory with any other flag is a usage error too.
+  write_text(root + "/m.json", test_manifest_text());
+  CampaignDriverOptions options = driver_options(root, "m", 1);
+  ASSERT_EQ(run_driver(options), 0);
+  report = report_status(options.dir, "--procs=2");
+  EXPECT_EQ(report.code, 2);
+  EXPECT_TRUE(report.out.empty()) << report.out;
+}
+
 // ------------------------------------------- loader mutation loop ----
 
 /// splitmix64: a seeded, platform-independent mutation stream.
@@ -1270,6 +1566,11 @@ TEST(CampaignLoaderFuzz, SeededMutationsAreNamedErrorsNeverAborts) {
         EXPECT_NE(error.find(in_results ? "results.jsonl" : "attempts.jsonl"),
                   std::string::npos)
             << error << "\n" << log;
+      } else if (!journal.torn.empty()) {
+        ++refused;  // the driver refuses to resume over a torn tail
+        EXPECT_EQ(journal.torn[0].path,
+                  in_results ? results_path(work) : attempts_path(work))
+            << log;
       }
     }
   }

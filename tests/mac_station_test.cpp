@@ -669,6 +669,45 @@ std::vector<std::pair<std::string, Frame>> hostile_bases(
   bases.emplace_back("null", frames::make_null_function(self, peer, 9));
   bases.emplace_back("RTS", frames::make_rts(self, peer, 120));
   bases.emplace_back("PS-Poll", frames::make_ps_poll(self, peer, 1));
+  // Figure 3's frames, then the Block Ack pair Bl0ck abuses: a 16-octet
+  // control header (FC, Duration, RA, TA) and a body, which a mutated FC
+  // can turn into a header of another type.
+  bases.emplace_back(
+      "deauthentication",
+      frames::make_deauth(self, peer, peer,
+                          frames::ReasonCode::kClass3FrameFromNonassocSta,
+                          10));
+  bases.emplace_back(
+      "disassociation",
+      frames::FrameBuilder()
+          .management(frames::ManagementSubtype::kDisassociation)
+          .addr1(self)
+          .addr2(peer)
+          .addr3(peer)
+          .sequence(11)
+          .body(frames::Deauthentication{frames::ReasonCode::kInactivity}
+                    .to_body())
+          .build());
+  // BAR control 0x0004 (compressed bitmap, TID 0), starting sequence 12.
+  bases.emplace_back(
+      "Block Ack Request",
+      frames::FrameBuilder()
+          .control(frames::ControlSubtype::kBlockAckRequest)
+          .duration(60)
+          .addr1(self)
+          .addr2(peer)
+          .body(Bytes{0x04, 0x00, 0xc0, 0x00})
+          .build());
+  // BA control, starting sequence, then the 8-octet compressed bitmap.
+  bases.emplace_back(
+      "Block Ack",
+      frames::FrameBuilder()
+          .control(frames::ControlSubtype::kBlockAck)
+          .addr1(self)
+          .addr2(peer)
+          .body(Bytes{0x05, 0x00, 0xc0, 0x00, 0xff, 0x0f, 0x00, 0x00, 0x00,
+                      0x00, 0x00, 0x00})
+          .build());
   return bases;
 }
 

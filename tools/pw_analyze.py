@@ -1362,7 +1362,7 @@ def check_hot_purity(files, resolver, sup, raw_lines, out):
 def _pick_callees(fn, recv, qual, name, cands, resolver):
     """Narrows name-matched candidates using receiver/qualifier type
     info; falls back to every candidate when ambiguous (conservative),
-    unless the name is so generic that following it would be noise."""
+    however many functions share the name."""
     if qual is not None:
         scoped = [c for c in cands if c.cls == qual]
         if scoped:
@@ -1384,8 +1384,6 @@ def _pick_callees(fn, recv, qual, name, cands, resolver):
     free = [c for c in cands if c.cls is None and c.module == fn.module]
     if free:
         return free
-    if len(cands) > 4:
-        return []
     return cands
 
 

@@ -19,9 +19,10 @@ build, and ctest runs it as `pw_checkflags`) and fails on:
   shadowing-tool-flag a TOOL_FLAGS entry that is already a driver flag
                       or an experiment parameter
 
-Tool scripts (tools/pw_*.py) own flags of their own; those are listed
-in TOOL_FLAGS below rather than discovered, so a typo in a doc cannot
-hide behind the allowlist by accident. Like the pw_lint and pw_analyze
+Flags the docs quote that pw_run does not parse itself (the per-run
+--seed, cmake's and ctest's) are listed in TOOL_FLAGS below rather
+than discovered, so a typo in a doc cannot hide behind the allowlist
+by accident. Like the pw_lint and pw_analyze
 allowlists, TOOL_FLAGS can only shrink: an entry the docs no longer
 need, or one the driver already defines, is itself a failure.
 """
@@ -35,14 +36,14 @@ RUNNER = REPO / "src" / "runtime" / "runner.cpp"
 EXPERIMENTS_DIR = REPO / "src" / "runtime" / "experiments"
 DOCS = ["README.md", "EXPERIMENTS.md", "OBSERVABILITY.md", "CAMPAIGNS.md"]
 
-# Documented flags owned by the Python tools (tools/pw_campaign.py ...)
-# or by external tools the docs quote
-# (cmake, ctest). Keep sorted; every entry must be mentioned by a doc.
+# Documented flags that are neither driver flags nor experiment
+# parameters: the per-run --seed every experiment takes, and external
+# tools the docs quote (cmake, ctest). Keep sorted; every entry must be
+# mentioned by a doc.
 TOOL_FLAGS = {
     "build",              # cmake, quoted in build instructions
     "preset",             # cmake, quoted in build instructions
-    "seed",               # reserved per-experiment flag / pw_campaign.py init
-    "suite-version",      # pw_campaign.py init
+    "seed",               # the per-run seed every experiment takes
     "test-dir",           # ctest, quoted in build instructions
 }
 
